@@ -4,9 +4,18 @@
 // footprint; expected shape: near zero for small transactions, rising
 // steeply (set-associativity "birthday" overflows) and ~1 past ~30 KB.
 //
+// Beside each emulated measurement it prints the analytic model TuFast
+// sizes its hardware work with, 1 - CapacityFitProbability (htm_config.h;
+// CapacityOptimalOps in tm/contention_monitor.h maximizes over it), and
+// exits 1 if any footprint's measurement and model differ by more than
+// kMaxModelGap — a change to the emulator's capacity model or to
+// HtmConfig that breaks the derivation's premise fails the run.
+//
 // Runs on the emulated backend; add --native to also measure real RTM
 // when the CPU supports it.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <thread>
@@ -22,6 +31,7 @@ namespace {
 
 constexpr size_t kRegionWords = 8u << 20;  // 64 MB region.
 constexpr int kTransactionsPerPoint = 2000;
+constexpr double kMaxModelGap = 0.05;
 
 template <typename Htm>
 double MeasureAbortProbability(Htm& htm, size_t footprint_bytes,
@@ -68,15 +78,24 @@ int Main(int argc, char** argv) {
                                            8192,  12288, 16384, 20480,
                                            24576, 28672, 32768, 40960};
 
-  ReportTable table({"tx size (KB)", "abort probability (emulated)"});
+  ReportTable table({"tx size (KB)", "abort probability (emulated)",
+                     "model (1 - fit)"});
   EmulatedHtm emulated;
+  double max_gap = 0.0;
   for (const size_t bytes : sizes_bytes) {
     const double p = MeasureAbortProbability(emulated, bytes, region);
-    table.AddRow({ReportTable::Num(bytes / 1024.0), ReportTable::Num(p)});
+    const double model =
+        1.0 - CapacityFitProbability(emulated.config(),
+                                     static_cast<uint32_t>(bytes / 64));
+    max_gap = std::max(max_gap, std::fabs(p - model));
+    table.AddRow({ReportTable::Num(bytes / 1024.0), ReportTable::Num(p),
+                  ReportTable::Num(model)});
   }
   table.Print(
       "Fig. 4 — HTM abort probability vs transaction size "
       "(2 threads, random locations)");
+  std::printf("model check: max |emulated - model| = %.4f (limit %.2f) %s\n",
+              max_gap, kMaxModelGap, max_gap <= kMaxModelGap ? "ok" : "FAIL");
 
   if (native) {
     if (!NativeHtm::Supported()) {
@@ -92,7 +111,7 @@ int Main(int argc, char** argv) {
       ntable.Print("Fig. 4 (native RTM)");
     }
   }
-  return 0;
+  return max_gap <= kMaxModelGap ? 0 : 1;
 }
 
 }  // namespace

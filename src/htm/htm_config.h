@@ -1,6 +1,7 @@
 #ifndef TUFAST_HTM_HTM_CONFIG_H_
 #define TUFAST_HTM_HTM_CONFIG_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -33,6 +34,25 @@ struct HtmConfig {
   /// Max transactional footprint in bytes.
   size_t CapacityBytes() const { return size_t{MaxLines()} * 64; }
 };
+
+/// Probability that a transaction touching `lines` distinct, uniformly
+/// random cache lines fits the modeled cache, i.e. puts no more than
+/// num_ways lines into any of the num_sets sets (paper Fig. 4's curve).
+/// Poisson approximation: each set's load is ~Poisson(lines / num_sets),
+/// independently, so Pr[fit] ~ Pr[Poisson <= num_ways]^num_sets. Exact at
+/// the ends: at most num_ways lines always fit, more than MaxLines() never.
+inline double CapacityFitProbability(const HtmConfig& cfg, uint32_t lines) {
+  if (lines <= cfg.num_ways) return 1.0;
+  if (lines > cfg.MaxLines()) return 0.0;
+  const double lambda = static_cast<double>(lines) / cfg.num_sets;
+  double term = std::exp(-lambda);  // Pr[a set holds exactly 0 lines].
+  double per_set = term;
+  for (uint32_t j = 1; j <= cfg.num_ways; ++j) {
+    term *= lambda / j;
+    per_set += term;
+  }
+  return std::pow(per_set, cfg.num_sets);
+}
 
 /// Maximum concurrently registered HTM threads. Reader sets are bitmaps.
 inline constexpr int kMaxHtmThreads = 64;

@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "common/compiler.h"
+#include "htm/htm_config.h"
 
 namespace tufast {
 
@@ -27,6 +28,28 @@ inline uint32_t OptimalPeriod(double p, uint32_t min_period,
   if (rounded <= min_period) return min_period;
   if (rounded >= max_period) return max_period;
   return static_cast<uint32_t>(rounded);
+}
+
+/// Capacity-optimal hardware work size: the same §IV-D goodput rule with
+/// the modeled cache's fit curve in place of the conflict probability.
+/// Each TuFast H/O operation can touch two fresh lines (the subscribed
+/// vertex lock word plus the data word), so a k-op region commits with
+/// probability Pr[fit(2k)] and the expected committed work is
+/// k * Pr[fit(2k)]. Returns the maximizing k in [1, MaxLines()/2] (89 for
+/// the default 64 x 8 geometry); the scheduler derives its H-mode /
+/// fused-window budget and its O-mode max period from it.
+inline uint32_t CapacityOptimalOps(const HtmConfig& cfg) {
+  const uint32_t max_ops = cfg.MaxLines() / 2;
+  uint32_t best_k = 1;
+  double best_work = 0.0;
+  for (uint32_t k = 1; k <= max_ops; ++k) {
+    const double work = k * CapacityFitProbability(cfg, 2 * k);
+    if (work > best_work) {
+      best_work = work;
+      best_k = k;
+    }
+  }
+  return best_k;
 }
 
 /// Abort-storm circuit breaker state (DESIGN.md "Progress guard"):

@@ -221,8 +221,12 @@ class OTxn {
       return OCommitResult::kLockBusy;
     }
 
+    // DrainLoad, not a plain load: an H transaction past its commit point
+    // may still be flushing a write to a line we read. Its lock-word
+    // subscription can no longer be doomed by our locking, so a plain
+    // load could validate against the pre-image and lose its update.
     for (const ReadEntry& r : reads_) {
-      if (Htm::NonTxLoad(r.addr) != r.value || !ReadVertexStillValid(r.vertex)) {
+      if (htm_.DrainLoad(r.addr) != r.value || !ReadVertexStillValid(r.vertex)) {
         ReleaseExclusive(write_vertices_.size());
         return OCommitResult::kValidationFail;
       }
@@ -336,7 +340,10 @@ class LTxn {
       return writes_[*idx].value;
     }
     EnsureAtLeastShared(v);
-    return Htm::NonTxLoad(addr);
+    // DrainLoad: taking the lock dooms only hardware transactions that
+    // have not reached their commit point; one already flushing a write
+    // to this line must be waited out, or we read its pre-image.
+    return htm_.DrainLoad(addr);
   }
 
   /// Read with declared write intent (SELECT ... FOR UPDATE): takes the
@@ -348,7 +355,7 @@ class LTxn {
       return writes_[*idx].value;
     }
     EnsureExclusive(v);
-    return Htm::NonTxLoad(addr);
+    return htm_.DrainLoad(addr);  // See Read().
   }
 
   void Write(VertexId v, TmWord* addr, TmWord value) {

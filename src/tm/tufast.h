@@ -43,12 +43,14 @@ namespace tufast {
 ///     if (txn.Read(v, &match[v]) == kNull) { ... txn.Write(...); }
 ///   });
 ///
-/// Routing (paper Fig. 10): H mode first (unless the hint rules it out),
-/// with bounded retries on conflicts and an immediate hand-off on
-/// capacity aborts; then O mode, halving `period` per failed attempt;
-/// when `period` sinks below min_period, L mode finishes the job under
-/// locks. `period` starts at the contention monitor's analytic optimum
-/// (§IV-D) unless adaptive_period is off.
+/// Routing (paper Fig. 10): H mode first (unless the hint exceeds the
+/// capacity-optimal op budget, CapacityOptimalOps), with bounded retries
+/// on conflicts and an immediate hand-off on capacity aborts; then O
+/// mode, halving `period` per failed attempt (backing off only after
+/// non-capacity aborts); when `period` sinks below min_period, L mode
+/// finishes the job under locks. `period` starts at the contention
+/// monitor's analytic optimum (§IV-D), capped by the same capacity
+/// budget, unless adaptive_period is off.
 ///
 /// Per-worker state (mode contexts, contention monitor, stats, RNG) and
 /// the `Telemetry` sink live in the shared WorkerRuntime; `Telemetry` is
@@ -87,16 +89,19 @@ class TuFastScheduler {
   struct Config {
     /// H-mode retries after conflict aborts before falling to O mode.
     int h_retries = 4;
-    /// Size hints above this skip H mode (0 = derive from HTM capacity:
-    /// half the line budget, since each op may touch a fresh line).
+    /// Size hints above this skip H mode; it also caps the summed hints
+    /// of one fused window. 0 = derive from the modeled cache:
+    /// CapacityOptimalOps(htm.config()), the op count that maximizes
+    /// expected committed work when each op touches two random lines
+    /// (89 for the default 64 x 8 L1).
     uint64_t h_hint_threshold = 0;
     /// Size hints above this skip O mode too and go straight to locks.
     uint64_t o_hint_threshold = 16384;
     uint32_t min_period = 100;   // Paper: below this, proceed with L mode.
-    /// Upper bound for the adaptive `period`. 0 = derive from the HTM
-    /// capacity: each operation touches up to two fresh lines (data +
-    /// vertex lock), so segments beyond ~MaxLines()/2 operations abort on
-    /// capacity deterministically and only waste a re-execution.
+    /// Upper bound for the adaptive `period`. 0 = derive from the modeled
+    /// cache: max(min_period, CapacityOptimalOps(htm.config())). Each O
+    /// segment op touches up to two fresh lines (data + vertex lock), so
+    /// longer segments mostly buy capacity aborts and re-executions.
     uint32_t max_period = 0;
     bool adaptive_period = true;
     uint32_t static_period = 1000;  // Used when adaptive_period is false.
@@ -212,9 +217,11 @@ class TuFastScheduler {
         lock_manager_(lock_table_, config.deadlock_policy),
         h_hint_threshold_(config.h_hint_threshold != 0
                               ? config.h_hint_threshold
-                              : htm.config().MaxLines() / 2),
-        max_period_(config.max_period != 0 ? config.max_period
-                                           : htm.config().MaxLines() / 2 - 16),
+                              : CapacityOptimalOps(htm.config())),
+        max_period_(config.max_period != 0
+                        ? config.max_period
+                        : std::max(config.min_period,
+                                   CapacityOptimalOps(htm.config()))),
         progress_guard_(ProgressGuard::Config{
             .priority_threshold = config.starvation_priority_threshold,
             .token_threshold = config.starvation_token_threshold,
@@ -1184,6 +1191,7 @@ class TuFastScheduler {
                                               : config_.static_period;
     bool first_attempt = true;
     while (period >= config_.min_period) {
+      bool capacity_abort = false;
       BeatAttempt(w);
       w.telemetry.PeriodChange(period);
       w.state.otxn.Reset(period);
@@ -1218,13 +1226,17 @@ class TuFastScheduler {
           return RunOutcome{false, TxnClass::kO, 0, txn_aborts};
         }
         w.state.monitor.RecordAttempt(w.state.otxn.ops(), /*aborted=*/true);
+        capacity_abort = verdict == HtmAttemptVerdict::kCapacity;
       }
       ++txn_aborts;
       period /= 2;
       first_attempt = false;
       // Halved-period retry: back off before re-executing against the
-      // same contenders.
-      if (config_.enable_backoff && period >= config_.min_period) {
+      // same contenders. A capacity abort is about the segment's
+      // footprint, not contention (as in H mode): the halving alone
+      // answers it.
+      if (config_.enable_backoff && !capacity_abort &&
+          period >= config_.min_period) {
         PayBackoff(w, txn_aborts - 1);
       }
     }

@@ -1,15 +1,18 @@
 // Unit tests for the batch execution engine (tm/batch_executor.h +
 // TuFastScheduler::RunBatch): group-commit fusion of consecutive small
 // H transactions, capacity-aware bisection on abort, degradation to the
-// per-item router at width 1, the adaptive fusion-width controller, and
-// the fused-commit accounting parity between SchedulerStats and
-// telemetry that the fig15 cross-check relies on.
+// per-item router at width 1, the adaptive fusion-width controller, the
+// fused-commit accounting parity between SchedulerStats and telemetry
+// that the fig15 cross-check relies on, and the capacity-derived window
+// budget.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "htm/emulated_htm.h"
 #include "testing/failpoints.h"
 #include "tm/batch_executor.h"
@@ -187,6 +190,68 @@ TEST(BatchExecutorTest, PersistentCapacityAbortsDegradeToPerItemRouter) {
   }
   EXPECT_EQ(tm.AggregatedStats().commits, 128u);
   EXPECT_GT(plan.InjectionCount(), 0u);
+}
+
+/// One worker runs RunBatch over `items` items; item i reads `reads`
+/// random words, each under a random vertex's lock, and then increments
+/// its own counter, with hint reads + 1: two independent random lines
+/// (lock word + data) per hinted op, the premise of CapacityOptimalOps.
+/// The data word is drawn apart from the vertex because two page-aligned
+/// vertex-indexed arrays of 8-byte words put a vertex's lock word and
+/// data word in the same set of the 64-set model (the set index is the
+/// line's page offset), which halves the effective associativity. Checks
+/// every item committed exactly once and returns the run's stats.
+SchedulerStats RunRandomReadBatch(uint64_t h_hint_threshold, uint64_t items,
+                                  uint32_t reads) {
+  constexpr VertexId kSpread = 1 << 16;
+  EmulatedHtm htm;
+  TuFast::Config config;
+  config.h_hint_threshold = h_hint_threshold;
+  TuFast tm(htm, kSpread, config);
+  std::vector<TmWord> data(kSpread, 0);
+  std::vector<TmWord> counts(items, 0);
+  std::vector<VertexId> vertices(items * reads);
+  std::vector<uint32_t> words(items * reads);
+  Rng rng(2019);
+  for (uint64_t r = 0; r < items * reads; ++r) {
+    vertices[r] = static_cast<VertexId>(rng.NextBounded(kSpread));
+    words[r] = static_cast<uint32_t>(rng.NextBounded(kSpread));
+  }
+  tm.RunBatch(
+      0, 0, items, [reads](uint64_t) { return uint64_t{reads} + 1; },
+      [&](auto& txn, uint64_t i) {
+        for (uint64_t r = i * reads; r < (i + 1) * reads; ++r) {
+          txn.Read(vertices[r], &data[words[r]]);
+        }
+        const VertexId v = static_cast<VertexId>(i);
+        txn.Write(v, &counts[i], txn.Read(v, &counts[i]) + 1);
+      });
+  for (uint64_t i = 0; i < items; ++i) {
+    EXPECT_EQ(counts[i], 1u) << "item " << i;
+  }
+  const SchedulerStats stats = tm.AggregatedStats();
+  EXPECT_EQ(stats.commits, items);
+  return stats;
+}
+
+TEST(BatchExecutorTest, CapacityBudgetKeepsFusedWindowsInTheCache) {
+  // Windows packed to the default budget (CapacityOptimalOps) mostly fit
+  // the modeled cache; windows packed to the old half-capacity budget
+  // (MaxLines()/2 hinted ops = ~MaxLines() random lines) almost never do
+  // and pay capacity aborts plus bisection.
+  constexpr uint64_t kItems = 1000;
+  constexpr uint32_t kReads = 15;
+  const SchedulerStats fitted = RunRandomReadBatch(0, kItems, kReads);
+  const SchedulerStats half =
+      RunRandomReadBatch(HtmConfig{}.MaxLines() / 2, kItems, kReads);
+  ASSERT_GT(fitted.fused_regions, 0u);
+  EXPECT_LE(fitted.capacity_aborts * 4, fitted.fused_regions)
+      << "capacity aborts " << fitted.capacity_aborts << " vs fused regions "
+      << fitted.fused_regions;
+  EXPECT_GE(half.capacity_aborts,
+            5 * std::max<uint64_t>(fitted.capacity_aborts, 1))
+      << "half-capacity budget: " << half.capacity_aborts
+      << " capacity aborts; derived budget: " << fitted.capacity_aborts;
 }
 
 TEST(BatchExecutorTest, AdaptiveWidthShrinksUnderFusedAborts) {

@@ -1,7 +1,9 @@
 // Edge-case unit tests for OptimalPeriod (paper §IV-D): the closed-form
 // P* = -1/ln(1-p) must degrade gracefully at p -> 0, p -> 1, on NaN
 // input, and when the rounded optimum lands on a clamp boundary — the
-// double -> uint32 cast must never see an out-of-range value (UB).
+// double -> uint32 cast must never see an out-of-range value (UB). Also
+// the capacity counterpart, CapacityOptimalOps, and the fit curve it
+// maximizes over.
 
 #include <cmath>
 #include <limits>
@@ -100,6 +102,77 @@ TEST(ContentionMonitorEdgeTest, AllAbortsDriveToMinPeriod) {
   for (int i = 0; i < 5000; ++i) monitor.RecordAttempt(1, true);
   EXPECT_EQ(monitor.CurrentPeriod(), monitor.config().min_period);
   EXPECT_GT(monitor.EstimatedP(), 0.5);
+}
+
+// ---------------------------------------------------------------------
+// Capacity-derived budgets: the modeled cache's fit curve and the op
+// count that maximizes expected committed work under it.
+
+HtmConfig Geometry(uint32_t sets, uint32_t ways) {
+  HtmConfig cfg;
+  cfg.num_sets = sets;
+  cfg.num_ways = ways;
+  return cfg;
+}
+
+TEST(CapacityFitTest, ExactAtTheEndsAndMonotoneBetween) {
+  for (const HtmConfig cfg :
+       {Geometry(64, 8), Geometry(64, 4), Geometry(4, 1)}) {
+    EXPECT_EQ(CapacityFitProbability(cfg, 0), 1.0);
+    EXPECT_EQ(CapacityFitProbability(cfg, cfg.num_ways), 1.0);
+    EXPECT_EQ(CapacityFitProbability(cfg, cfg.MaxLines() + 1), 0.0);
+    double prev = 1.0;
+    for (uint32_t lines = 1; lines <= cfg.MaxLines() + 1; ++lines) {
+      const double fit = CapacityFitProbability(cfg, lines);
+      EXPECT_GE(fit, 0.0);
+      EXPECT_LE(fit, prev) << "lines=" << lines;
+      prev = fit;
+    }
+  }
+}
+
+TEST(CapacityFitTest, DefaultGeometryTracksFig4) {
+  // The emulated abort probabilities fig04 measures for random
+  // footprints of 8/12/16/20 KB (0.015 / 0.21 / 0.77 / 0.99).
+  const HtmConfig cfg;
+  EXPECT_NEAR(1.0 - CapacityFitProbability(cfg, 8192 / 64), 0.015, 0.01);
+  EXPECT_NEAR(1.0 - CapacityFitProbability(cfg, 12288 / 64), 0.22, 0.02);
+  EXPECT_NEAR(1.0 - CapacityFitProbability(cfg, 16384 / 64), 0.75, 0.02);
+  EXPECT_NEAR(1.0 - CapacityFitProbability(cfg, 20480 / 64), 0.99, 0.01);
+}
+
+TEST(CapacityOptimalOpsTest, MatchesBruteForceArgmax) {
+  for (const HtmConfig cfg : {Geometry(64, 8), Geometry(64, 4),
+                              Geometry(32, 8), Geometry(4, 2),
+                              Geometry(4, 1)}) {
+    uint32_t best_k = 0;
+    double best_work = -1.0;
+    for (uint32_t k = 1; k <= cfg.MaxLines() / 2; ++k) {
+      const double work = k * CapacityFitProbability(cfg, 2 * k);
+      if (work > best_work) {
+        best_work = work;
+        best_k = k;
+      }
+    }
+    EXPECT_EQ(CapacityOptimalOps(cfg), best_k)
+        << cfg.num_sets << " x " << cfg.num_ways;
+  }
+}
+
+TEST(CapacityOptimalOpsTest, NeverZeroAndNearNinetyForTheDefaultL1) {
+  for (const HtmConfig cfg :
+       {Geometry(64, 8), Geometry(64, 4), Geometry(32, 8), Geometry(4, 2),
+        Geometry(4, 1), Geometry(1, 1)}) {
+    EXPECT_GE(CapacityOptimalOps(cfg), 1u)
+        << cfg.num_sets << " x " << cfg.num_ways;
+  }
+  const uint32_t c = CapacityOptimalOps(HtmConfig{});
+  EXPECT_GE(c, 80u);
+  EXPECT_LE(c, 100u);
+  // Far below the half-capacity budget it replaces: 2 * 256 random lines
+  // fit a 64 x 8 cache with probability ~1e-15.
+  EXPECT_LT(CapacityFitProbability(HtmConfig{}, HtmConfig{}.MaxLines()),
+            1e-11);
 }
 
 TEST(ContentionMonitorEdgeTest, ZeroOpsAttemptIsCountedAsOne) {

@@ -1,7 +1,12 @@
 // White-box unit tests of the three TuFast mode contexts (HTxn / OTxn /
 // LTxn) against the shared lock table: lock-compatibility checks,
-// O-mode validation and lock-busy outcomes, segment accounting, and
-// L-mode buffering — exercised directly, below the router.
+// O-mode validation and lock-busy outcomes, segment accounting, L-mode
+// buffering, and software reads racing a hardware commit's write-back —
+// exercised directly, below the router.
+
+#include <atomic>
+#include <chrono>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -159,6 +164,90 @@ TEST_F(ModesTest, LModeReadForUpdateTakesExclusiveImmediately) {
   txn.ReleaseAll();
   EXPECT_TRUE(locks_.TryLockShared(4));
   locks_.UnlockShared(4);
+}
+
+// ---------------------------------------------------------------------
+// Software reads racing a hardware commit's write-back. Taking a lock
+// dooms only hardware transactions that have not reached their commit
+// point; one past it keeps flushing its buffered writes. O validation and
+// L reads must wait that flush out, or they read the pre-image and the
+// hardware commit's update is lost.
+
+/// A hardware transaction on slot 1 that writes `value` to vertex `v`'s
+/// word and parks between its commit point and its write-back until
+/// Release().
+class ParkedHardwareWriter {
+ public:
+  ParkedHardwareWriter(EmulatedHtm& htm, const LockTable<EmulatedHtm>& locks,
+                       VertexId v, TmWord* addr, TmWord value)
+      : tx_(htm, 1) {
+    EmulatedHtm::Tx::Hooks hooks;
+    hooks.pre_publish = [](void* ctx) {
+      auto* self = static_cast<ParkedHardwareWriter*>(ctx);
+      self->parked_.store(true);
+      while (!self->released_.load()) std::this_thread::yield();
+    };
+    hooks.ctx = this;
+    tx_.SetHooks(hooks);
+    thread_ = std::thread([this, &locks, v, addr, value] {
+      HTxn<EmulatedHtm> txn(tx_, locks);
+      status_ = tx_.Execute([&] { txn.Write(v, addr, value); });
+    });
+    while (!parked_.load()) std::this_thread::yield();
+  }
+  TUFAST_DISALLOW_COPY_AND_MOVE(ParkedHardwareWriter);
+  ~ParkedHardwareWriter() {
+    if (thread_.joinable()) Release();
+  }
+
+  /// Lets the write-back run after giving a concurrent software reader
+  /// time to reach its read, then waits for the commit to finish.
+  AbortStatus Release() {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    released_.store(true);
+    thread_.join();
+    return status_;
+  }
+
+ private:
+  EmulatedHtm::Tx tx_;
+  std::atomic<bool> parked_{false};
+  std::atomic<bool> released_{false};
+  AbortStatus status_;
+  std::thread thread_;
+};
+
+TEST_F(ModesTest, OModeValidationWaitsOutAFlushingHardwareCommit) {
+  OTxn<EmulatedHtm> txn(htm_, htx_, locks_);
+  txn.Reset(/*period=*/100);
+  ASSERT_TRUE(htx_.Execute([&] {
+    txn.Write(3, &data_[3], txn.Read(3, &data_[3]) + 1);
+  }).ok());
+  // A hardware commit of 5 to the same word is decided but not flushed.
+  ParkedHardwareWriter writer(htm_, locks_, 3, &data_[3], 5);
+  OCommitResult result = OCommitResult::kOk;
+  std::thread committer([&] { result = txn.CommitSoftware(); });
+  EXPECT_TRUE(writer.Release().ok());
+  committer.join();
+  EXPECT_EQ(result, OCommitResult::kValidationFail)
+      << "validation must see the hardware commit, not its pre-image";
+  EXPECT_EQ(EmulatedHtm::NonTxLoad(&data_[3]), 5u) << "no lost update";
+  EXPECT_TRUE(locks_.TryLockExclusive(3)) << "locks released";
+  locks_.UnlockExclusive(3);
+}
+
+TEST_F(ModesTest, LModeReadWaitsOutAFlushingHardwareCommit) {
+  ParkedHardwareWriter writer(htm_, locks_, 4, &data_[4], 5);
+  LTxn<EmulatedHtm> txn(htm_, /*slot=*/0, manager_);
+  txn.Reset();
+  std::thread reader([&] {
+    txn.Write(4, &data_[4], txn.Read(4, &data_[4]) + 1);
+    txn.CommitApplyAndRelease();
+  });
+  EXPECT_TRUE(writer.Release().ok());
+  reader.join();
+  EXPECT_EQ(EmulatedHtm::NonTxLoad(&data_[4]), 6u)
+      << "the L read must observe the hardware commit it was locked after";
 }
 
 }  // namespace

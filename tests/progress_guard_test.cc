@@ -5,6 +5,7 @@
 //   * abort-storm circuit breaker state machine, unit-level and routed
 //     through TuFast under forced failpoints;
 //   * starvation escalation end to end (forced victim re-aborts);
+//   * O-mode retry pacing: capacity aborts skip the conflict backoff;
 //   * the starvation token pausing batch fusion;
 //   * exception safety: a transaction body that throws a foreign
 //     exception must release every lock it holds before propagating, in
@@ -461,6 +462,50 @@ TEST(TuFastStarvationTest, SameSeedReplaysIdenticalBackoffSequence) {
   EXPECT_EQ(a.backoff_pauses, b.backoff_pauses);
   EXPECT_EQ(a.starvation_escalations, b.starvation_escalations);
   EXPECT_EQ(a.max_txn_aborts, b.max_txn_aborts);
+}
+
+// ---------------------------------------------------------------------
+// O-mode retry pacing: a capacity abort halves the period without the
+// conflict backoff (it is about the segment's footprint, not about
+// contenders); a conflict abort at the same point still pays one.
+
+/// One O-routed transaction with a forced `action` on its first
+/// transactional load. A static period of 400 keeps the halved retry
+/// (200) in O mode, so the transaction commits as O+.
+SchedulerStats RunOWithForcedFirstLoadAbort(FailAction action) {
+  FaultyHtm htm;
+  TuFastScheduler<FaultyHtm>::Config config;
+  config.adaptive_period = false;
+  config.static_period = 400;
+  TuFastScheduler<FaultyHtm> tm(htm, 64, config);
+  std::vector<TmWord> values(64, 0);
+  FailpointPlan plan(FailpointPlan::Config{});
+  plan.ForceAt(FailSite::kHtmLoad, /*slot=*/0, /*hit_index=*/0, action);
+  FailpointScope scope(plan);
+  const RunOutcome outcome =
+      tm.Run(0, tm.h_hint_threshold() + 1, [&](auto& txn) {
+        txn.Write(3, &values[3], txn.Read(3, &values[3]) + 1);
+      });
+  EXPECT_TRUE(outcome.committed);
+  EXPECT_EQ(outcome.cls, TxnClass::kOPlus);
+  EXPECT_EQ(outcome.aborts, 1u);
+  EXPECT_EQ(values[3], 1u);
+  EXPECT_EQ(plan.InjectionCount(), 1u);
+  return tm.AggregatedStats();
+}
+
+TEST(TuFastOModeBackoffTest, CapacityAbortSkipsTheConflictBackoff) {
+  const SchedulerStats stats =
+      RunOWithForcedFirstLoadAbort(FailAction::kAbortCapacity);
+  EXPECT_EQ(stats.capacity_aborts, 1u);
+  EXPECT_EQ(stats.backoff_events, 0u);
+}
+
+TEST(TuFastOModeBackoffTest, ConflictAbortStillPaysOneBackoff) {
+  const SchedulerStats stats =
+      RunOWithForcedFirstLoadAbort(FailAction::kAbortConflict);
+  EXPECT_EQ(stats.conflict_aborts, 1u);
+  EXPECT_EQ(stats.backoff_events, 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,9 @@
 // Core TuFast scheduler tests: routing across H/O/L, commit semantics in
-// each mode, user aborts, capacity escalation, deadlock resolution, and
-// multi-threaded invariant preservation.
+// each mode, user aborts, capacity escalation, deadlock resolution,
+// multi-threaded invariant preservation, and the capacity-derived H/O
+// budgets.
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -228,6 +230,68 @@ TEST(ContentionMonitorTest, AdaptsPeriodToObservedAborts) {
   // A calm phase grows it back.
   for (int i = 0; i < 5000; ++i) monitor.RecordAttempt(50, /*aborted=*/false);
   EXPECT_GT(monitor.CurrentPeriod(), contended);
+}
+
+// ---------------------------------------------------------------------
+// Capacity budgets: the H threshold (which also bounds a fused window's
+// summed hints) and the O max period derive from the modeled cache.
+
+/// Runs one tiny transaction on worker 0 so its slot (and monitor)
+/// exists, then returns that monitor's config.
+template <typename Scheduler>
+ContentionMonitor::Config WorkerMonitorConfig(Scheduler& tm) {
+  TmWord word = 0;
+  tm.Run(0, 1, [&](auto& txn) { txn.Write(0, &word, 1); });
+  const ContentionMonitor* monitor = tm.MonitorForWorker(0);
+  EXPECT_NE(monitor, nullptr);
+  return monitor != nullptr ? monitor->config() : ContentionMonitor::Config{};
+}
+
+TEST(TuFastCapacityBudgetTest, DefaultsDeriveFromCapacityOptimalOps) {
+  EmulatedHtm htm;
+  TuFast tm(htm, 64);
+  const uint32_t c = CapacityOptimalOps(htm.config());
+  EXPECT_EQ(tm.h_hint_threshold(), c);
+  const ContentionMonitor::Config mc = WorkerMonitorConfig(tm);
+  EXPECT_EQ(mc.max_period, std::max(tm.config().min_period, c));
+  EXPECT_EQ(mc.min_period, tm.config().min_period);
+}
+
+TEST(TuFastCapacityBudgetTest, DerivationFollowsTheGeometry) {
+  // A 32 x 8 cache has a smaller optimum; with min_period below it the
+  // O max period is the optimum itself.
+  HtmConfig small;
+  small.num_sets = 32;
+  EmulatedHtm htm(small);
+  TuFast::Config config;
+  config.min_period = 10;
+  TuFast tm(htm, 64, config);
+  const uint32_t c = CapacityOptimalOps(small);
+  EXPECT_LT(c, CapacityOptimalOps(HtmConfig{}));
+  EXPECT_EQ(tm.h_hint_threshold(), c);
+  EXPECT_EQ(WorkerMonitorConfig(tm).max_period, c);
+}
+
+TEST(TuFastCapacityBudgetTest, ExplicitConfigValuesWin) {
+  EmulatedHtm htm;
+  TuFast::Config config;
+  config.h_hint_threshold = 300;
+  config.max_period = 1000;
+  TuFast tm(htm, 64, config);
+  EXPECT_EQ(tm.h_hint_threshold(), 300u);
+  EXPECT_EQ(WorkerMonitorConfig(tm).max_period, 1000u);
+}
+
+TEST(TuFastCapacityBudgetTest, MinPeriodAboveTheOptimumIsAccepted) {
+  // max_period defaults to max(min_period, C), so a min_period above C
+  // must not trip the max_period >= min_period check.
+  EmulatedHtm htm;
+  TuFast::Config config;
+  config.min_period = CapacityOptimalOps(htm.config()) + 50;
+  TuFast tm(htm, 64, config);
+  const ContentionMonitor::Config mc = WorkerMonitorConfig(tm);
+  EXPECT_EQ(mc.max_period, config.min_period);
+  EXPECT_EQ(mc.min_period, config.min_period);
 }
 
 }  // namespace
