@@ -55,20 +55,6 @@ namespace tufast {
 ///                   failpoints (forced run-queue/defer-queue bounces,
 ///                   breaker trips) against the serve engine and check
 ///                   the disposition-conservation invariants
-///   --combine       fig06: run the Zipf-skew hot-vertex sweep that
-///                   drives the real TM with combining off vs on (slower
-///                   than the analytic heatmap, so opt-in; CI passes it)
-///   --hot-threshold=<f>
-///                   hot-vertex combining trigger as a fraction of the
-///                   saturated contention score (Config::hot_threshold,
-///                   must be in (0, 1])
-///   --combine-skew=<f>
-///                   fig06: add this Zipf alpha to the --combine sweep
-///                   (>= 0; the built-in {0, 0.6, 0.9, 1.2} grid stays)
-///   --combine-chaos stress drivers: additionally arm the combiner
-///                   failpoints (forced slot-array overflow, truncated
-///                   collect sweeps) and run the exactly-once histogram
-///                   invariants on a hot-vertex combining scheduler
 ///   --wal           streaming_updates: add the WAL-durability overhead
 ///                   column (Config::enable_wal with a log under the
 ///                   temp dir; wal_records/wal_bytes/wal_fsyncs land in
@@ -82,8 +68,10 @@ namespace tufast {
 ///                   mid-record, RecoverFromWal, and verify
 ///                   bank-conservation + exactly-once invariants across
 ///                   schedulers and deadlock policies
-/// Malformed values (non-numeric, trailing junk, out of range) are hard
-/// errors: a bench silently running with scale 0 measures nothing.
+/// Malformed values (non-numeric, trailing junk, out of range) and
+/// unknown flags are hard errors: a bench silently running with scale 0
+/// measures nothing, and a typo'd switch would silently run the default
+/// configuration.
 struct BenchFlags {
   double scale = 1.0;
   int threads = 4;
@@ -104,10 +92,6 @@ struct BenchFlags {
   uint64_t slo_p99_us = 2000;
   double duration = 2.0;
   bool serve_chaos = false;
-  bool combine = false;
-  double hot_threshold = 0.5;
-  double combine_skew = -1.0;  // < 0 = not set
-  bool combine_chaos = false;
   bool wal = false;
   uint64_t checkpoint_every = 0;
   bool crash_chaos = false;
@@ -167,16 +151,6 @@ struct BenchFlags {
         if (!(flags.duration > 0.0) || flags.duration > 3600.0) {
           Fail(arg, "must be in (0, 3600]");
         }
-      } else if (std::strncmp(arg, "--hot-threshold=", 16) == 0) {
-        flags.hot_threshold = ParseDouble(arg, arg + 16);
-        if (!(flags.hot_threshold > 0.0) || flags.hot_threshold > 1.0) {
-          Fail(arg, "must be in (0, 1]");
-        }
-      } else if (std::strncmp(arg, "--combine-skew=", 15) == 0) {
-        flags.combine_skew = ParseDouble(arg, arg + 15);
-        if (!(flags.combine_skew >= 0.0) || flags.combine_skew > 4.0) {
-          Fail(arg, "must be in [0, 4]");
-        }
       } else if (std::strncmp(arg, "--checkpoint-every=", 19) == 0) {
         const long n = ParseLong(arg, arg + 19);
         if (n < 0) Fail(arg, "must be >= 0");
@@ -185,10 +159,6 @@ struct BenchFlags {
         flags.wal = true;
       } else if (std::strcmp(arg, "--crash-chaos") == 0) {
         flags.crash_chaos = true;
-      } else if (std::strcmp(arg, "--combine") == 0) {
-        flags.combine = true;
-      } else if (std::strcmp(arg, "--combine-chaos") == 0) {
-        flags.combine_chaos = true;
       } else if (std::strcmp(arg, "--serve-chaos") == 0) {
         flags.serve_chaos = true;
       } else if (std::strcmp(arg, "--mvcc") == 0) {
@@ -202,6 +172,8 @@ struct BenchFlags {
         flags.progress_chaos = true;
       } else if (std::strcmp(arg, "--shard-chaos") == 0) {
         flags.shard_chaos = true;
+      } else if (std::strncmp(arg, "--", 2) == 0) {
+        Fail(arg, "unknown flag");
       }
     }
     if (!flags.json_out.empty()) JsonReport::SetOutputPath(flags.json_out);

@@ -6,33 +6,15 @@
 //   a == b, a in N(b), or b in N(a).
 // Expected shape: contention grows with both degrees; the high-degree
 // corner is hot.
-//
-// `--combine` adds the hot-vertex combining skew sweep: the same
-// conflict structure driven through the real TM. Worker threads apply
-// counter increments whose targets follow a Zipf law over the vertex
-// space (the shared ZipfSampler from common/zipf.h, same distribution
-// the serving load generator draws keys from), once with combining off
-// and once with combining on, at each skew alpha. The headline column is
-// combine_gain_x = combined / plain committed-ops/sec: near 1.0 under
-// uniform traffic (nothing gets hot, the history stays cold and the
-// combiner never engages) and rising with alpha as the hot head of the
-// distribution is announced into combiner slots and applied as fused
-// group commits instead of conflicting per-item transactions.
 
 #include <algorithm>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "bench_support/datasets.h"
 #include "bench_support/reporting.h"
 #include "common/rng.h"
-#include "common/timer.h"
-#include "common/zipf.h"
-#include "htm/emulated_htm.h"
-#include "runtime/thread_pool.h"
-#include "tm/tufast.h"
 
 namespace tufast {
 namespace {
@@ -105,133 +87,9 @@ void AnalyticHeatmap() {
       "(high-degree x high-degree) corner is the contention hot spot.\n");
 }
 
-// ---------------------------------------------------------------------
-// --combine: the Zipf-skew hot-vertex sweep through the real TM.
-
-struct SweepResult {
-  double ops_per_sec = 0;
-  uint64_t total = 0;  // committed increments (conservation check)
-  SchedulerStats stats;
-};
-
-/// One pass: `threads` workers each push `txns` Zipf-distributed counter
-/// increments through RunBatch in fixed windows. The drawn vertex IS the
-/// Zipf rank, so rank 0 is the globally hottest counter — exactly the
-/// hub-vertex shape the heatmap above predicts contention for.
-SweepResult RunSkewPass(ThreadPool& pool, const TuFast::Config& config,
-                        VertexId vertices, uint64_t txns, double alpha,
-                        uint64_t seed) {
-  EmulatedHtm htm;
-  TuFast tm(htm, vertices, config);
-  std::vector<TmWord> values(vertices, 0);
-  const ZipfSampler sampler(vertices, alpha);
-  constexpr uint64_t kWindow = 256;
-
-  // Draw every thread's target stream up front: sampling is excluded
-  // from the timed region, and both the plain and the combining pass of
-  // one alpha see identical streams (same seeds).
-  std::vector<std::vector<VertexId>> targets(pool.num_threads());
-  for (int w = 0; w < pool.num_threads(); ++w) {
-    Rng rng(seed * 7919 + static_cast<uint64_t>(w));
-    targets[w].reserve(txns);
-    for (uint64_t t = 0; t < txns; ++t) {
-      targets[w].push_back(static_cast<VertexId>(sampler.Draw(rng)));
-    }
-  }
-
-  WallTimer timer;
-  pool.RunOnAll([&](int worker_id) {
-    const std::vector<VertexId>& mine = targets[worker_id];
-    auto hint = [](uint64_t) -> uint64_t { return 2; };
-    auto home = [&](uint64_t k) { return mine[k]; };
-    auto body = [&](auto& txn, uint64_t k) {
-      const VertexId v = mine[k];
-      const TmWord cur = txn.Read(v, &values[v]);
-      // Forced temporal overlap (throughput_figure regime 3): the yield
-      // widens the read->write window so concurrent hits on the same hot
-      // vertex actually conflict on a time-sliced host. Without it a
-      // single-core run finishes each ~100ns transaction inside one
-      // timeslice, nothing ever aborts, and the contention history — by
-      // design — stays cold at every alpha.
-      std::this_thread::yield();
-      txn.Write(v, &values[v], cur + 1);
-    };
-    for (uint64_t t = 0; t < txns; t += kWindow) {
-      const uint64_t width = t + kWindow <= txns ? kWindow : txns - t;
-      tm.RunBatch(worker_id, t, t + width, hint, home, body);
-    }
-  });
-  const double seconds = timer.ElapsedSeconds();
-
-  SweepResult result;
-  result.stats = tm.AggregatedStats();
-  for (const TmWord v : values) result.total += v;
-  const uint64_t ops = result.total * 2;  // one read + one write each
-  result.ops_per_sec = seconds > 0 ? static_cast<double>(ops) / seconds : 0;
-  return result;
-}
-
-void CombiningSkewSweep(const BenchFlags& flags) {
-  constexpr VertexId kVertices = 1 << 16;
-  const uint64_t txns = flags.quick ? 20000 : 80000;
-  ThreadPool pool(flags.threads);
-
-  std::vector<double> alphas = {0.0, 0.6, 0.9, 1.2};
-  if (flags.combine_skew >= 0.0 &&
-      std::find(alphas.begin(), alphas.end(), flags.combine_skew) ==
-          alphas.end()) {
-    alphas.push_back(flags.combine_skew);
-    std::sort(alphas.begin(), alphas.end());
-  }
-
-  TuFast::Config plain;
-  TuFast::Config combining;
-  combining.enable_combining = true;
-  combining.hot_threshold = flags.hot_threshold;
-
-  ReportTable table({"zipf alpha", "plain ops/s", "combined ops/s",
-                     "combine_gain_x", "combined_ops", "combine_batches",
-                     "hot_vertices", "slot_full", "max_occupancy"});
-  for (const double alpha : alphas) {
-    const uint64_t expect =
-        static_cast<uint64_t>(pool.num_threads()) * txns;
-    const SweepResult off =
-        RunSkewPass(pool, plain, kVertices, txns, alpha, flags.seed);
-    const SweepResult on =
-        RunSkewPass(pool, combining, kVertices, txns, alpha, flags.seed);
-    if (off.total != expect || on.total != expect) {
-      std::fprintf(stderr,
-                   "fig06: conservation violated at alpha %.2f "
-                   "(plain %llu, combined %llu, expected %llu)\n",
-                   alpha, static_cast<unsigned long long>(off.total),
-                   static_cast<unsigned long long>(on.total),
-                   static_cast<unsigned long long>(expect));
-      std::exit(1);
-    }
-    const double gain =
-        off.ops_per_sec > 0 ? on.ops_per_sec / off.ops_per_sec : 0;
-    table.AddRow({ReportTable::Num(alpha), ReportTable::Num(off.ops_per_sec),
-                  ReportTable::Num(on.ops_per_sec), ReportTable::Num(gain),
-                  ReportTable::Int(on.stats.combined_ops),
-                  ReportTable::Int(on.stats.combine_batches),
-                  ReportTable::Int(on.stats.hot_vertices),
-                  ReportTable::Int(on.stats.combine_slot_full),
-                  ReportTable::Int(on.stats.combine_max_occupancy)});
-  }
-  table.Print("Fig. 6 — hot-vertex combining skew sweep (" +
-              std::to_string(flags.threads) + " threads, " +
-              std::to_string(txns) + " txns/thread)");
-  std::printf(
-      "expected shape: gain near 1.0 at alpha 0 (uniform traffic never "
-      "heats the history; combined_ops stays 0) and rising with skew as "
-      "the hot head is announced into combiner slots and applied as fused "
-      "batches.\n");
-}
-
 int Main(int argc, char** argv) {
-  const BenchFlags flags = BenchFlags::Parse(argc, argv, /*default=*/1.0);
+  BenchFlags::Parse(argc, argv, /*default=*/1.0);
   AnalyticHeatmap();
-  if (flags.combine) CombiningSkewSweep(flags);
   return 0;
 }
 

@@ -14,8 +14,6 @@
 //   tufast_h_per_item_ops  committed ops/sec, small H txns, per-item Run
 //   tufast_h_fused_ops     same stream through RunBatch (group commit)
 //   fusion_gain_x          their ratio (must stay >= the checked-in bar)
-//   combine_gain_x         hot-vertex stream through the combiner versus
-//                          per-item (>= the --min-combine-gain bar)
 // All loops are single-threaded: these measure instruction-path length,
 // not scalability (fig13/fig14 cover threaded throughput).
 
@@ -300,74 +298,6 @@ void BenchSharding(MetricTable& out, uint64_t txns) {
   out.Add("shard_scaling_x", per_item > 0 ? drained / per_item : 0, txns);
 }
 
-/// Hot-vertex flat-combining, measured deterministically on one thread:
-/// a stream aimed at 4 hot counters, executed per-item through Run()
-/// versus announced into combiner slots and applied as fused batches by
-/// the collector (the history is pre-heated so every window engages the
-/// combiner — on one thread nothing aborts, so heat would never develop
-/// naturally). The comparison isolates the announce/collect machinery's
-/// cost against the group-commit amortization it buys:
-///   combine_hot_per_item_ops  committed ops/sec, hot stream, per-item
-///   combine_hot_combined_ops  same stream through the combiner
-///   combine_gain_x            their ratio (must stay >= the checked-in
-///                             bar; compare_bench.py --min-combine-gain)
-void BenchCombining(MetricTable& out, uint64_t txns) {
-  constexpr uint64_t kVertices = 4096;
-  constexpr int kHot = 4;
-  constexpr uint64_t kWindow = 256;
-  const uint64_t ops = txns * 2;
-
-  {
-    EmulatedHtm htm;
-    TuFast tm(htm, kVertices);
-    std::vector<TmWord> values(kVertices, 0);
-    out.Measure("combine_hot_per_item_ops", ops, [&] {
-      for (uint64_t t = 0; t < txns; ++t) {
-        const VertexId v = static_cast<VertexId>(t % kHot);
-        tm.Run(0, 2, [&](auto& txn) {
-          txn.Write(v, &values[v], txn.Read(v, &values[v]) + 1);
-        });
-      }
-    });
-  }
-
-  {
-    EmulatedHtm htm;
-    TuFast::Config config;
-    config.enable_combining = true;
-    config.hot_threshold = 0.25;
-    config.combiner_slots = 64;
-    TuFast tm(htm, kVertices, config);
-    for (VertexId v = 0; v < kHot; ++v) {
-      for (int k = 0; k < 64; ++k) {
-        tm.combiner_runtime()->history().RecordAttempt(v, true);
-      }
-    }
-    std::vector<TmWord> values(kVertices, 0);
-    out.Measure("combine_hot_combined_ops", ops, [&] {
-      auto hint = [](uint64_t) -> uint64_t { return 2; };
-      auto home = [](uint64_t k) { return static_cast<VertexId>(k % kHot); };
-      auto body = [&](auto& txn, uint64_t k) {
-        const VertexId v = static_cast<VertexId>(k % kHot);
-        txn.Write(v, &values[v], txn.Read(v, &values[v]) + 1);
-      };
-      for (uint64_t t = 0; t < txns; t += kWindow) {
-        const uint64_t width = t + kWindow <= txns ? kWindow : txns - t;
-        tm.RunBatch(0, t, t + width, hint, home, body);
-      }
-    });
-    const SchedulerStats stats = tm.AggregatedStats();
-    out.Add("combine_batches", static_cast<double>(stats.combine_batches),
-            stats.combine_batches);
-    out.Add("combined_ops", static_cast<double>(stats.combined_ops),
-            stats.combined_ops);
-  }
-
-  const double per_item = out.Value("combine_hot_per_item_ops");
-  const double combined = out.Value("combine_hot_combined_ops");
-  out.Add("combine_gain_x", per_item > 0 ? combined / per_item : 0, txns);
-}
-
 /// Deterministic progress-guard exercise on the failpoint-armed backend:
 /// single worker, forced (non-probabilistic) triggers only, so every
 /// counter is an exact function of the code — compare_bench.py checks
@@ -456,7 +386,6 @@ int Main(int argc, char** argv) {
   BenchRunByMode(metrics, iters);
   BenchFusion(metrics, iters);
   BenchSharding(metrics, iters);
-  BenchCombining(metrics, iters);
   metrics.Print();
   BenchProgressGuard();
 

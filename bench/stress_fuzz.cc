@@ -9,7 +9,6 @@
 //   ./stress_fuzz --seed=1 --scale=4 --threads=3
 //   ./stress_fuzz --quick                       # smoke-sized sweep
 //   ./stress_fuzz --shard-chaos                 # batched cross-shard sweep
-//   ./stress_fuzz --combine-chaos               # hot-vertex combiner sweep
 //   ./stress_fuzz --serve-chaos                 # serving-engine disposition sweep
 //   ./stress_fuzz --crash-chaos                 # WAL crash/recovery sweep
 //   ./stress_fuzz --seed=1337 --failpoint-trace=/tmp/trace.txt
@@ -46,8 +45,7 @@ const char* PolicyName(DeadlockPolicy p) {
 }
 
 FailpointPlan::Config ChaosConfig(uint64_t seed, bool progress_chaos,
-                                  bool shard_chaos, bool mvcc_chaos,
-                                  bool combine_chaos = false) {
+                                  bool shard_chaos, bool mvcc_chaos) {
   FailpointPlan::Config config;
   config.seed = seed;
   config.Arm(FailSite::kHtmLoad, 0.002, FailAction::kAbortConflict);
@@ -77,16 +75,6 @@ FailpointPlan::Config ChaosConfig(uint64_t seed, bool progress_chaos,
     // beyond what the invariants allow).
     config.Arm(FailSite::kMailboxFull, 0.05, FailAction::kFail);
     config.Arm(FailSite::kMessageReorder, 0.2, FailAction::kFail);
-  }
-  if (combine_chaos) {
-    // Combiner chaos: force slot-array-full announce failures (the
-    // router must execute the op on the cold path, never drop it and
-    // never also leave a claimed slot behind) and truncate collect
-    // sweeps after one op (the cell lock releases with kReady slots
-    // still parked; another worker — possibly the announcer's own flush
-    // helper — must pick them up, exactly once).
-    config.Arm(FailSite::kCombinerSlotFull, 0.3, FailAction::kFail);
-    config.Arm(FailSite::kOwnerHandoff, 0.3, FailAction::kFail);
   }
   if (mvcc_chaos) {
     // MVCC chaos: force version-reclamation passes on random commits
@@ -136,11 +124,6 @@ struct FuzzTotals {
   uint64_t mvcc_snapshot_reads = 0;
   uint64_t mvcc_reclaim_passes = 0;
   uint64_t mvcc_max_chain_walk = 0;
-  // Hot-vertex combiner traffic, summed over the --combine-chaos sweep.
-  uint64_t combined_ops = 0;
-  uint64_t combine_batches = 0;
-  uint64_t hot_vertices = 0;
-  uint64_t combine_slot_full = 0;
 };
 
 void DumpTraceTo(const FailpointPlan& plan, const std::string& path) {
@@ -172,14 +155,7 @@ bool FuzzScheduler(const char* name, const BenchFlags& flags, uint64_t seeds,
     for (uint64_t i = 0; i < seeds; ++i) {
       const uint64_t seed = flags.seed + i;
       FaultyHtm htm;
-      // --combine-chaos alternates plain and sharded combining by seed
-      // parity, so the local-list-through-the-combiner composition gets
-      // the same fault pressure as the standalone combiner.
-      auto tm = flags.combine_chaos
-                    ? MakeCombiningSchedulerFor<Scheduler>(
-                          htm, /*vertices=*/48, policy,
-                          /*sharded=*/(i % 2) == 1, flags.threads)
-                : flags.shard_chaos
+      auto tm = flags.shard_chaos
                     ? MakeShardedSchedulerFor<Scheduler>(htm, /*vertices=*/48,
                                                          policy, flags.threads)
                 : flags.mvcc_chaos
@@ -187,8 +163,7 @@ bool FuzzScheduler(const char* name, const BenchFlags& flags, uint64_t seeds,
                                                       policy)
                     : MakeSchedulerFor<Scheduler>(htm, /*vertices=*/48, policy);
       FailpointPlan plan(ChaosConfig(seed, flags.progress_chaos,
-                                     flags.shard_chaos, flags.mvcc_chaos,
-                                     flags.combine_chaos));
+                                     flags.shard_chaos, flags.mvcc_chaos));
       FailpointScope scope(plan);
       StressConfig cfg;
       cfg.threads = flags.threads;
@@ -198,14 +173,9 @@ bool FuzzScheduler(const char* name, const BenchFlags& flags, uint64_t seeds,
       cfg.ordered_for_update = policy == DeadlockPolicy::kPrevention;
       // --shard-chaos swaps in the batched cross-shard workloads (the
       // sharded router's message path on TuFast; the same calls through
-      // the per-item fallback on the fixed baselines). --combine-chaos
-      // runs the same batched suites: their precomputed histograms are
-      // the exactly-once oracle for the announce/collect protocol — a
-      // slot collected twice or abandoned shows up as a high or low
-      // counter cell.
-      auto err = (flags.shard_chaos || flags.combine_chaos)
-                     ? RunShardedInvariantSuite(*tm, cfg)
-                     : RunInvariantSuite(*tm, cfg);
+      // the per-item fallback on the fixed baselines).
+      auto err = flags.shard_chaos ? RunShardedInvariantSuite(*tm, cfg)
+                                   : RunInvariantSuite(*tm, cfg);
       if (!err && flags.mvcc_chaos) err = RunMvccSnapshotSuite(*tm, cfg);
       ++totals.runs;
       totals.injections += plan.InjectionCount();
@@ -221,10 +191,6 @@ bool FuzzScheduler(const char* name, const BenchFlags& flags, uint64_t seeds,
       totals.shard_messages_drained += stats.shard_messages_drained;
       totals.shard_drain_batches += stats.shard_drain_batches;
       totals.shard_mailbox_full += stats.shard_mailbox_full;
-      totals.combined_ops += stats.combined_ops;
-      totals.combine_batches += stats.combine_batches;
-      totals.hot_vertices += stats.hot_vertices;
-      totals.combine_slot_full += stats.combine_slot_full;
       // Flush post-condition: after every batch returns, every message
       // that was sent must have been drained (the sender's pending
       // counter blocks it until then) — an imbalance is a protocol bug
@@ -1022,14 +988,6 @@ int Main(int argc, char** argv) {
                   ReportTable::Int(totals.mvcc_reclaim_passes)});
     table.AddRow({"mvcc max chain walk",
                   ReportTable::Int(totals.mvcc_max_chain_walk)});
-  }
-  if (flags.combine_chaos) {
-    table.AddRow({"combined ops", ReportTable::Int(totals.combined_ops)});
-    table.AddRow({"combine batches", ReportTable::Int(totals.combine_batches)});
-    table.AddRow({"hot-vertex transitions",
-                  ReportTable::Int(totals.hot_vertices)});
-    table.AddRow({"slot-full bounces",
-                  ReportTable::Int(totals.combine_slot_full)});
   }
   if (flags.shard_chaos) {
     table.AddRow({"shard messages sent",

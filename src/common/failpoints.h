@@ -40,8 +40,6 @@ enum class FailSite : uint8_t {
   kStaleEpoch,            // MVCC BeginSnapshot: stretch the pinned window
   kServeQueueFull,        // ServeEngine::Offer: force a run-queue bounce
   kServeDeferFull,        // ServeEngine defer path: force defer-queue full
-  kCombinerSlotFull,      // Combiner announce: force a slot-array overflow
-  kOwnerHandoff,          // Combiner collect: truncate the sweep mid-batch
   kWalTornWrite,          // WAL flush: corrupt a bit inside the tail record
   kWalShortWrite,         // WAL flush: persist only a prefix of the tail
   kCrashBeforeFsync,      // WAL flush: crash after write, before fsync
@@ -73,8 +71,6 @@ inline const char* FailSiteName(FailSite s) {
     case FailSite::kStaleEpoch: return "stale_epoch";
     case FailSite::kServeQueueFull: return "serve_queue_full";
     case FailSite::kServeDeferFull: return "serve_defer_full";
-    case FailSite::kCombinerSlotFull: return "combiner_slot_full";
-    case FailSite::kOwnerHandoff: return "owner_handoff";
     case FailSite::kWalTornWrite: return "wal_torn_write";
     case FailSite::kWalShortWrite: return "wal_short_write";
     case FailSite::kCrashBeforeFsync: return "crash_before_fsync";

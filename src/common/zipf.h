@@ -9,10 +9,8 @@ namespace tufast {
 
 /// Shared Zipf key sampler: rank r in [0, n) drawn with probability
 /// proportional to 1/(r+1)^alpha via Rng::NextZipf's continuous
-/// inverse-CDF approximation; alpha <= 0 degrades to uniform. The one
-/// implementation behind both the serving load generator's key skew and
-/// the skewed-contention bench axes (fig06 skew sweep, micro_ops
-/// combining rows), so "skew" means the same distribution everywhere.
+/// inverse-CDF approximation; alpha <= 0 degrades to uniform. Draws the
+/// serving load generator's key skew.
 class ZipfSampler {
  public:
   ZipfSampler(uint64_t n, double alpha) : n_(n == 0 ? 1 : n), alpha_(alpha) {}

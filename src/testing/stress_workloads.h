@@ -537,54 +537,6 @@ std::unique_ptr<Scheduler> MakeShardedSchedulerFor(Htm& htm, VertexId vertices,
   }
 }
 
-/// Detects a scheduler Config with the hot-vertex combining switch
-/// (TuFast).
-template <typename S, typename = void>
-struct SchedulerConfigHasCombiningKnob : std::false_type {};
-template <typename S>
-struct SchedulerConfigHasCombiningKnob<
-    S, std::void_t<decltype(std::declval<typename S::Config&>()
-                                .enable_combining)>> : std::true_type {};
-
-/// Combining counterpart of MakeSchedulerFor: schedulers whose Config has
-/// the combining switch get a deliberately twitchy setup — a tiny history
-/// (heavy bucket aliasing), a hair-trigger hot threshold (a couple of
-/// aborts heat a region) and a 2-slot combiner (organic slot-full
-/// bounces), so the announce/collect protocol sees constant traffic even
-/// in short fuzz runs. `sharded` additionally stacks the awkward sharded
-/// setup from MakeShardedSchedulerFor on top, exercising the
-/// local-list-through-the-combiner composition. Everything else falls
-/// through to the plain constructor.
-template <typename Scheduler, typename Htm>
-std::unique_ptr<Scheduler> MakeCombiningSchedulerFor(Htm& htm,
-                                                     VertexId vertices,
-                                                     DeadlockPolicy policy,
-                                                     bool sharded,
-                                                     int workers) {
-  if constexpr (SchedulerConfigHasCombiningKnob<Scheduler>::value) {
-    typename Scheduler::Config config;
-    if constexpr (SchedulerConfigHasPolicy<Scheduler>::value) {
-      config.deadlock_policy = policy;
-    }
-    config.enable_combining = true;
-    config.hot_threshold = 0.05;
-    config.combiner_slots = 2;
-    config.combine_history_buckets = 64;
-    if (sharded) {
-      config.enable_sharding = true;
-      config.shard_workers = static_cast<uint32_t>(workers);
-      config.num_shards = static_cast<uint32_t>(workers) + 1;
-      config.am_batch = 8;
-      config.mailbox_capacity = 64;
-    }
-    return std::make_unique<Scheduler>(htm, vertices, config);
-  } else {
-    (void)sharded;
-    (void)workers;
-    return MakeSchedulerFor<Scheduler>(htm, vertices, policy);
-  }
-}
-
 }  // namespace tufast
 
 #endif  // TUFAST_TESTING_STRESS_WORKLOADS_H_

@@ -87,20 +87,6 @@ struct SchedulerStats {
   uint64_t shard_mailbox_full = 0;
   uint64_t shard_max_mailbox_depth = 0;  // max observed at drain entry
 
-  // Hot-vertex flat-combining counters (tm/combiner.h). `combined_ops`
-  // counts operations applied inside collected combine batches (by
-  // whichever worker collected them); `combine_batches` counts those
-  // collect sweeps; `hot_vertices` counts cold->hot region transitions
-  // this worker's history updates observed; `combine_slot_full` counts
-  // announces bounced by a full slot array (executed locally — never
-  // dropped); `combine_max_occupancy` is the largest announced-slot
-  // count found by one collect sweep (announce-queue occupancy).
-  uint64_t combined_ops = 0;
-  uint64_t combine_batches = 0;
-  uint64_t hot_vertices = 0;
-  uint64_t combine_slot_full = 0;
-  uint64_t combine_max_occupancy = 0;
-
   // Progress-guard counters (tm/progress_guard.h), kept in the plain
   // stats so the guarantees stay observable in NullTelemetry builds.
   uint64_t backoff_events = 0;          // retry backoffs paid
@@ -187,13 +173,6 @@ struct SchedulerStats {
     shard_mailbox_full += other.shard_mailbox_full;
     if (other.shard_max_mailbox_depth > shard_max_mailbox_depth) {
       shard_max_mailbox_depth = other.shard_max_mailbox_depth;
-    }
-    combined_ops += other.combined_ops;
-    combine_batches += other.combine_batches;
-    hot_vertices += other.hot_vertices;
-    combine_slot_full += other.combine_slot_full;
-    if (other.combine_max_occupancy > combine_max_occupancy) {
-      combine_max_occupancy = other.combine_max_occupancy;
     }
     backoff_events += other.backoff_events;
     starvation_escalations += other.starvation_escalations;

@@ -98,10 +98,16 @@ class HsyncHybrid {
   /// Fallback-path context: runs under the global lock, plain accesses.
   class FallbackTxn {
    public:
+    explicit FallbackTxn(Htm& htm) : htm_(htm) {}
+
     TmWord Read(VertexId /*v*/, const TmWord* addr) {
       ++ops_;
       if (const TmWord* p = FindPending(addr)) return *p;
-      return Htm::NonTxLoad(addr);
+      // DrainLoad: taking the global lock dooms only hardware
+      // transactions that have not reached their commit point; one
+      // already flushing a write to this line must be waited out, or we
+      // read its pre-image and our publish overwrites the commit.
+      return htm_.DrainLoad(addr);
     }
     TmWord ReadForUpdate(VertexId v, const TmWord* addr) {
       return Read(v, addr);  // Optimistic/timestamped: no early locking.
@@ -135,6 +141,7 @@ class HsyncHybrid {
       TmWord value;
       VertexId vertex;  // MVCC version-chain owner (unused otherwise).
     };
+    Htm& htm_;
     WalRecorder* wal_ = nullptr;
     uint64_t ops_ = 0;
     std::vector<Pending> pending_;
@@ -190,7 +197,7 @@ class HsyncHybrid {
     w.telemetry.EnterMode(SchedMode::kLock);
     BeatAttempt(w);
     AcquireGlobalLock();
-    FallbackTxn fb;
+    FallbackTxn fb(htm_);
     if (TUFAST_UNLIKELY(wal != nullptr)) {
       // Drop residue from the failed hardware attempts and route staged
       // notes through the software publish below, not the Tx hooks.

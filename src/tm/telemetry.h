@@ -102,9 +102,6 @@ struct NullTelemetry {
   void ShardKeptLocal() {}
   void ShardMailboxFull() {}
   void ShardDrain(uint32_t /*batch*/, uint64_t /*depth*/) {}
-  void CombineBatch(uint32_t /*ops*/, uint32_t /*occupancy*/) {}
-  void CombineSlotFull() {}
-  void HotVertex() {}
   void BackoffWait(uint64_t /*pauses*/) {}
   void StarvationEscalated() {}
   void StarvationToken() {}
@@ -166,18 +163,6 @@ struct TelemetrySnapshot {
   uint64_t shard_drain_batches = 0;
   LogHistogram drain_batch_hist;
   LogHistogram mailbox_depth_hist;
-
-  /// Hot-vertex flat-combining breakdown (tm/combiner.h): operations
-  /// applied through collected combine batches, collect-sweep counts,
-  /// slot-array overflow bounces, cold->hot region transitions, and
-  /// histograms of combine-batch sizes and announce-queue occupancy at
-  /// collect entry.
-  uint64_t combined_ops = 0;
-  uint64_t combine_batches = 0;
-  uint64_t combine_slot_full = 0;
-  uint64_t hot_vertices = 0;
-  LogHistogram combine_batch_hist;
-  LogHistogram combine_occupancy_hist;
 
   /// Progress-guard breakdown (tm/progress_guard.h): retry backoffs,
   /// starvation escalations / token grabs, abort-storm breaker state
@@ -326,19 +311,6 @@ class EventTelemetry {
     snap_.mailbox_depth_hist.Add(depth);
   }
 
-  /// One combine-collect sweep applied `ops` announced operations after
-  /// finding `occupancy` slots announced at collect entry.
-  void CombineBatch(uint32_t ops, uint32_t occupancy) {
-    ++snap_.combine_batches;
-    snap_.combined_ops += ops;
-    snap_.combine_batch_hist.Add(ops);
-    snap_.combine_occupancy_hist.Add(occupancy);
-  }
-  /// One announce bounced by a full slot array (op executed locally).
-  void CombineSlotFull() { ++snap_.combine_slot_full; }
-  /// One contention-history region transitioned cold -> hot.
-  void HotVertex() { ++snap_.hot_vertices; }
-
   /// One randomized-backoff wait of `pauses` spin/yield pauses between
   /// conflict retries (all three retry loops report here).
   void BackoffWait(uint64_t pauses) {
@@ -407,12 +379,6 @@ class EventTelemetry {
     snap_.shard_drain_batches += o.shard_drain_batches;
     snap_.drain_batch_hist.Merge(o.drain_batch_hist);
     snap_.mailbox_depth_hist.Merge(o.mailbox_depth_hist);
-    snap_.combined_ops += o.combined_ops;
-    snap_.combine_batches += o.combine_batches;
-    snap_.combine_slot_full += o.combine_slot_full;
-    snap_.hot_vertices += o.hot_vertices;
-    snap_.combine_batch_hist.Merge(o.combine_batch_hist);
-    snap_.combine_occupancy_hist.Merge(o.combine_occupancy_hist);
     snap_.backoff_events += o.backoff_events;
     snap_.backoff_pauses += o.backoff_pauses;
     snap_.starvation_escalations += o.starvation_escalations;

@@ -20,8 +20,6 @@
 #include "sync/lock_manager.h"
 #include "sync/lock_table.h"
 #include "tm/batch_executor.h"
-#include "tm/combiner.h"
-#include "tm/contention_history.h"
 #include "tm/contention_monitor.h"
 #include "tm/modes.h"
 #include "tm/outcome.h"
@@ -187,25 +185,6 @@ class TuFastScheduler {
     std::string wal_path;
     /// fsync policy for the owned group-commit writer.
     WalSyncPolicy wal_sync = WalSyncPolicy::kFsyncEachCommit;
-    /// Hot-vertex flat combining (tm/combiner.h, DESIGN.md "Hot-vertex
-    /// combining"). Off by default: the batch paths stay bit-for-bit the
-    /// pre-combining executor (the equivalence suites rely on this). On,
-    /// a per-region contention history (tm/contention_history.h) watches
-    /// per-item attempt outcomes; batch items homed in a hot region are
-    /// announced to the region's combiner cell and applied by whichever
-    /// worker collects them as ONE fused group-commit batch, instead of
-    /// competing (and aborting) against every other worker's copy of the
-    /// same hub traffic.
-    bool enable_combining = false;
-    /// EWMA attempt-abort fraction (0, 1] at which a region turns hot;
-    /// it cools only below half this (hysteresis against flapping).
-    double hot_threshold = 0.5;
-    /// Announce slots per combiner cell. A full slot array bounces the
-    /// announce back to local execution — operations are never dropped.
-    uint32_t combiner_slots = 8;
-    /// Contention-history region buckets (rounded up to a power of two);
-    /// one combiner cell per bucket.
-    uint32_t combine_history_buckets = 1024;
   };
 
   TuFastScheduler(Htm& htm, VertexId num_vertices, Config config = {})
@@ -250,11 +229,6 @@ class TuFastScheduler {
       sharding_ = std::make_unique<ShardRuntime>(ShardRuntime::Options{
           num_vertices, ResolvedShards(config_), ResolvedWorkers(config_),
           config_.mailbox_capacity});
-    }
-    if (config_.enable_combining) {
-      combining_ = std::make_unique<CombinerRuntime>(CombinerRuntime::Options{
-          config_.combine_history_buckets, config_.hot_threshold,
-          config_.combiner_slots});
     }
     lock_manager_.SetProgressSignals(&progress_guard_.signals());
     if constexpr (Telemetry::kEnabled) {
@@ -322,8 +296,6 @@ class TuFastScheduler {
     Worker& w = runtime_.GetWorker(worker_id, *this);
     if (sharding_ != nullptr) {
       RunBatchSharded(w, worker_id, lo, hi, hint, home, body);
-    } else if (combining_ != nullptr) {
-      RunBatchCombined(w, worker_id, lo, hi, hint, home, body);
     } else {
       RunBatchWindowed(w, worker_id, lo, hi, hint, body);
     }
@@ -391,43 +363,21 @@ class TuFastScheduler {
     std::vector<uint8_t> drain_dup;
     std::vector<uint32_t> sent_shards;
     std::vector<uint8_t> sent_flags;
-    /// Combining-path scratch (only touched when combining is enabled):
-    /// the cold item list, the (cell, slot) pairs this batch call
-    /// announced, and the collect sweep's message/dedup/taken-slot
-    /// buffers.
-    std::vector<uint64_t> combine_cold;
-    std::vector<uint64_t> combine_announced;
-    std::vector<ActiveMessage> combine_batch;
-    std::vector<VertexId> combine_homes;
-    std::vector<uint8_t> combine_dup;
-    std::vector<uint32_t> combine_taken;
   };
   using Runtime = WorkerRuntime<State, Telemetry>;
   using Worker = typename Runtime::Worker;
 
-  /// Per-item outcome observer for the windowed core. The default is a
-  /// compile-time no-op (the pre-combining code paths are untouched);
-  /// the combining path installs HistoryProbe so every per-item routing
-  /// outcome — and every item inside a committed fused window — feeds
-  /// the per-region contention history.
-  struct NullItemProbe {
-    static constexpr bool kEnabled = false;
-    void Attempt(uint64_t /*i*/, bool /*aborted*/) {}
-  };
-
   /// The unsharded batch core: capacity-aware window formation +
   /// abort-driven bisection over items [lo, hi). Also the execution
-  /// engine for the sharded path's local half, drain batches, and
-  /// combine batches (via an index indirection), which is what keeps
-  /// sharded and unsharded execution bit-identical when everything
-  /// routes local.
-  template <typename HintFn, typename BodyFn, typename Probe = NullItemProbe>
+  /// engine for the sharded path's local half and drain batches (via an
+  /// index indirection), which is what keeps sharded and unsharded
+  /// execution bit-identical when everything routes local.
+  template <typename HintFn, typename BodyFn>
   void RunBatchWindowed(Worker& w, int worker_id, uint64_t lo, uint64_t hi,
-                        HintFn& hint, BodyFn& body, Probe probe = {}) {
+                        HintFn& hint, BodyFn& body) {
     if (!config_.enable_fusion || !config_.enable_h_mode) {
       for (uint64_t i = lo; i < hi; ++i) {
-        const RunOutcome out = RunItemRouted(w, worker_id, i, hint, body);
-        if constexpr (Probe::kEnabled) probe.Attempt(i, out.aborts > 0);
+        RunItemRouted(w, worker_id, i, hint, body);
       }
       return;
     }
@@ -437,16 +387,14 @@ class TuFastScheduler {
       // pause new fused regions (which subscribe whole windows of lock
       // words) so fusion can't widen the interference it sees.
       if (progress_guard_.signals().TokenHeld()) {
-        const RunOutcome out = RunItemRouted(w, worker_id, i, hint, body);
-        if constexpr (Probe::kEnabled) probe.Attempt(i, out.aborts > 0);
+        RunItemRouted(w, worker_id, i, hint, body);
         ++i;
         continue;
       }
       const uint64_t first_hint = hint(i);
       if (first_hint > h_hint_threshold_) {
         // Too big for H mode: route per-item (O or L will take it).
-        const RunOutcome out = RunItemRouted(w, worker_id, i, hint, body);
-        if constexpr (Probe::kEnabled) probe.Attempt(i, out.aborts > 0);
+        RunItemRouted(w, worker_id, i, hint, body);
         ++i;
         continue;
       }
@@ -465,7 +413,7 @@ class TuFastScheduler {
         budget += hj;
         ++j;
       }
-      ExecuteFusedRange(w, worker_id, i, j, hint, body, /*depth=*/0, probe);
+      ExecuteFusedRange(w, worker_id, i, j, hint, body, /*depth=*/0);
       i = j;
     }
   }
@@ -597,16 +545,7 @@ class TuFastScheduler {
 
     auto lhint = [&](uint64_t k) { return hint(local[k]); };
     auto lbody = [&](auto& txn, uint64_t k) { body(txn, local[k]); };
-    if (combining_ != nullptr) {
-      // Shard routing composes with combining: cross-shard items were
-      // already shipped to their owner (whose drain fuses them); what
-      // stayed local goes through hot-vertex detection so a hub this
-      // worker owns still combines instead of competing.
-      auto lhome = [&](uint64_t k) { return home(local[k]); };
-      RunBatchCombined(w, worker_id, 0, local.size(), lhint, lhome, lbody);
-    } else {
-      RunBatchWindowed(w, worker_id, 0, local.size(), lhint, lbody);
-    }
+    RunBatchWindowed(w, worker_id, 0, local.size(), lhint, lbody);
 
     for (const uint32_t s : rt.OwnedShards(worker_id)) {
       DrainShard(w, worker_id, s);
@@ -692,199 +631,6 @@ class TuFastScheduler {
     return any;
   }
 
-  /// Contention-history feed for the combining path's cold half: maps a
-  /// per-item routing outcome back to the item's home vertex and records
-  /// it, counting cold->hot transitions in the observing worker's stats.
-  template <typename HomeFn>
-  struct HistoryProbe {
-    static constexpr bool kEnabled = true;
-    TuFastScheduler* self;
-    Worker* w;
-    const std::vector<uint64_t>* items;
-    HomeFn* home;
-
-    void Attempt(uint64_t k, bool aborted) {
-      const VertexId v = (*home)((*items)[k]);
-      if (self->combining_->history().RecordAttempt(v, aborted)) {
-        RecordHotVertex(*w);
-      }
-    }
-  };
-
-  /// The combining batch protocol (DESIGN.md "Hot-vertex combining").
-  /// Phases, in order:
-  ///  1. route: items homed in a hot region are announced to the
-  ///     region's combiner cell (a full slot array bounces the item to
-  ///     the cold list — never dropped); everything else is cold;
-  ///  2. execute the cold list through the shared windowed core, with
-  ///     per-item outcomes feeding the contention history — cold work
-  ///     also buys announced slots time to accumulate peers;
-  ///  3. flush: for each announced slot, spin — helping collect the
-  ///     cell — until the slot reaches kApplied, then free it; only
-  ///     then may the stack frame behind the announcements die.
-  /// Deadlock-free: a collector holds one cell owner lock and only
-  /// executes transactions (it never waits on a slot), and a flusher
-  /// holds no locks while spinning — there is no hold-and-wait cycle.
-  template <typename HintFn, typename HomeFn, typename BodyFn>
-  void RunBatchCombined(Worker& w, int worker_id, uint64_t lo, uint64_t hi,
-                        HintFn& hint, HomeFn& home, BodyFn& body) {
-    CombinerRuntime& cr = *combining_;
-    BatchFrame frame{VTableFor<HintFn, HomeFn, BodyFn>(),
-                     const_cast<void*>(static_cast<const void*>(&body)),
-                     const_cast<void*>(static_cast<const void*>(&hint)),
-                     const_cast<void*>(static_cast<const void*>(&home))};
-    auto& cold = w.state.combine_cold;
-    cold.clear();
-    auto& announced = w.state.combine_announced;
-    announced.clear();
-
-    for (uint64_t i = lo; i < hi; ++i) {
-      const VertexId v = home(i);
-      if (cr.history().IsHot(v)) {
-        bool full = false;
-        if constexpr (Failpoints::kEnabled) {
-          full = Failpoints::Hit(FailSite::kCombinerSlotFull, worker_id) ==
-                 FailAction::kFail;
-        }
-        if (!full) {
-          const uint32_t c = cr.CellOf(v);
-          const int slot = cr.Announce(c, &frame, i);
-          if (slot >= 0) {
-            announced.push_back((uint64_t{c} << 32) |
-                                static_cast<uint32_t>(slot));
-            continue;
-          }
-        }
-        RecordCombineSlotFull(w);
-      }
-      cold.push_back(i);
-    }
-
-    {
-      auto chint = [&](uint64_t k) { return hint(cold[k]); };
-      auto cbody = [&](auto& txn, uint64_t k) { body(txn, cold[k]); };
-      HistoryProbe<HomeFn> probe{this, &w, &cold, &home};
-      RunBatchWindowed(w, worker_id, 0, cold.size(), chint, cbody, probe);
-    }
-
-    for (const uint64_t e : announced) {
-      const uint32_t c = static_cast<uint32_t>(e >> 32);
-      CombineSlot& s = cr.slots(c)[static_cast<uint32_t>(e)];
-      Backoff backoff;
-      while (s.state.load(std::memory_order_acquire) != kCombineSlotApplied) {
-        if (!CollectCell(w, worker_id, c)) backoff.Pause();
-      }
-      s.state.store(kCombineSlotEmpty, std::memory_order_release);
-    }
-  }
-
-  /// Collects one combiner cell: under the cell's owner lock, sweep the
-  /// announce slots, take every kReady operation, and apply the set as
-  /// one group-commit batch through the windowed core (fused H regions,
-  /// bisection, per-item fallback). Returns whether any operation was
-  /// applied. Cold: called between batches and from flush spins, never
-  /// inside a transaction body.
-  TUFAST_NOINLINE_COLD bool CollectCell(Worker& w, int worker_id, uint32_t c) {
-    CombinerRuntime& cr = *combining_;
-    CombinerCell& cell = cr.cell(c);
-    if (!cell.owner_lock.TryLock()) return false;
-    bool any = false;
-    CombineSlot* slots = cr.slots(c);
-    const uint32_t nslots = cr.slots_per_cell();
-    auto& msgs = w.state.combine_batch;
-    auto& homes = w.state.combine_homes;
-    auto& dup = w.state.combine_dup;
-    auto& taken = w.state.combine_taken;
-    while (true) {
-      uint32_t occupancy = 0;
-      for (uint32_t k = 0; k < nslots; ++k) {
-        if (slots[k].state.load(std::memory_order_acquire) ==
-            kCombineSlotReady) {
-          ++occupancy;
-        }
-      }
-      if (occupancy == 0) break;
-      uint32_t limit = occupancy;
-      bool handoff = false;
-      if constexpr (Failpoints::kEnabled) {
-        // Forced owner handoff mid-collect: take only the first announced
-        // operation, then release the lock with ready slots remaining —
-        // a spinning announcer becomes the new owner for the rest.
-        if (Failpoints::Hit(FailSite::kOwnerHandoff, worker_id) ==
-            FailAction::kFail) {
-          limit = 1;
-          handoff = true;
-        }
-      }
-      msgs.clear();
-      taken.clear();
-      for (uint32_t k = 0; k < nslots && msgs.size() < limit; ++k) {
-        uint32_t expected = kCombineSlotReady;
-        if (slots[k].state.compare_exchange_strong(
-                expected, kCombineSlotTaken, std::memory_order_acquire,
-                std::memory_order_relaxed)) {
-          taken.push_back(k);
-          msgs.push_back(ActiveMessage{slots[k].frame, slots[k].item});
-        }
-      }
-      if (msgs.empty()) break;
-      any = true;
-      // Duplicate-home hint dedup, same contract as DrainShard: a
-      // combine batch usually carries several operations for the same
-      // hub vertex, whose footprint should be charged once per fused
-      // window. The batch is bounded by the slot count, so a quadratic
-      // scan beats building an AddrMap.
-      homes.clear();
-      for (const ActiveMessage& msg : msgs) {
-        const BatchFrame& f = FrameOf(msg);
-        homes.push_back(f.vt->home(f.home, msg.item));
-      }
-      dup.assign(msgs.size(), 0);
-      for (size_t a = 1; a < msgs.size(); ++a) {
-        for (size_t b = 0; b < a; ++b) {
-          if (homes[b] == homes[a]) {
-            dup[a] = 1;
-            break;
-          }
-        }
-      }
-      auto mhint = [&](uint64_t k) -> uint64_t {
-        if (dup[k] != 0) return 1;
-        const BatchFrame& f = FrameOf(msgs[k]);
-        return f.vt->hint(f.hint, msgs[k].item);
-      };
-      auto mbody = [&](auto& txn, uint64_t k) {
-        const ActiveMessage& msg = msgs[k];
-        const BatchFrame& f = FrameOf(msg);
-        using TxnT = std::remove_cvref_t<decltype(txn)>;
-        if constexpr (std::is_same_v<TxnT, HTxn<Htm, Table>>) {
-          f.vt->run_h(f.body, txn, msg.item);
-        } else if constexpr (std::is_same_v<TxnT, OTxn<Htm, Table>>) {
-          f.vt->run_o(f.body, txn, msg.item);
-        } else {
-          f.vt->run_l(f.body, txn, msg.item);
-        }
-      };
-      RunBatchWindowed(w, worker_id, 0, msgs.size(), mhint, mbody);
-      RecordCombineBatch(w, static_cast<uint32_t>(msgs.size()), occupancy);
-      // Hot-state maintenance: more than one simultaneous announcement
-      // is direct evidence these operations would have conflicted
-      // competitively — keep the region hot. Singleton batches record a
-      // clean attempt, so a region whose storm has passed decays back to
-      // cold (hysteresis lives in the history).
-      const bool contended = msgs.size() > 1;
-      for (const VertexId home : homes) {
-        cr.history().RecordAttempt(home, contended);
-      }
-      for (const uint32_t k : taken) {
-        slots[k].state.store(kCombineSlotApplied, std::memory_order_release);
-      }
-      if (handoff) break;
-    }
-    cell.owner_lock.Unlock();
-    return any;
-  }
-
   static uint32_t ResolvedWorkers(const Config& c) {
     return c.shard_workers == 0 ? 1 : c.shard_workers;
   }
@@ -896,30 +642,23 @@ class TuFastScheduler {
   /// One per-item transaction inside a batch: same accounting and
   /// routing as Run(), with the item index bound into the body.
   template <typename HintFn, typename BodyFn>
-  RunOutcome RunItemRouted(Worker& w, int worker_id, uint64_t i, HintFn& hint,
-                           BodyFn& body) {
+  void RunItemRouted(Worker& w, int worker_id, uint64_t i, HintFn& hint,
+                     BodyFn& body) {
     w.telemetry.TxnBegin();
     auto item_fn = [&body, i](auto& txn) { body(txn, i); };
-    return RunRouted(w, worker_id, hint(i), item_fn);
+    RunRouted(w, worker_id, hint(i), item_fn);
   }
 
   /// One fused attempt over items [lo, hi), bisecting on abort. `depth`
   /// counts the halvings since the original window. Terminates: the
   /// width strictly shrinks toward the width-1 base case, which is the
-  /// ordinary (terminating) per-item router. The probe observes each
-  /// item exactly once, at its final commit point: width-1 runs report
-  /// their real per-item abort count (the bisection drills contended
-  /// items down to width 1, which is what gives the contention history
-  /// clean per-vertex attribution), fused commits report a clean
-  /// attempt for every item in the window.
-  template <typename HintFn, typename BodyFn, typename Probe = NullItemProbe>
+  /// ordinary (terminating) per-item router.
+  template <typename HintFn, typename BodyFn>
   void ExecuteFusedRange(Worker& w, int worker_id, uint64_t lo, uint64_t hi,
-                         HintFn& hint, BodyFn& body, uint32_t depth,
-                         Probe probe = {}) {
+                         HintFn& hint, BodyFn& body, uint32_t depth) {
     const uint64_t width = hi - lo;
     if (width == 1) {
-      const RunOutcome out = RunItemRouted(w, worker_id, lo, hint, body);
-      if constexpr (Probe::kEnabled) probe.Attempt(lo, out.aborts > 0);
+      RunItemRouted(w, worker_id, lo, hint, body);
       return;
     }
     w.telemetry.EnterMode(SchedMode::kHardware);
@@ -933,9 +672,6 @@ class TuFastScheduler {
       AccountWalCommit(w, WalRecorderFor(w));
       w.state.monitor.RecordFusedAttempt(width, /*aborted=*/false);
       RecordFusedCommit(w, static_cast<uint32_t>(width), depth, attempt.ops);
-      if constexpr (Probe::kEnabled) {
-        for (uint64_t k = lo; k < hi; ++k) probe.Attempt(k, false);
-      }
       return;
     }
     // Any abort — capacity, conflict, lock-busy, or a user abort from
@@ -945,8 +681,8 @@ class TuFastScheduler {
     w.state.monitor.RecordFusedAttempt(width, /*aborted=*/true);
     RecordFusedAbort(w, static_cast<uint32_t>(width), attempt.status);
     const uint64_t mid = lo + width / 2;
-    ExecuteFusedRange(w, worker_id, lo, mid, hint, body, depth + 1, probe);
-    ExecuteFusedRange(w, worker_id, mid, hi, hint, body, depth + 1, probe);
+    ExecuteFusedRange(w, worker_id, lo, mid, hint, body, depth + 1);
+    ExecuteFusedRange(w, worker_id, mid, hi, hint, body, depth + 1);
   }
 
   /// Emits breaker state-transition telemetry by diffing the monitor's
@@ -1089,10 +825,6 @@ class TuFastScheduler {
 
   /// Sharding-layer introspection (null unless Config::enable_sharding).
   const ShardRuntime* shard_runtime() const { return sharding_.get(); }
-
-  /// Combining-layer introspection (null unless Config::enable_combining).
-  CombinerRuntime* combiner_runtime() { return combining_.get(); }
-  const CombinerRuntime* combiner_runtime() const { return combining_.get(); }
 
   /// Version-store introspection (null unless Config::enable_mvcc).
   Mvcc* mvcc_store() { return mvcc_.get(); }
@@ -1257,7 +989,6 @@ class TuFastScheduler {
   std::unique_ptr<BasicWalWriter<Failpoints>> owned_wal_;
   WalSink* wal_sink_ = nullptr;
   std::unique_ptr<ShardRuntime> sharding_;
-  std::unique_ptr<CombinerRuntime> combining_;
   Runtime runtime_;
 };
 

@@ -292,36 +292,6 @@ inline void RecordShardDrain(Worker& w, uint32_t batch, uint64_t depth) {
   w.telemetry.ShardDrain(batch, depth);
 }
 
-/// Accounting for one combine-collect sweep (tm/combiner.h): `ops`
-/// announced operations applied as one group-commit batch, `occupancy`
-/// slots found announced at collect entry. Mirrors RecordShardDrain so
-/// the stats and telemetry views of the combining layer stay in
-/// lockstep.
-template <typename Worker>
-inline void RecordCombineBatch(Worker& w, uint32_t ops, uint32_t occupancy) {
-  ++w.stats.combine_batches;
-  w.stats.combined_ops += ops;
-  if (occupancy > w.stats.combine_max_occupancy) {
-    w.stats.combine_max_occupancy = occupancy;
-  }
-  w.telemetry.CombineBatch(ops, occupancy);
-}
-
-/// One announce bounced by a full combiner slot array; the operation
-/// runs locally instead (never dropped).
-template <typename Worker>
-inline void RecordCombineSlotFull(Worker& w) {
-  ++w.stats.combine_slot_full;
-  w.telemetry.CombineSlotFull();
-}
-
-/// One contention-history region this worker observed turning hot.
-template <typename Worker>
-inline void RecordHotVertex(Worker& w) {
-  ++w.stats.hot_vertices;
-  w.telemetry.HotVertex();
-}
-
 /// Scope guard releasing a progress guard's per-slot escalation state
 /// (starved bit, token) on every exit from the L retry loop — including
 /// a foreign exception unwinding out mid-escalation.

@@ -1,7 +1,7 @@
 // Strict-parsing tests for the shared bench flag parser: every malformed
-// value must be a hard process exit (code 2), never a silently defaulted
-// run — a bench running with shard count "4x" or batch size 0 measures
-// the wrong thing while looking healthy.
+// value and every unknown flag must be a hard process exit (code 2),
+// never a silently defaulted run — a bench running with shard count "4x"
+// or batch size 0 measures the wrong thing while looking healthy.
 
 #include <cstring>
 #include <string>
@@ -148,59 +148,6 @@ TEST(BenchFlagsDeathTest, RejectsMalformedDurationAndZipf) {
               "must be in");
 }
 
-TEST(BenchFlagsTest, CombiningFlagsParse) {
-  const BenchFlags flags = ParseArgs(
-      {"--combine", "--hot-threshold=0.25", "--combine-skew=1.2",
-       "--combine-chaos"});
-  EXPECT_TRUE(flags.combine);
-  EXPECT_DOUBLE_EQ(flags.hot_threshold, 0.25);
-  EXPECT_DOUBLE_EQ(flags.combine_skew, 1.2);
-  EXPECT_TRUE(flags.combine_chaos);
-}
-
-TEST(BenchFlagsTest, CombiningDefaults) {
-  const BenchFlags flags = ParseArgs({"--threads=2"});
-  EXPECT_FALSE(flags.combine);
-  EXPECT_DOUBLE_EQ(flags.hot_threshold, 0.5);
-  EXPECT_DOUBLE_EQ(flags.combine_skew, -1.0);  // -1 = sweep default alphas.
-  EXPECT_FALSE(flags.combine_chaos);
-}
-
-TEST(BenchFlagsDeathTest, RejectsMalformedHotThreshold) {
-  EXPECT_EXIT(ParseArgs({"--hot-threshold="}), ::testing::ExitedWithCode(2),
-              "missing value");
-  EXPECT_EXIT(ParseArgs({"--hot-threshold=warm"}),
-              ::testing::ExitedWithCode(2), "not a number");
-  EXPECT_EXIT(ParseArgs({"--hot-threshold=0"}), ::testing::ExitedWithCode(2),
-              "must be in");
-  EXPECT_EXIT(ParseArgs({"--hot-threshold=-0.5"}),
-              ::testing::ExitedWithCode(2), "must be in");
-  EXPECT_EXIT(ParseArgs({"--hot-threshold=1.5"}),
-              ::testing::ExitedWithCode(2), "must be in");
-  EXPECT_EXIT(ParseArgs({"--hot-threshold=nan"}),
-              ::testing::ExitedWithCode(2), "must be in");
-}
-
-TEST(BenchFlagsDeathTest, RejectsMalformedCombineSkew) {
-  EXPECT_EXIT(ParseArgs({"--combine-skew="}), ::testing::ExitedWithCode(2),
-              "missing value");
-  EXPECT_EXIT(ParseArgs({"--combine-skew=steep"}),
-              ::testing::ExitedWithCode(2), "not a number");
-  EXPECT_EXIT(ParseArgs({"--combine-skew=-0.1"}),
-              ::testing::ExitedWithCode(2), "must be in");
-  EXPECT_EXIT(ParseArgs({"--combine-skew=4.5"}),
-              ::testing::ExitedWithCode(2), "must be in");
-  EXPECT_EXIT(ParseArgs({"--combine-skew=nan"}),
-              ::testing::ExitedWithCode(2), "must be in");
-}
-
-TEST(BenchFlagsTest, CombineIsAPlainSwitch) {
-  // "--combine=yes" is not the "--combine" switch (exact match only) and
-  // must not accidentally enable combining via prefix matching.
-  const BenchFlags flags = ParseArgs({"--combine=yes"});
-  EXPECT_FALSE(flags.combine);
-}
-
 TEST(BenchFlagsTest, WalFlagsParse) {
   const BenchFlags flags =
       ParseArgs({"--wal", "--crash-chaos", "--checkpoint-every=8"});
@@ -228,12 +175,27 @@ TEST(BenchFlagsDeathTest, RejectsMalformedCheckpointEvery) {
 }
 
 TEST(BenchFlagsTest, WalSwitchesAreExactMatches) {
-  // "--wal=yes" / "--crash-chaos=yes" are not the plain switches; a typo'd
-  // value must not silently enable durability (the overhead column would
-  // then measure a run the user didn't ask for).
-  const BenchFlags flags = ParseArgs({"--wal=yes", "--crash-chaos=yes"});
-  EXPECT_FALSE(flags.wal);
-  EXPECT_FALSE(flags.crash_chaos);
+  // "--wal=yes" / "--crash-chaos=yes" are not the plain switches (exact
+  // match only), so they are unknown flags: a hard error, never a run
+  // with or without durability that the user didn't ask for.
+  EXPECT_EXIT(ParseArgs({"--wal=yes"}), ::testing::ExitedWithCode(2),
+              "bad flag '--wal=yes': unknown flag");
+  EXPECT_EXIT(ParseArgs({"--crash-chaos=yes"}), ::testing::ExitedWithCode(2),
+              "bad flag '--crash-chaos=yes': unknown flag");
+}
+
+TEST(BenchFlagsDeathTest, RejectsUnknownFlags) {
+  // A typo'd switch must not silently run the default sweep.
+  EXPECT_EXIT(ParseArgs({"--shard-chaoss"}), ::testing::ExitedWithCode(2),
+              "bad flag '--shard-chaoss': unknown flag");
+  EXPECT_EXIT(ParseArgs({"--quick", "--seeds=3"}),
+              ::testing::ExitedWithCode(2), "unknown flag");
+}
+
+TEST(BenchFlagsDeathTest, RejectsRemovedFlags) {
+  // Flags of deleted features fail loudly instead of running without them.
+  EXPECT_EXIT(ParseArgs({"--hot-threshold=0.25"}),
+              ::testing::ExitedWithCode(2), "unknown flag");
 }
 
 TEST(BenchFlagsDeathTest, ExistingFlagsStayStrict) {

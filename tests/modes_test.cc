@@ -2,7 +2,8 @@
 // LTxn) against the shared lock table: lock-compatibility checks,
 // O-mode validation and lock-busy outcomes, segment accounting, L-mode
 // buffering, and software reads racing a hardware commit's write-back —
-// exercised directly, below the router.
+// exercised directly, below the router (plus the same race against the
+// HSync baseline's global-lock fallback).
 
 #include <atomic>
 #include <chrono>
@@ -14,6 +15,7 @@
 #include "sync/lock_manager.h"
 #include "sync/lock_table.h"
 #include "tm/modes.h"
+#include "tm/scheduler_hsync.h"
 
 namespace tufast {
 namespace {
@@ -248,6 +250,23 @@ TEST_F(ModesTest, LModeReadWaitsOutAFlushingHardwareCommit) {
   reader.join();
   EXPECT_EQ(EmulatedHtm::NonTxLoad(&data_[4]), 6u)
       << "the L read must observe the hardware commit it was locked after";
+}
+
+TEST_F(ModesTest, HsyncFallbackReadWaitsOutAFlushingHardwareCommit) {
+  // No hardware attempts: every Run goes straight to the global-lock
+  // fallback, whose lock dooms only hardware transactions that have not
+  // reached their commit point.
+  HsyncHybrid<EmulatedHtm> hsync(htm_, kVertices, {.htm_retries = -1});
+  ParkedHardwareWriter writer(htm_, locks_, 6, &data_[6], 5);
+  std::thread incrementer([&] {
+    hsync.Run(/*worker_id=*/2, /*size_hint=*/1, [&](auto& txn) {
+      txn.Write(6, &data_[6], txn.Read(6, &data_[6]) + 1);
+    });
+  });
+  EXPECT_TRUE(writer.Release().ok());
+  incrementer.join();
+  EXPECT_EQ(EmulatedHtm::NonTxLoad(&data_[6]), 6u)
+      << "the fallback read must observe the flushing hardware commit";
 }
 
 }  // namespace
