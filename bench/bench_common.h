@@ -24,12 +24,6 @@ namespace tufast {
 ///                   failpoints (forced victim re-aborts, breaker trips,
 ///                   forced starvation escalation) to fuzz the escalation
 ///                   ladder and circuit breaker
-///   --shards=<n>    shard count for the sharded TuFast mode (default 0 =
-///                   one shard per worker thread)
-///   --am-batch=<n>  active-message drain batch size (default 32, >= 1)
-///   --shard-chaos   stress drivers: additionally arm the sharding
-///                   failpoints (forced full-mailbox bounces, adversarial
-///                   drain reordering) and route cross-shard traffic
 ///   --mvcc          enable the MVCC snapshot-read path
 ///                   (Config::enable_mvcc) where the bench supports it;
 ///                   streaming_updates adds its reader/writer-mix phase
@@ -80,9 +74,6 @@ struct BenchFlags {
   std::string failpoint_trace;
   bool quick = false;
   bool progress_chaos = false;
-  uint32_t shards = 0;
-  uint32_t am_batch = 32;
-  bool shard_chaos = false;
   bool mvcc = false;
   uint32_t readers = 0;
   bool mvcc_chaos = false;
@@ -118,14 +109,6 @@ struct BenchFlags {
       } else if (std::strncmp(arg, "--failpoint-trace=", 18) == 0) {
         if (arg[18] == '\0') Fail(arg, "path must be non-empty");
         flags.failpoint_trace = arg + 18;
-      } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-        const long n = ParseLong(arg, arg + 9);
-        if (n < 0 || n > 4096) Fail(arg, "must be in [0, 4096]");
-        flags.shards = static_cast<uint32_t>(n);
-      } else if (std::strncmp(arg, "--am-batch=", 11) == 0) {
-        const long n = ParseLong(arg, arg + 11);
-        if (n < 1 || n > 65536) Fail(arg, "must be in [1, 65536]");
-        flags.am_batch = static_cast<uint32_t>(n);
       } else if (std::strncmp(arg, "--readers=", 10) == 0) {
         const long n = ParseLong(arg, arg + 10);
         if (n < 0 || n > 4096) Fail(arg, "must be in [0, 4096]");
@@ -170,8 +153,6 @@ struct BenchFlags {
         flags.scale = default_scale * 0.2;
       } else if (std::strcmp(arg, "--progress-chaos") == 0) {
         flags.progress_chaos = true;
-      } else if (std::strcmp(arg, "--shard-chaos") == 0) {
-        flags.shard_chaos = true;
       } else if (std::strncmp(arg, "--", 2) == 0) {
         Fail(arg, "unknown flag");
       }

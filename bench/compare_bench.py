@@ -39,11 +39,7 @@ either direction is a behavior change, not noise.
 small H transactions) against an absolute floor. Unlike wall-clock
 rates, the gain is a same-machine ratio, so it is the most portable
 regression signal this script has: keep it enabled in CI even where the
-timing tolerance has to be loose. --min-shard-scaling is the analogous
-floor for the sharding layer's shard_scaling_x (active-message
-mailbox-drain committed-ops/sec / per-item committed-ops/sec): the
-group-commit drain must keep beating per-item execution despite paying
-the mailbox round trip.
+timing tolerance has to be loose.
 
 Stdlib only (json/argparse/re); no third-party dependencies.
 """
@@ -199,22 +195,19 @@ def cmd_compare(args):
         print(f"{status:>10}  {cur:>12.5g} vs {base:>12.5g} "
               f"({ratio:6.2f}x)  {title} | {row} | {col}")
 
-    for metric, floor_value in (("fusion_gain_x", args.min_fusion_gain),
-                                ("shard_scaling_x", args.min_shard_scaling)):
-        if floor_value is None:
-            continue
-        gain = metric_value(current_doc, "micro ops", metric)
+    if args.min_fusion_gain is not None:
+        gain = metric_value(current_doc, "micro ops", "fusion_gain_x")
         if gain is None:
-            print(f"error: current report has no 'micro ops' {metric} "
+            print("error: current report has no 'micro ops' fusion_gain_x "
                   "metric", file=sys.stderr)
             return 2
         # A NaN/inf gain is a broken measurement (zero elapsed time in
         # one of the passes), never a pass.
-        ok = math.isfinite(gain) and gain >= floor_value
-        print(f"{'ok' if ok else 'REGRESSION':>10}  {metric} "
-              f"{gain:.3f} (floor {floor_value:.3f})")
+        ok = math.isfinite(gain) and gain >= args.min_fusion_gain
+        print(f"{'ok' if ok else 'REGRESSION':>10}  fusion_gain_x "
+              f"{gain:.3f} (floor {args.min_fusion_gain:.3f})")
         if not ok:
-            failures.append(("micro ops", metric, "floor"))
+            failures.append(("micro ops", "fusion_gain_x", "floor"))
 
     if args.max_reader_abort_rate is not None:
         failures.extend(
@@ -373,8 +366,6 @@ def main(argv):
                          help="relative regression band (default 0.25)")
     compare.add_argument("--min-fusion-gain", type=float, default=None,
                          help="absolute floor for micro ops fusion_gain_x")
-    compare.add_argument("--min-shard-scaling", type=float, default=None,
-                         help="absolute floor for micro ops shard_scaling_x")
     compare.add_argument("--include-titles", default=DEFAULT_INCLUDE)
     compare.add_argument("--exclude-titles", default=DEFAULT_EXCLUDE)
     compare.add_argument("--exclude-cols", default=DEFAULT_EXCLUDE_COLS)

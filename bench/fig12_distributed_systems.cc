@@ -45,13 +45,11 @@ constexpr double kScaleFactor = 1.0 / 1000.0;
 template <typename Htm>
 void RunTuFast(const Graph& graph, const Graph& undirected,
                const Graph& reversed, const Graph& tri, ThreadPool& pool,
-               std::vector<std::string>* col,
-               const typename TuFastScheduler<Htm>::Config& config = {},
-               SchedulerStats* stats_out = nullptr) {
+               std::vector<std::string>* col) {
   Htm htm;
-  TuFastScheduler<Htm> tm(htm, graph.NumVertices(), config);
+  TuFastScheduler<Htm> tm(htm, graph.NumVertices());
   Htm tri_htm;
-  TuFastScheduler<Htm> tri_tm(tri_htm, tri.NumVertices(), config);
+  TuFastScheduler<Htm> tri_tm(tri_htm, tri.NumVertices());
   WallTimer timer;
   auto lap = [&] {
     col->push_back(ReportTable::Num(timer.ElapsedMillis()));
@@ -70,24 +68,6 @@ void RunTuFast(const Graph& graph, const Graph& undirected,
   lap();
   MisTm(tm, pool, undirected);
   lap();
-  if (stats_out != nullptr) {
-    *stats_out = tm.AggregatedStats();
-    stats_out->Merge(tri_tm.AggregatedStats());
-  }
-}
-
-/// The sharded TuFast run ("TuFast-AM"): the single-server analog of the
-/// distributed systems' partition-and-message architecture — shard-per-
-/// core ownership with cross-shard accesses delivered as atomic active
-/// messages, minus the wire.
-template <typename Htm>
-typename TuFastScheduler<Htm>::Config ShardedConfig(const BenchFlags& flags) {
-  typename TuFastScheduler<Htm>::Config config;
-  config.enable_sharding = true;
-  config.shard_workers = static_cast<uint32_t>(flags.threads);
-  config.num_shards = flags.shards;  // 0 = one shard per worker.
-  config.am_batch = flags.am_batch;
-  return config;
 }
 
 void RunDist(const Graph& graph, const Graph& undirected, const Graph& tri,
@@ -180,48 +160,26 @@ int Main(int argc, char** argv) {
     tri_spec.num_vertices = spec.num_vertices / 4;
     const Graph tri = GenerateDataset(tri_spec).Undirected();
 
-    std::vector<std::string> tufast_col, sharded_col, pg_col, pl_col, gc_col;
-    SchedulerStats sharded_stats;
+    std::vector<std::string> tufast_col, pg_col, pl_col, gc_col;
     if (NativeHtm::Supported()) {
       RunTuFast<NativeHtm>(graph, undirected, reversed, tri, pool,
                            &tufast_col);
-      RunTuFast<NativeHtm>(graph, undirected, reversed, tri, pool,
-                           &sharded_col, ShardedConfig<NativeHtm>(flags),
-                           &sharded_stats);
     } else {
       RunTuFast<EmulatedHtm>(graph, undirected, reversed, tri, pool,
                              &tufast_col);
-      RunTuFast<EmulatedHtm>(graph, undirected, reversed, tri, pool,
-                             &sharded_col, ShardedConfig<EmulatedHtm>(flags),
-                             &sharded_stats);
     }
     RunDist(graph, undirected, tri, pool, DistCut::kRandomVertexCut, &pg_col);
     RunDist(graph, undirected, tri, pool, DistCut::kHybridCut, &pl_col);
     RunOoc(graph, undirected, tri, pool, &gc_col);
 
-    ReportTable table({"algorithm", "TuFast (ms)", "TuFast-AM (ms)",
-                       "PowerGraph-sim (ms)", "PowerLyra-sim (ms)",
-                       "GraphChi-sim (ms)"});
+    ReportTable table({"algorithm", "TuFast (ms)", "PowerGraph-sim (ms)",
+                       "PowerLyra-sim (ms)", "GraphChi-sim (ms)"});
     for (int a = 0; a < 6; ++a) {
-      table.AddRow({algorithms[a], tufast_col[a], sharded_col[a], pg_col[a],
-                    pl_col[a], gc_col[a]});
+      table.AddRow(
+          {algorithms[a], tufast_col[a], pg_col[a], pl_col[a], gc_col[a]});
     }
     table.Print("Fig. 12 — distributed/out-of-core systems, dataset " +
                 spec.name);
-    ReportTable shard_table({"metric", "value"});
-    shard_table.AddRow({"messages sent",
-                        ReportTable::Int(sharded_stats.shard_messages_sent)});
-    shard_table.AddRow(
-        {"messages drained",
-         ReportTable::Int(sharded_stats.shard_messages_drained)});
-    shard_table.AddRow({"drain batches",
-                        ReportTable::Int(sharded_stats.shard_drain_batches)});
-    shard_table.AddRow({"local items",
-                        ReportTable::Int(sharded_stats.shard_local_items)});
-    shard_table.AddRow({"mailbox-full bounces",
-                        ReportTable::Int(sharded_stats.shard_mailbox_full)});
-    shard_table.Print("Fig. 12 — TuFast-AM message traffic, dataset " +
-                      spec.name);
   }
   std::printf(
       "expected shape: TuFast 1-4 orders faster; PowerLyra-sim beats "

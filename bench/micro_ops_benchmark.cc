@@ -244,60 +244,6 @@ void BenchFusion(MetricTable& out, uint64_t txns) {
   out.Add("fusion_gain_x", per_item > 0 ? fused / per_item : 0, txns);
 }
 
-/// The sharded router and active-message drain, measured deterministically
-/// on one thread: with shard_workers=4 the running worker owns only shard
-/// 0, so 3/4 of the stream is enqueued as messages and then executed by
-/// the worker's own flush-drain — mailbox round trip plus the group-commit
-/// drain batch, the full cross-shard cost with no scheduler noise.
-///   sharded_all_local_ops      routing overhead alone (everything local)
-///   sharded_mailbox_drain_ops  enqueue + drain + fused execution
-///   shard_scaling_x            drain path vs per-item Run (must stay >=
-///                              the checked-in bar: fused drains beat
-///                              per-item execution despite the mailbox)
-void BenchSharding(MetricTable& out, uint64_t txns) {
-  constexpr uint64_t kVertices = 4096;
-  constexpr uint64_t kWindow = 256;
-  const uint64_t ops = txns * 2;
-
-  auto run_sharded = [&](const std::string& name, uint32_t shard_workers) {
-    EmulatedHtm htm;
-    TuFast::Config config;
-    config.enable_sharding = true;
-    config.num_shards = 4;
-    config.shard_workers = shard_workers;
-    config.am_batch = 64;
-    TuFast tm(htm, kVertices, config);
-    std::vector<TmWord> values(kVertices, 0);
-    out.Measure(name, ops, [&] {
-      uint64_t base = 0;
-      auto hint = [](uint64_t) -> uint64_t { return 2; };
-      auto home = [&](uint64_t k) {
-        return static_cast<VertexId>((base + k) & (kVertices - 1));
-      };
-      auto body = [&](auto& txn, uint64_t k) {
-        const VertexId v = static_cast<VertexId>((base + k) & (kVertices - 1));
-        txn.Write(v, &values[v], txn.Read(v, &values[v]) + 1);
-      };
-      for (uint64_t t = 0; t < txns; t += kWindow) {
-        const uint64_t width = t + kWindow <= txns ? kWindow : txns - t;
-        tm.RunBatch(0, 0, width, hint, home, body);
-        base += width;
-      }
-    });
-    return tm.AggregatedStats();
-  };
-
-  run_sharded("sharded_all_local_ops", 1);
-  const SchedulerStats stats = run_sharded("sharded_mailbox_drain_ops", 4);
-  out.Add("sharded_messages_sent", static_cast<double>(stats.shard_messages_sent),
-          stats.shard_messages_sent);
-  out.Add("sharded_drain_batches", static_cast<double>(stats.shard_drain_batches),
-          stats.shard_drain_batches);
-  const double per_item = out.Value("tufast_h_per_item_ops");
-  const double drained = out.Value("sharded_mailbox_drain_ops");
-  out.Add("shard_scaling_x", per_item > 0 ? drained / per_item : 0, txns);
-}
-
 /// Deterministic progress-guard exercise on the failpoint-armed backend:
 /// single worker, forced (non-probabilistic) triggers only, so every
 /// counter is an exact function of the code — compare_bench.py checks
@@ -385,7 +331,6 @@ int Main(int argc, char** argv) {
   BenchAddrMap(metrics, iters);
   BenchRunByMode(metrics, iters);
   BenchFusion(metrics, iters);
-  BenchSharding(metrics, iters);
   metrics.Print();
   BenchProgressGuard();
 

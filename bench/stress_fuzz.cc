@@ -8,7 +8,6 @@
 //
 //   ./stress_fuzz --seed=1 --scale=4 --threads=3
 //   ./stress_fuzz --quick                       # smoke-sized sweep
-//   ./stress_fuzz --shard-chaos                 # batched cross-shard sweep
 //   ./stress_fuzz --serve-chaos                 # serving-engine disposition sweep
 //   ./stress_fuzz --crash-chaos                 # WAL crash/recovery sweep
 //   ./stress_fuzz --seed=1337 --failpoint-trace=/tmp/trace.txt
@@ -45,7 +44,7 @@ const char* PolicyName(DeadlockPolicy p) {
 }
 
 FailpointPlan::Config ChaosConfig(uint64_t seed, bool progress_chaos,
-                                  bool shard_chaos, bool mvcc_chaos) {
+                                  bool mvcc_chaos) {
   FailpointPlan::Config config;
   config.seed = seed;
   config.Arm(FailSite::kHtmLoad, 0.002, FailAction::kAbortConflict);
@@ -68,14 +67,6 @@ FailpointPlan::Config ChaosConfig(uint64_t seed, bool progress_chaos,
     config.Arm(FailSite::kBreakerTrip, 0.001, FailAction::kFail);
     config.Arm(FailSite::kStarvationToken, 0.0005, FailAction::kFail);
   }
-  if (shard_chaos) {
-    // Shard chaos: force full-mailbox bounces (the router must fall back
-    // to safe local execution, never drop the item) and rotate drained
-    // batch order (commit effects must not depend on mailbox FIFO order
-    // beyond what the invariants allow).
-    config.Arm(FailSite::kMailboxFull, 0.05, FailAction::kFail);
-    config.Arm(FailSite::kMessageReorder, 0.2, FailAction::kFail);
-  }
   if (mvcc_chaos) {
     // MVCC chaos: force version-reclamation passes on random commits
     // (epoch grace must keep every pinned reader's suffix alive) and
@@ -94,8 +85,7 @@ FailpointPlan::Config ChaosConfig(uint64_t seed, bool progress_chaos,
 /// controller's breaker signal path).
 FailpointPlan::Config ServeChaosConfig(uint64_t seed) {
   FailpointPlan::Config config =
-      ChaosConfig(seed, /*progress_chaos=*/false, /*shard_chaos=*/false,
-                  /*mvcc_chaos=*/false);
+      ChaosConfig(seed, /*progress_chaos=*/false, /*mvcc_chaos=*/false);
   config.Arm(FailSite::kServeQueueFull, 0.05, FailAction::kFail);
   config.Arm(FailSite::kServeDeferFull, 0.05, FailAction::kFail);
   config.Arm(FailSite::kBreakerTrip, 0.002, FailAction::kFail);
@@ -112,11 +102,6 @@ struct FuzzTotals {
   uint64_t starvation_tokens = 0;
   uint64_t breaker_bypass = 0;
   uint64_t max_txn_aborts = 0;
-  // Shard message traffic, summed over the --shard-chaos sweep.
-  uint64_t shard_messages_sent = 0;
-  uint64_t shard_messages_drained = 0;
-  uint64_t shard_drain_batches = 0;
-  uint64_t shard_mailbox_full = 0;
   // MVCC version-store traffic, summed over the --mvcc-chaos sweep.
   uint64_t mvcc_installed = 0;
   uint64_t mvcc_freed = 0;
@@ -155,15 +140,12 @@ bool FuzzScheduler(const char* name, const BenchFlags& flags, uint64_t seeds,
     for (uint64_t i = 0; i < seeds; ++i) {
       const uint64_t seed = flags.seed + i;
       FaultyHtm htm;
-      auto tm = flags.shard_chaos
-                    ? MakeShardedSchedulerFor<Scheduler>(htm, /*vertices=*/48,
-                                                         policy, flags.threads)
-                : flags.mvcc_chaos
+      auto tm = flags.mvcc_chaos
                     ? MakeMvccSchedulerFor<Scheduler>(htm, /*vertices=*/48,
                                                       policy)
                     : MakeSchedulerFor<Scheduler>(htm, /*vertices=*/48, policy);
-      FailpointPlan plan(ChaosConfig(seed, flags.progress_chaos,
-                                     flags.shard_chaos, flags.mvcc_chaos));
+      FailpointPlan plan(
+          ChaosConfig(seed, flags.progress_chaos, flags.mvcc_chaos));
       FailpointScope scope(plan);
       StressConfig cfg;
       cfg.threads = flags.threads;
@@ -171,11 +153,7 @@ bool FuzzScheduler(const char* name, const BenchFlags& flags, uint64_t seeds,
       cfg.vertices = 48;
       cfg.seed = seed;
       cfg.ordered_for_update = policy == DeadlockPolicy::kPrevention;
-      // --shard-chaos swaps in the batched cross-shard workloads (the
-      // sharded router's message path on TuFast; the same calls through
-      // the per-item fallback on the fixed baselines).
-      auto err = flags.shard_chaos ? RunShardedInvariantSuite(*tm, cfg)
-                                   : RunInvariantSuite(*tm, cfg);
+      auto err = RunInvariantSuite(*tm, cfg);
       if (!err && flags.mvcc_chaos) err = RunMvccSnapshotSuite(*tm, cfg);
       ++totals.runs;
       totals.injections += plan.InjectionCount();
@@ -186,19 +164,6 @@ bool FuzzScheduler(const char* name, const BenchFlags& flags, uint64_t seeds,
       totals.breaker_bypass += stats.breaker_bypass;
       if (stats.max_txn_aborts > totals.max_txn_aborts) {
         totals.max_txn_aborts = stats.max_txn_aborts;
-      }
-      totals.shard_messages_sent += stats.shard_messages_sent;
-      totals.shard_messages_drained += stats.shard_messages_drained;
-      totals.shard_drain_batches += stats.shard_drain_batches;
-      totals.shard_mailbox_full += stats.shard_mailbox_full;
-      // Flush post-condition: after every batch returns, every message
-      // that was sent must have been drained (the sender's pending
-      // counter blocks it until then) — an imbalance is a protocol bug
-      // even if no data invariant tripped yet.
-      if (!err && stats.shard_messages_drained != stats.shard_messages_sent) {
-        err = "shard flush imbalance: sent " +
-              std::to_string(stats.shard_messages_sent) + " != drained " +
-              std::to_string(stats.shard_messages_drained);
       }
       // MVCC flush balance: quiesced, every installed version must be
       // freed, parked in limbo, or still linked (visible); after a
@@ -988,16 +953,6 @@ int Main(int argc, char** argv) {
                   ReportTable::Int(totals.mvcc_reclaim_passes)});
     table.AddRow({"mvcc max chain walk",
                   ReportTable::Int(totals.mvcc_max_chain_walk)});
-  }
-  if (flags.shard_chaos) {
-    table.AddRow({"shard messages sent",
-                  ReportTable::Int(totals.shard_messages_sent)});
-    table.AddRow({"shard messages drained",
-                  ReportTable::Int(totals.shard_messages_drained)});
-    table.AddRow({"shard drain batches",
-                  ReportTable::Int(totals.shard_drain_batches)});
-    table.AddRow({"mailbox-full bounces",
-                  ReportTable::Int(totals.shard_mailbox_full)});
   }
   table.AddRow({"verdict", ok ? "PASS" : "FAIL"});
   table.Print("stress fuzz");

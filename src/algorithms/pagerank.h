@@ -20,8 +20,8 @@ struct PageRankOptions {
   /// Converged when the L1 delta per vertex drops below this.
   double tolerance = 1e-9;
   /// Warm start: begin iterating from these ranks instead of uniform
-  /// 1/n. Must have exactly NumVertices() entries (callers pad/normalize
-  /// when the graph grew). The incremental driver (graph/dynamic) uses
+  /// 1/n. Must have exactly NumVertices() entries (callers pad when the
+  /// graph grew). The incremental driver (graph/dynamic) uses
   /// this to re-converge after an update batch in a fraction of the
   /// from-scratch iterations.
   const std::vector<double>* initial_ranks = nullptr;

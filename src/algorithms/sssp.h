@@ -59,7 +59,6 @@ std::vector<TmWord> SsspTm(Scheduler& tm, ThreadPool& pool, const Graph& graph,
       RunBatch(
           tm, w, 0, batch.size(),
           [&](uint64_t k) { return graph.OutDegree(batch[k]) + 1; },
-          [&](uint64_t k) { return batch[k]; },
           [&](auto& txn, uint64_t k) {
             const VertexId v = batch[k];
             auto& pushes = to_push[k];

@@ -45,7 +45,6 @@ std::vector<TmWord> WccTm(Scheduler& tm, ThreadPool& pool,
           RunBatch(
               tm, worker, 0, cnt,
               [&](uint64_t k) { return graph.OutDegree(vs[k]) + 1; },
-              [&](uint64_t k) { return vs[k]; },
               [&](auto& txn, uint64_t k) {
                 const VertexId v = vs[k];
                 txn_changed[k] = false;

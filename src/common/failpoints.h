@@ -34,8 +34,6 @@ enum class FailSite : uint8_t {
   kBreakerTrip,           // ContentionMonitor: force the breaker open
   kStarvationToken,       // L retry loop: force starvation escalation
   kVictimReabort,         // L retry loop: synthesize extra victim aborts
-  kMailboxFull,           // Shard router: force a full-mailbox bounce
-  kMessageReorder,        // Shard drain: rotate the drained batch order
   kVersionReclaim,        // MVCC EndInstall: force a reclamation pass
   kStaleEpoch,            // MVCC BeginSnapshot: stretch the pinned window
   kServeQueueFull,        // ServeEngine::Offer: force a run-queue bounce
@@ -65,8 +63,6 @@ inline const char* FailSiteName(FailSite s) {
     case FailSite::kBreakerTrip: return "breaker_trip";
     case FailSite::kStarvationToken: return "starvation_token";
     case FailSite::kVictimReabort: return "victim_reabort";
-    case FailSite::kMailboxFull: return "mailbox_full";
-    case FailSite::kMessageReorder: return "message_reorder";
     case FailSite::kVersionReclaim: return "version_reclaim";
     case FailSite::kStaleEpoch: return "stale_epoch";
     case FailSite::kServeQueueFull: return "serve_queue_full";

@@ -163,11 +163,15 @@ class IncrementalWcc {
 };
 
 /// Incremental PageRank over snapshots: each Update() re-converges on the
-/// latest frozen graph starting from the previous ranks (padded and
-/// renormalized when the vertex set grew) instead of from uniform 1/n.
-/// Small update batches barely move the stationary distribution, so the
-/// warm start cuts iterations-to-tolerance sharply while converging to
-/// the same fixed point as a from-scratch run (cross-checked in tests).
+/// latest frozen graph starting from the previous ranks instead of from
+/// uniform 1/n. The ranks are used as they are: PageRankTm drops dangling
+/// mass, so its fixed point sums to less than 1, and rescaling the seed
+/// to sum 1 would move it about as far from the fixed point as a uniform
+/// start. Vertices added since the last call start at (1 - damping) / n,
+/// the rank of a vertex nothing links to. Small update batches barely
+/// move the stationary distribution, so the warm start cuts
+/// iterations-to-tolerance while converging to the same fixed point as a
+/// from-scratch run (cross-checked in tests).
 class IncrementalPageRank {
  public:
   explicit IncrementalPageRank(PageRankOptions options = {})
@@ -185,11 +189,7 @@ class IncrementalPageRank {
     std::vector<double> seed;
     if (!ranks_.empty() && n > 0) {
       seed = ranks_;
-      seed.resize(n, 1.0 / n);
-      const double sum = std::accumulate(seed.begin(), seed.end(), 0.0);
-      if (sum > 0) {
-        for (double& r : seed) r /= sum;
-      }
+      seed.resize(n, (1.0 - options.damping) / n);
       options.initial_ranks = &seed;
     }
     PageRankResult result = PageRankTm(tm, pool, graph, reversed, options);

@@ -4,14 +4,14 @@
 #include <atomic>
 #include <cstdint>
 
+#include "serving/mailbox.h"
 #include "serving/request.h"
-#include "sharding/mailbox.h"
 
 namespace tufast {
 namespace serving {
 
 /// Bounded MPMC request queue between the open-loop generator and the
-/// serving workers. Reuses the sharding layer's Vyukov ring
+/// serving workers, on the Vyukov ring in serving/mailbox.h
 /// (BoundedMailbox): the generator is the producer, each serving worker
 /// a consumer, and the defer path makes it genuinely multi-producer
 /// (re-admitted requests are pushed back by whichever worker drains the

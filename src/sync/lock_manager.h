@@ -28,22 +28,20 @@ enum class DeadlockPolicy {
 };
 
 /// Blocking lock acquisition for L-mode transactions, on top of the
-/// shared try-lock LockTable (or any interface-compatible conflict-space
-/// table, e.g. sharding/sharded_lock_table.h — the `Table` parameter
-/// defaults to the classic shared table). Returns false from Acquire*
-/// when the caller was picked as a deadlock victim (or a liveness bound
-/// expired): the caller must release everything it holds and restart the
-/// transaction.
-template <typename Htm, typename Table = LockTable<Htm>>
+/// shared try-lock LockTable. Returns false from Acquire* when the caller
+/// was picked as a deadlock victim (or a liveness bound expired): the
+/// caller must release everything it holds and restart the transaction.
+template <typename Htm>
 class LockManager {
  public:
   using Failpoints = HtmFailpoints<Htm>;
 
-  LockManager(Table& table, DeadlockPolicy policy = DeadlockPolicy::kDetection)
+  LockManager(LockTable<Htm>& table,
+              DeadlockPolicy policy = DeadlockPolicy::kDetection)
       : table_(table), policy_(policy) {}
   TUFAST_DISALLOW_COPY_AND_MOVE(LockManager);
 
-  Table& table() { return table_; }
+  LockTable<Htm>& table() { return table_; }
   DeadlockPolicy policy() const { return policy_; }
 
   /// Telemetry hook fired on the victim's own thread whenever an
@@ -265,7 +263,7 @@ class LockManager {
     if (victim_hook_ != nullptr) victim_hook_(victim_ctx_, slot, v, cycle);
   }
 
-  Table& table_;
+  LockTable<Htm>& table_;
   const DeadlockPolicy policy_;
   DeadlockGraph graph_;
   VictimHook victim_hook_ = nullptr;

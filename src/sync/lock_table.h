@@ -11,15 +11,6 @@
 
 namespace tufast {
 
-/// Uniform construction options for the pluggable conflict-space tables
-/// (LockTable below and sharding/sharded_lock_table.h). Schedulers that
-/// are templated on the table type construct it as
-/// `Table(htm, num_vertices, options)`; LockTable ignores `shards`.
-struct LockTableOptions {
-  bool padded = false;
-  uint32_t shards = 1;
-};
-
 /// Per-vertex reader-writer lock words shared by all three TuFast modes
 /// (paper §IV-A: the sub-schedulers are integrated into one HyTM by
 /// sharing the same locks and metadata).
@@ -56,12 +47,9 @@ class LockTable {
         shift_(padded ? kPadShift : 0),
         num_vertices_(num_vertices),
         words_(num_vertices << shift_, 0) {}
-  LockTable(Htm& htm, size_t num_vertices, const LockTableOptions& opts)
-      : LockTable(htm, num_vertices, opts.padded) {}
   TUFAST_DISALLOW_COPY_AND_MOVE(LockTable);
 
   size_t size() const { return num_vertices_; }
-  bool padded() const { return shift_ != 0; }
 
   /// Address of the lock word, for transactional subscription.
   const TmWord* WordAddr(VertexId v) const { return &words_[Idx(v)]; }

@@ -214,16 +214,6 @@ std::optional<std::string> RunSnapshotReadConsistency(
   return std::nullopt;
 }
 
-/// Runs all three invariant workloads; first violation wins.
-template <typename Scheduler>
-std::optional<std::string> RunInvariantSuite(Scheduler& tm,
-                                             const StressConfig& cfg) {
-  if (auto err = RunBankTransferConservation(tm, cfg)) return err;
-  if (auto err = RunLostUpdateDetector(tm, cfg)) return err;
-  if (auto err = RunSnapshotReadConsistency(tm, cfg)) return err;
-  return std::nullopt;
-}
-
 /// MVCC snapshot-read suite (run against an MVCC-enabled scheduler, see
 /// MakeMvccSchedulerFor): writers hammer pair-transfer transactions
 /// while snapshot readers go through RunReadOnly. Checks (1) every
@@ -295,20 +285,20 @@ std::optional<std::string> RunMvccSnapshotSuite(Scheduler& tm,
   return std::nullopt;
 }
 
-/// Items per RunBatch call in the sharded batch workloads: small enough
-/// that every thread issues many batches (lots of mailbox flush cycles),
-/// large enough that the sharded router ships multi-item drain batches.
+/// Items per RunBatch call in the batched workloads: small enough that
+/// every thread issues many batches, large enough that TuFast forms
+/// multi-item fused windows (and bisects them when they abort).
 constexpr uint64_t kStressBatchItems = 16;
 
-/// Batched bank-transfer conservation through the home-aware RunBatch
-/// front-end: each batch item transfers between two random vertices with
-/// home(k) = the from-vertex, so on a sharded TuFast config a large
-/// fraction of items crosses shards as active messages while baselines
-/// take the per-item fallback. The grand total must be exactly
-/// preserved — a message that is dropped, executed twice (sent AND
-/// bounced local), or torn across the drain boundary breaks the sum.
+/// Batched bank-transfer conservation through the free RunBatch
+/// front-end: each batch item transfers between two random vertices.
+/// TuFast runs the batch through its fused windows (abort-driven
+/// bisection, per-item router at width 1); every other scheduler takes
+/// the per-item fallback. The grand total must be exactly preserved — a
+/// fused write that is lost, an item re-executed after its window
+/// committed, or a window torn across an abort breaks the sum.
 template <typename Scheduler>
-std::optional<std::string> RunShardedBatchConservation(
+std::optional<std::string> RunBatchTransferConservation(
     Scheduler& tm, const StressConfig& cfg) {
   constexpr TmWord kInitial = 1000;
   std::vector<TmWord> data(cfg.vertices, kInitial);
@@ -334,7 +324,6 @@ std::optional<std::string> RunShardedBatchConservation(
         RunBatch(
             tm, t, 0, kStressBatchItems,
             [&](uint64_t k) { return hints[k]; },
-            [&](uint64_t k) { return from[k]; },
             [&](auto& txn, uint64_t k) {
               if (cfg.ordered_for_update) {
                 const VertexId lo = from[k] < to[k] ? from[k] : to[k];
@@ -361,7 +350,7 @@ std::optional<std::string> RunShardedBatchConservation(
   for (VertexId v = 0; v < cfg.vertices; ++v) total += data[v];
   const TmWord expected = static_cast<TmWord>(cfg.vertices) * kInitial;
   if (total != expected) {
-    return "sharded batch conservation violated: total " +
+    return "batch conservation violated: total " +
            std::to_string(total) + " != expected " + std::to_string(expected);
   }
   return std::nullopt;
@@ -372,12 +361,12 @@ std::optional<std::string> RunShardedBatchConservation(
 /// per-vertex histogram is known before the run. RunOutcome::committed is
 /// false only on an explicit user Abort() (tm/outcome.h) and these bodies
 /// never abort, so after the run each counter must equal its histogram
-/// cell exactly: a low cell is a dropped or lost update (message never
-/// drained, fused write discarded), a high cell is a double execution
-/// (message drained AND bounced local).
+/// cell exactly: a low cell is a lost update (a fused write discarded),
+/// a high cell is a double execution (an item re-run after its window
+/// committed).
 template <typename Scheduler>
-std::optional<std::string> RunShardedBatchExactlyOnce(
-    Scheduler& tm, const StressConfig& cfg) {
+std::optional<std::string> RunBatchExactlyOnce(Scheduler& tm,
+                                               const StressConfig& cfg) {
   std::vector<TmWord> counters(cfg.vertices, 0);
   std::vector<TmWord> expected(cfg.vertices, 0);
   std::vector<std::vector<VertexId>> targets(cfg.threads);
@@ -403,7 +392,6 @@ std::optional<std::string> RunShardedBatchExactlyOnce(
                                                  : mine.size();
         RunBatch(
             tm, t, lo, hi, [&](uint64_t k) { return my_hints[k]; },
-            [&](uint64_t k) { return mine[k]; },
             [&](auto& txn, uint64_t k) {
               const VertexId v = mine[k];
               const TmWord old = cfg.ordered_for_update
@@ -418,7 +406,7 @@ std::optional<std::string> RunShardedBatchExactlyOnce(
 
   for (VertexId v = 0; v < cfg.vertices; ++v) {
     if (counters[v] != expected[v]) {
-      return "sharded batch exactly-once violated: vertex " +
+      return "batch exactly-once violated: vertex " +
              std::to_string(v) + " count " + std::to_string(counters[v]) +
              " != expected " + std::to_string(expected[v]);
     }
@@ -426,15 +414,16 @@ std::optional<std::string> RunShardedBatchExactlyOnce(
   return std::nullopt;
 }
 
-/// Runs both sharded batch workloads; first violation wins. On a sharded
-/// TuFast these exercise the message path end to end; on baselines (and
-/// unsharded TuFast) the same calls take the fallback/fused paths, which
-/// is exactly the cross-scheduler comparison the fuzzer sweeps.
+/// Runs the per-transaction and batched invariant workloads; first
+/// violation wins.
 template <typename Scheduler>
-std::optional<std::string> RunShardedInvariantSuite(Scheduler& tm,
-                                                    const StressConfig& cfg) {
-  if (auto err = RunShardedBatchConservation(tm, cfg)) return err;
-  if (auto err = RunShardedBatchExactlyOnce(tm, cfg)) return err;
+std::optional<std::string> RunInvariantSuite(Scheduler& tm,
+                                             const StressConfig& cfg) {
+  if (auto err = RunBankTransferConservation(tm, cfg)) return err;
+  if (auto err = RunLostUpdateDetector(tm, cfg)) return err;
+  if (auto err = RunSnapshotReadConsistency(tm, cfg)) return err;
+  if (auto err = RunBatchTransferConservation(tm, cfg)) return err;
+  if (auto err = RunBatchExactlyOnce(tm, cfg)) return err;
   return std::nullopt;
 }
 
@@ -500,40 +489,6 @@ std::unique_ptr<Scheduler> MakeMvccSchedulerFor(Htm& htm, VertexId vertices,
     auto tm = MakeSchedulerFor<Scheduler>(htm, vertices, policy);
     tm->EnableMvcc();
     return tm;
-  }
-}
-
-/// Detects a scheduler Config with the shard-per-core switch (TuFast).
-template <typename S, typename = void>
-struct SchedulerConfigHasShardingKnob : std::false_type {};
-template <typename S>
-struct SchedulerConfigHasShardingKnob<
-    S, std::void_t<decltype(std::declval<typename S::Config&>()
-                                .enable_sharding)>> : std::true_type {};
-
-/// Sharded counterpart of MakeSchedulerFor: schedulers whose Config has
-/// the sharding switch get a deliberately awkward sharded setup — more
-/// shards than workers (non-trivial cyclic deal), a small mailbox
-/// (organic full-ring bounces) and a small drain batch (many flush
-/// cycles). Everything else falls through to the plain constructor, so
-/// the fuzzer can sweep the same suite over the whole scheduler matrix.
-template <typename Scheduler, typename Htm>
-std::unique_ptr<Scheduler> MakeShardedSchedulerFor(Htm& htm, VertexId vertices,
-                                                   DeadlockPolicy policy,
-                                                   int workers) {
-  if constexpr (SchedulerConfigHasShardingKnob<Scheduler>::value) {
-    typename Scheduler::Config config;
-    if constexpr (SchedulerConfigHasPolicy<Scheduler>::value) {
-      config.deadlock_policy = policy;
-    }
-    config.enable_sharding = true;
-    config.shard_workers = static_cast<uint32_t>(workers);
-    config.num_shards = static_cast<uint32_t>(workers) + 1;
-    config.am_batch = 8;
-    config.mailbox_capacity = 64;
-    return std::make_unique<Scheduler>(htm, vertices, config);
-  } else {
-    return MakeSchedulerFor<Scheduler>(htm, vertices, policy);
   }
 }
 

@@ -5,7 +5,6 @@
 #include <type_traits>
 
 #include "common/compiler.h"
-#include "common/types.h"
 
 namespace tufast {
 
@@ -40,31 +39,12 @@ namespace tufast {
 /// circuit breaker clamps the adaptive width to 1 while tripped for the
 /// same reason (tm/contention_monitor.h).
 
-/// Default item -> home-vertex mapping for the sharded router
-/// (sharding/): treats the item index as the vertex id, which is exact
-/// for dense whole-graph batches and — because ownership only steers
-/// *message* traffic, never correctness — always safe for compacted
-/// ones. Algorithms whose batches index into a local vertex array pass
-/// their own mapping through the home-aware RunBatch overload instead.
-struct IdentityHome {
-  VertexId operator()(uint64_t i) const { return static_cast<VertexId>(i); }
-};
-
 /// Detects a scheduler exposing a native fused-batch path.
 template <typename S, typename HintFn, typename BodyFn>
 concept FusionScheduler = requires(S& tm, int worker, uint64_t lo, uint64_t hi,
                                    HintFn& hint, BodyFn& body) {
   tm.RunBatch(worker, lo, hi, hint, body);
 };
-
-/// Detects a scheduler whose fused-batch path also accepts the
-/// item -> home-vertex mapping (TuFast with the sharding layer).
-template <typename S, typename HintFn, typename HomeFn, typename BodyFn>
-concept HomedFusionScheduler =
-    requires(S& tm, int worker, uint64_t lo, uint64_t hi, HintFn& hint,
-             HomeFn& home, BodyFn& body) {
-      tm.RunBatch(worker, lo, hi, hint, home, body);
-    };
 
 /// Runs items [lo, hi) on scheduler `tm` from worker `worker_id`.
 /// Dispatches to the scheduler's native RunBatch when it has one
@@ -81,25 +61,6 @@ TUFAST_ALWAYS_INLINE void RunBatch(S& tm, int worker_id, uint64_t lo,
     for (uint64_t i = lo; i < hi; ++i) {
       tm.Run(worker_id, hint(i), [&](auto& txn) { body(txn, i); });
     }
-  }
-}
-
-/// Home-aware variant: `home(i)` maps item `i` to the vertex whose shard
-/// owns it. Schedulers without a home-aware batch path (all baselines,
-/// and TuFast's unsharded config at zero cost) ignore the mapping and
-/// dispatch exactly like the overload above — same items, same order,
-/// same results.
-template <typename S, typename HintFn, typename HomeFn, typename BodyFn>
-TUFAST_ALWAYS_INLINE void RunBatch(S& tm, int worker_id, uint64_t lo,
-                                   uint64_t hi, HintFn&& hint, HomeFn&& home,
-                                   BodyFn&& body) {
-  using Hint = std::remove_reference_t<HintFn>;
-  using Home = std::remove_reference_t<HomeFn>;
-  using Body = std::remove_reference_t<BodyFn>;
-  if constexpr (HomedFusionScheduler<S, Hint, Home, Body>) {
-    tm.RunBatch(worker_id, lo, hi, hint, home, body);
-  } else {
-    RunBatch(tm, worker_id, lo, hi, hint, body);
   }
 }
 

@@ -36,14 +36,14 @@ namespace tufast {
 ///
 /// User bodies take `auto& txn` so one generic lambda works across modes.
 
-template <typename Htm, typename Table = LockTable<Htm>>
+template <typename Htm>
 class HTxn {
  public:
   /// `recorder` (optional, MVCC builds) collects (vertex, addr) for every
   /// Write so the HTM commit hook can install pre-image versions. `wal`
   /// (optional, durable builds) stages logical graph mutations; arming it
   /// scopes the shared Tx commit hooks to this hardware transaction.
-  HTxn(typename Htm::Tx& htx, const Table& locks,
+  HTxn(typename Htm::Tx& htx, const LockTable<Htm>& locks,
        MvccRecorder* recorder = nullptr, WalRecorder* wal = nullptr)
       : htx_(htx), locks_(locks), recorder_(recorder), wal_(wal) {
     if (TUFAST_UNLIKELY(wal_ != nullptr)) wal_->hw_armed = true;
@@ -51,8 +51,8 @@ class HTxn {
 
   TUFAST_ALWAYS_INLINE TmWord Read(VertexId v, const TmWord* addr) {
     ++ops_;
-    if (TUFAST_UNLIKELY(
-            !Table::SharedCompatible(htx_.Load(locks_.WordAddr(v))))) {
+    if (TUFAST_UNLIKELY(!LockTable<Htm>::SharedCompatible(
+            htx_.Load(locks_.WordAddr(v))))) {
       htx_.template ExplicitAbort<kAbortCodeLockBusy>();
     }
     return htx_.Load(addr);
@@ -60,7 +60,8 @@ class HTxn {
 
   TUFAST_ALWAYS_INLINE void Write(VertexId v, TmWord* addr, TmWord value) {
     ++ops_;
-    if (TUFAST_UNLIKELY(!Table::Free(htx_.Load(locks_.WordAddr(v))))) {
+    if (TUFAST_UNLIKELY(
+            !LockTable<Htm>::Free(htx_.Load(locks_.WordAddr(v))))) {
       htx_.template ExplicitAbort<kAbortCodeLockBusy>();
     }
     if (TUFAST_UNLIKELY(recorder_ != nullptr)) recorder_->Record(v, addr);
@@ -71,7 +72,8 @@ class HTxn {
   /// up front so it aborts as early as a write would.
   TmWord ReadForUpdate(VertexId v, const TmWord* addr) {
     ++ops_;
-    if (TUFAST_UNLIKELY(!Table::Free(htx_.Load(locks_.WordAddr(v))))) {
+    if (TUFAST_UNLIKELY(
+            !LockTable<Htm>::Free(htx_.Load(locks_.WordAddr(v))))) {
       htx_.template ExplicitAbort<kAbortCodeLockBusy>();
     }
     return htx_.Load(addr);
@@ -102,7 +104,7 @@ class HTxn {
 
  private:
   typename Htm::Tx& htx_;
-  const Table& locks_;
+  const LockTable<Htm>& locks_;
   MvccRecorder* recorder_;
   WalRecorder* wal_ = nullptr;
   uint64_t ops_ = 0;
@@ -111,12 +113,12 @@ class HTxn {
 /// Outcome of OTxn's software commit phase.
 enum class OCommitResult { kOk, kLockBusy, kValidationFail };
 
-template <typename Htm, typename Table = LockTable<Htm>>
+template <typename Htm>
 class OTxn {
  public:
   /// `expected_max_ops` pre-sizes the read/write logs: growing a vector
   /// inside a hardware segment calls malloc, which aborts real HTM.
-  OTxn(Htm& htm, typename Htm::Tx& htx, Table& locks,
+  OTxn(Htm& htm, typename Htm::Tx& htx, LockTable<Htm>& locks,
        size_t expected_max_ops = 1 << 14)
       : htm_(htm), htx_(htx), locks_(locks), write_map_(expected_max_ops) {
     reads_.reserve(expected_max_ops);
@@ -160,8 +162,8 @@ class OTxn {
       }
     }
     MaybeSegmentBoundary();
-    if (TUFAST_UNLIKELY(
-            !Table::SharedCompatible(htx_.Load(locks_.WordAddr(v))))) {
+    if (TUFAST_UNLIKELY(!LockTable<Htm>::SharedCompatible(
+            htx_.Load(locks_.WordAddr(v))))) {
       htx_.template ExplicitAbort<kAbortCodeLockBusy>();
     }
     const TmWord value = htx_.Load(addr);
@@ -282,7 +284,7 @@ class OTxn {
   /// locked by anyone else (shared holders are readers — compatible).
   bool ReadVertexStillValid(VertexId v) const {
     const TmWord word = locks_.LoadWord(v);
-    if ((word & Table::kExclusiveBit) == 0) return true;
+    if ((word & LockTable<Htm>::kExclusiveBit) == 0) return true;
     return std::binary_search(write_vertices_.begin(), write_vertices_.end(),
                               v);  // Exclusively locked — by us?
   }
@@ -295,7 +297,7 @@ class OTxn {
 
   Htm& htm_;
   typename Htm::Tx& htx_;
-  Table& locks_;
+  LockTable<Htm>& locks_;
   Mvcc* mvcc_ = nullptr;
   WalRecorder* wal_ = nullptr;
   uint32_t period_ = 1000;
@@ -307,10 +309,10 @@ class OTxn {
   AddrMap write_map_;
 };
 
-template <typename Htm, typename Table = LockTable<Htm>>
+template <typename Htm>
 class LTxn {
  public:
-  LTxn(Htm& htm, int slot, LockManager<Htm, Table>& manager)
+  LTxn(Htm& htm, int slot, LockManager<Htm>& manager)
       : htm_(htm), slot_(slot), manager_(manager) {}
   TUFAST_DISALLOW_COPY_AND_MOVE(LTxn);
 
@@ -463,7 +465,7 @@ class LTxn {
 
   Htm& htm_;
   const int slot_;
-  LockManager<Htm, Table>& manager_;
+  LockManager<Htm>& manager_;
   Mvcc* mvcc_ = nullptr;
   WalRecorder* wal_ = nullptr;
   uint64_t ops_ = 0;

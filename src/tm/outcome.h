@@ -72,21 +72,6 @@ struct SchedulerStats {
   uint64_t fusion_aborts = 0;      // fused-region attempts that aborted
   uint64_t fusion_bisections = 0;  // abort-driven width halvings
 
-  // Shard-per-core active-message counters (sharding/shard_runtime.h).
-  // `shard_local_items` counts batch items owned by the executing
-  // worker; `shard_kept_local` counts cross-shard items the router kept
-  // local (contention below the ship threshold); `shard_mailbox_full`
-  // counts messages bounced by a full mailbox (executed locally — never
-  // dropped). Sent and drained totals balance globally once every
-  // sender's flush completed.
-  uint64_t shard_local_items = 0;
-  uint64_t shard_kept_local = 0;
-  uint64_t shard_messages_sent = 0;
-  uint64_t shard_messages_drained = 0;
-  uint64_t shard_drain_batches = 0;
-  uint64_t shard_mailbox_full = 0;
-  uint64_t shard_max_mailbox_depth = 0;  // max observed at drain entry
-
   // Progress-guard counters (tm/progress_guard.h), kept in the plain
   // stats so the guarantees stay observable in NullTelemetry builds.
   uint64_t backoff_events = 0;          // retry backoffs paid
@@ -165,15 +150,6 @@ struct SchedulerStats {
     fused_items += other.fused_items;
     fusion_aborts += other.fusion_aborts;
     fusion_bisections += other.fusion_bisections;
-    shard_local_items += other.shard_local_items;
-    shard_kept_local += other.shard_kept_local;
-    shard_messages_sent += other.shard_messages_sent;
-    shard_messages_drained += other.shard_messages_drained;
-    shard_drain_batches += other.shard_drain_batches;
-    shard_mailbox_full += other.shard_mailbox_full;
-    if (other.shard_max_mailbox_depth > shard_max_mailbox_depth) {
-      shard_max_mailbox_depth = other.shard_max_mailbox_depth;
-    }
     backoff_events += other.backoff_events;
     starvation_escalations += other.starvation_escalations;
     starvation_tokens += other.starvation_tokens;

@@ -98,10 +98,6 @@ struct NullTelemetry {
   void TxnUserAbort(TxnClass) {}
   void FusedCommit(uint32_t /*width*/, uint32_t /*depth*/, uint64_t /*ops*/) {}
   void FusionAbort(uint32_t /*width*/) {}
-  void ShardSend() {}
-  void ShardKeptLocal() {}
-  void ShardMailboxFull() {}
-  void ShardDrain(uint32_t /*batch*/, uint64_t /*depth*/) {}
   void BackoffWait(uint64_t /*pauses*/) {}
   void StarvationEscalated() {}
   void StarvationToken() {}
@@ -152,17 +148,6 @@ struct TelemetrySnapshot {
   uint64_t fusion_aborts = 0;   // fused-region attempts that aborted
   LogHistogram fusion_width_hist;     // committed region widths
   LogHistogram bisection_depth_hist;  // width halvings before commit
-
-  /// Shard-per-core active-message breakdown (sharding/): message and
-  /// drain-batch counts plus histograms of drain-batch sizes and the
-  /// mailbox depth observed at each drain entry (the backlog signal).
-  uint64_t shard_messages_sent = 0;
-  uint64_t shard_kept_local = 0;
-  uint64_t shard_mailbox_full = 0;
-  uint64_t shard_messages_drained = 0;
-  uint64_t shard_drain_batches = 0;
-  LogHistogram drain_batch_hist;
-  LogHistogram mailbox_depth_hist;
 
   /// Progress-guard breakdown (tm/progress_guard.h): retry backoffs,
   /// starvation escalations / token grabs, abort-storm breaker state
@@ -295,22 +280,6 @@ class EventTelemetry {
     (void)width;
   }
 
-  /// One cross-shard message enqueued to another worker's shard.
-  void ShardSend() { ++snap_.shard_messages_sent; }
-  /// One cross-shard item the router kept local (contention below the
-  /// ship threshold — messaging overhead not justified).
-  void ShardKeptLocal() { ++snap_.shard_kept_local; }
-  /// One message bounced by a full mailbox and executed locally instead.
-  void ShardMailboxFull() { ++snap_.shard_mailbox_full; }
-  /// One drain batch of `batch` messages popped with `depth` messages
-  /// visible in the mailbox at drain entry.
-  void ShardDrain(uint32_t batch, uint64_t depth) {
-    ++snap_.shard_drain_batches;
-    snap_.shard_messages_drained += batch;
-    snap_.drain_batch_hist.Add(batch);
-    snap_.mailbox_depth_hist.Add(depth);
-  }
-
   /// One randomized-backoff wait of `pauses` spin/yield pauses between
   /// conflict retries (all three retry loops report here).
   void BackoffWait(uint64_t pauses) {
@@ -372,13 +341,6 @@ class EventTelemetry {
     snap_.fusion_aborts += o.fusion_aborts;
     snap_.fusion_width_hist.Merge(o.fusion_width_hist);
     snap_.bisection_depth_hist.Merge(o.bisection_depth_hist);
-    snap_.shard_messages_sent += o.shard_messages_sent;
-    snap_.shard_kept_local += o.shard_kept_local;
-    snap_.shard_mailbox_full += o.shard_mailbox_full;
-    snap_.shard_messages_drained += o.shard_messages_drained;
-    snap_.shard_drain_batches += o.shard_drain_batches;
-    snap_.drain_batch_hist.Merge(o.drain_batch_hist);
-    snap_.mailbox_depth_hist.Merge(o.mailbox_depth_hist);
     snap_.backoff_events += o.backoff_events;
     snap_.backoff_pauses += o.backoff_pauses;
     snap_.starvation_escalations += o.starvation_escalations;

@@ -2,21 +2,15 @@
 #define TUFAST_TM_TUFAST_H_
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <string>
-#include <type_traits>
-#include <vector>
 
 #include "common/compiler.h"
 #include "common/failpoints.h"
-#include "common/spin.h"
 #include "common/types.h"
 #include "durability/wal.h"
 #include "htm/emulated_htm.h"
 #include "mvcc/version_store.h"
-#include "sharding/shard_runtime.h"
-#include "sharding/sharded_lock_table.h"
 #include "sync/lock_manager.h"
 #include "sync/lock_table.h"
 #include "tm/batch_executor.h"
@@ -57,19 +51,7 @@ namespace tufast {
 ///
 /// Thread model: worker ids in [0, kMaxHtmThreads) map 1:1 to OS threads;
 /// each id's per-worker state must only ever be used by one thread.
-///
-/// `Table` plugs the conflict-space table: the classic shared LockTable
-/// (default — bit-for-bit the pre-sharding scheduler) or the per-shard
-/// ShardedLockTable. Orthogonally, Config::enable_sharding activates the
-/// shard-per-core *routing* layer (sharding/): RunBatch items whose home
-/// vertex is owned by another worker are enqueued to the owner's mailbox
-/// as atomic active messages and drained there as one group-commit
-/// batch; everything else runs locally. Because every worker can reach
-/// every table word, routing is a pure locality/contention optimization
-/// — any item may always fall back to local execution (full mailbox,
-/// ship threshold), and results are independent of where items ran.
-template <typename Htm, typename Telemetry = NullTelemetry,
-          typename Table = LockTable<Htm>>
+template <typename Htm, typename Telemetry = NullTelemetry>
 class TuFastScheduler {
  public:
   /// Fault-injection policy inherited from the HTM backend; Null (free)
@@ -120,12 +102,6 @@ class TuFastScheduler {
     /// Non-zero pins the fusion width (bench fusion-width sweep);
     /// 0 = adaptive.
     uint32_t fixed_fusion_width = 0;
-    /// Give every vertex lock word its own cache line (sync/lock_table.h)
-    /// to kill false sharing between adjacent vertices, at 8x the lock
-    /// table footprint. Off by default: the dense layout wins whenever
-    /// fused windows touch neighboring vertices (one line subscribes
-    /// eight lock words).
-    bool padded_lock_table = false;
     /// Progress guard (tm/progress_guard.h, DESIGN.md "Progress guard").
     /// enable_backoff gates the randomized exponential backoff between
     /// conflict retries in all three loops (H attempts, O period
@@ -141,28 +117,6 @@ class TuFastScheduler {
     /// attempt-abort rate routes small transactions straight to L and
     /// clamps fusion to width 1 until half-open probes recover.
     bool enable_breaker = true;
-    /// Shard-per-core ownership layer (sharding/, DESIGN.md "Sharding
-    /// and atomic active messages"). Off by default: the unsharded
-    /// RunBatch path stays bit-for-bit the pre-sharding executor.
-    bool enable_sharding = false;
-    /// Shard count (0 = one shard per owning worker).
-    uint32_t num_shards = 0;
-    /// Workers that own shards (cyclic deal, sharding/shard_map.h).
-    /// Benches set this to the thread count; worker ids >= shard_workers
-    /// own no shard and only ever send.
-    uint32_t shard_workers = 1;
-    /// Max messages fused into one group-commit drain batch.
-    uint32_t am_batch = 32;
-    /// Per-shard mailbox capacity (rounded up to a power of two). A full
-    /// mailbox bounces the message back to local execution — messages
-    /// are never dropped.
-    uint32_t mailbox_capacity = 1024;
-    /// Router ship threshold (ContentionMonitor-informed): cross-shard
-    /// items are shipped as messages only while the worker's monitored
-    /// attempt-abort rate is >= this; below it they run locally, since
-    /// messaging overhead buys nothing without contention. 0.0 ships
-    /// every cross-shard item.
-    double shard_ship_abort_rate = 0.0;
     /// MVCC snapshot reads (mvcc/version_store.h, DESIGN.md "MVCC
     /// snapshot reads"). Off by default: the non-MVCC path stays
     /// bit-identical to a build with no version store at all (the
@@ -190,9 +144,7 @@ class TuFastScheduler {
   TuFastScheduler(Htm& htm, VertexId num_vertices, Config config = {})
       : htm_(htm),
         config_(config),
-        lock_table_(htm, num_vertices,
-                    LockTableOptions{config.padded_lock_table,
-                                     ResolvedShards(config)}),
+        lock_table_(htm, num_vertices),
         lock_manager_(lock_table_, config.deadlock_policy),
         h_hint_threshold_(config.h_hint_threshold != 0
                               ? config.h_hint_threshold
@@ -224,11 +176,6 @@ class TuFastScheduler {
           config_.wal_path, config_.wal_sync);
       TUFAST_CHECK(owned_wal_->ok());
       wal_sink_ = owned_wal_.get();
-    }
-    if (config_.enable_sharding) {
-      sharding_ = std::make_unique<ShardRuntime>(ShardRuntime::Options{
-          num_vertices, ResolvedShards(config_), ResolvedWorkers(config_),
-          config_.mailbox_capacity});
     }
     lock_manager_.SetProgressSignals(&progress_guard_.signals());
     if constexpr (Telemetry::kEnabled) {
@@ -283,22 +230,8 @@ class TuFastScheduler {
   template <typename HintFn, typename BodyFn>
   void RunBatch(int worker_id, uint64_t lo, uint64_t hi, HintFn&& hint,
                 BodyFn&& body) {
-    RunBatch(worker_id, lo, hi, hint, IdentityHome{}, body);
-  }
-
-  /// Home-aware batch execution: `home(i)` maps item `i` to its home
-  /// vertex (batch_executor.h). Without sharding the mapping is unused
-  /// and this is exactly the overload above; with Config::enable_sharding
-  /// it drives the local-vs-message routing decision.
-  template <typename HintFn, typename HomeFn, typename BodyFn>
-  void RunBatch(int worker_id, uint64_t lo, uint64_t hi, HintFn&& hint,
-                HomeFn&& home, BodyFn&& body) {
     Worker& w = runtime_.GetWorker(worker_id, *this);
-    if (sharding_ != nullptr) {
-      RunBatchSharded(w, worker_id, lo, hi, hint, home, body);
-    } else {
-      RunBatchWindowed(w, worker_id, lo, hi, hint, body);
-    }
+    RunBatchWindowed(w, worker_id, lo, hi, hint, body);
   }
 
  private:
@@ -344,8 +277,8 @@ class TuFastScheduler {
     }
 
     typename Htm::Tx htx;
-    OTxn<Htm, Table> otxn;
-    LTxn<Htm, Table> ltxn;
+    OTxn<Htm> otxn;
+    LTxn<Htm> ltxn;
     ContentionMonitor monitor;
     /// H-mode MVCC write-set recording (unused unless enable_mvcc).
     MvccRecorder recorder;
@@ -355,23 +288,12 @@ class TuFastScheduler {
     /// Last breaker state this worker's telemetry was told about; the
     /// router diffs against the monitor to emit transition events.
     BreakerState last_breaker = BreakerState::kClosed;
-    /// Sharded-path scratch (only touched when sharding is enabled):
-    /// the local item list, the drained message batch plus its
-    /// duplicate-home flags, and the shards this batch call sent to.
-    std::vector<uint64_t> local_items;
-    std::vector<ActiveMessage> drain_batch;
-    std::vector<uint8_t> drain_dup;
-    std::vector<uint32_t> sent_shards;
-    std::vector<uint8_t> sent_flags;
   };
   using Runtime = WorkerRuntime<State, Telemetry>;
   using Worker = typename Runtime::Worker;
 
-  /// The unsharded batch core: capacity-aware window formation +
-  /// abort-driven bisection over items [lo, hi). Also the execution
-  /// engine for the sharded path's local half and drain batches (via an
-  /// index indirection), which is what keeps sharded and unsharded
-  /// execution bit-identical when everything routes local.
+  /// The batch core: capacity-aware window formation + abort-driven
+  /// bisection over items [lo, hi).
   template <typename HintFn, typename BodyFn>
   void RunBatchWindowed(Worker& w, int worker_id, uint64_t lo, uint64_t hi,
                         HintFn& hint, BodyFn& body) {
@@ -418,227 +340,6 @@ class TuFastScheduler {
     }
   }
 
-  /// Type-erased handle to one in-flight RunBatch call: a message only
-  /// carries (frame, item), and the drainer re-enters the sender's body
-  /// through the frame's vtable with whichever mode context its own
-  /// router picked. The frame lives on the sender's stack; the sender's
-  /// flush phase guarantees it outlives every message that points at it.
-  struct MessageVTable {
-    void (*run_h)(void* body, HTxn<Htm, Table>& txn, uint64_t item);
-    void (*run_o)(void* body, OTxn<Htm, Table>& txn, uint64_t item);
-    void (*run_l)(void* body, LTxn<Htm, Table>& txn, uint64_t item);
-    uint64_t (*hint)(void* hint_fn, uint64_t item);
-    VertexId (*home)(void* home_fn, uint64_t item);
-  };
-  struct BatchFrame {
-    const MessageVTable* vt;
-    void* body;
-    void* hint;
-    void* home;
-  };
-
-  template <typename HintFn, typename HomeFn, typename BodyFn>
-  static const MessageVTable* VTableFor() {
-    using Hint = std::remove_reference_t<HintFn>;
-    using Home = std::remove_reference_t<HomeFn>;
-    using Body = std::remove_reference_t<BodyFn>;
-    static const MessageVTable vt{
-        [](void* body, HTxn<Htm, Table>& txn, uint64_t item) {
-          (*static_cast<Body*>(body))(txn, item);
-        },
-        [](void* body, OTxn<Htm, Table>& txn, uint64_t item) {
-          (*static_cast<Body*>(body))(txn, item);
-        },
-        [](void* body, LTxn<Htm, Table>& txn, uint64_t item) {
-          (*static_cast<Body*>(body))(txn, item);
-        },
-        [](void* hint_fn, uint64_t item) -> uint64_t {
-          return (*static_cast<Hint*>(hint_fn))(item);
-        },
-        [](void* home_fn, uint64_t item) -> VertexId {
-          return (*static_cast<Home*>(home_fn))(item);
-        }};
-    return &vt;
-  }
-
-  static const BatchFrame& FrameOf(const ActiveMessage& m) {
-    return *static_cast<const BatchFrame*>(m.frame);
-  }
-
-  /// Local-vs-message routing rule: a cross-shard item ships only while
-  /// the worker's monitored attempt-abort rate clears the configured
-  /// threshold — under low contention remote locking is cheap and the
-  /// messaging overhead buys nothing (DyAdHyTM's mode-adaptive insight).
-  bool ShouldShip(Worker& w) const {
-    return config_.shard_ship_abort_rate <= 0.0 ||
-           w.state.monitor.AttemptAbortRate() >= config_.shard_ship_abort_rate;
-  }
-
-  /// The sharded batch protocol. Phases, in order:
-  ///  1. route: owned or kept-local items accumulate in an index list;
-  ///     cross-shard items are enqueued to the owner shard's mailbox
-  ///     (a full mailbox bounces the item back to the local list);
-  ///  2. execute the local list through the shared windowed core;
-  ///  3. drain the mailboxes of the shards this worker owns;
-  ///  4. flush: spin — helping drain — until every shard we sent to has
-  ///     no pending messages, so our stack frame may die.
-  /// Deadlock-free: drains never nest (a drained body cannot enqueue),
-  /// flushers hold no locks while spinning, and a drain-lock holder only
-  /// executes transactions, which the progress guard bounds.
-  template <typename HintFn, typename HomeFn, typename BodyFn>
-  void RunBatchSharded(Worker& w, int worker_id, uint64_t lo, uint64_t hi,
-                       HintFn& hint, HomeFn& home, BodyFn& body) {
-    ShardRuntime& rt = *sharding_;
-    const ShardMap& map = rt.map();
-    BatchFrame frame{VTableFor<HintFn, HomeFn, BodyFn>(),
-                     const_cast<void*>(static_cast<const void*>(&body)),
-                     const_cast<void*>(static_cast<const void*>(&hint)),
-                     const_cast<void*>(static_cast<const void*>(&home))};
-    auto& local = w.state.local_items;
-    local.clear();
-    auto& sent = w.state.sent_shards;
-    sent.clear();
-    auto& sent_flags = w.state.sent_flags;
-    if (sent_flags.size() < rt.num_shards()) {
-      sent_flags.assign(rt.num_shards(), 0);
-    }
-
-    for (uint64_t i = lo; i < hi; ++i) {
-      const uint32_t s = map.ShardOf(home(i));
-      if (map.OwnerWorker(s) == static_cast<uint32_t>(worker_id)) {
-        ++w.stats.shard_local_items;
-        local.push_back(i);
-        continue;
-      }
-      if (!ShouldShip(w)) {
-        ++w.stats.shard_kept_local;
-        w.telemetry.ShardKeptLocal();
-        local.push_back(i);
-        continue;
-      }
-      bool full = false;
-      if constexpr (Failpoints::kEnabled) {
-        full = Failpoints::Hit(FailSite::kMailboxFull, worker_id) ==
-               FailAction::kFail;
-      }
-      Shard& sh = rt.shard(s);
-      if (!full) {
-        // Bump pending *before* publishing so a flusher can never read
-        // zero while this message is enqueued-but-unexecuted.
-        sh.pending.fetch_add(1, std::memory_order_relaxed);
-        if (sh.mailbox.TryEnqueue(ActiveMessage{&frame, i})) {
-          ++w.stats.shard_messages_sent;
-          w.telemetry.ShardSend();
-          if (sent_flags[s] == 0) {
-            sent_flags[s] = 1;
-            sent.push_back(s);
-          }
-          continue;
-        }
-        sh.pending.fetch_sub(1, std::memory_order_relaxed);
-        full = true;
-      }
-      ++w.stats.shard_mailbox_full;
-      w.telemetry.ShardMailboxFull();
-      local.push_back(i);
-    }
-
-    auto lhint = [&](uint64_t k) { return hint(local[k]); };
-    auto lbody = [&](auto& txn, uint64_t k) { body(txn, local[k]); };
-    RunBatchWindowed(w, worker_id, 0, local.size(), lhint, lbody);
-
-    for (const uint32_t s : rt.OwnedShards(worker_id)) {
-      DrainShard(w, worker_id, s);
-    }
-
-    for (const uint32_t s : sent) {
-      sent_flags[s] = 0;
-      Shard& sh = rt.shard(s);
-      Backoff backoff;
-      while (sh.pending.load(std::memory_order_acquire) != 0) {
-        if (!DrainShard(w, worker_id, s)) backoff.Pause();
-      }
-    }
-  }
-
-  /// Drains one shard's mailbox: pop up to am_batch messages under the
-  /// drain lock and execute them as one group-commit batch through the
-  /// windowed core (fused H regions, bisection, per-item fallback — the
-  /// PR 4 executor is the drain vehicle). Returns whether any message
-  /// was executed. Cold: called between batches, never inside a body.
-  TUFAST_NOINLINE_COLD bool DrainShard(Worker& w, int worker_id, uint32_t s) {
-    Shard& sh = sharding_->shard(s);
-    if (sh.mailbox.Empty()) return false;
-    if (!sh.drain_lock.TryLock()) return false;
-    bool any = false;
-    auto& batch = w.state.drain_batch;
-    auto& dup = w.state.drain_dup;
-    const uint32_t am_batch = config_.am_batch == 0 ? 1 : config_.am_batch;
-    while (true) {
-      const uint64_t depth = sh.mailbox.ApproxDepth();
-      batch.clear();
-      ActiveMessage m;
-      while (batch.size() < am_batch && sh.mailbox.TryDequeue(&m)) {
-        batch.push_back(m);
-      }
-      if (batch.empty()) break;
-      any = true;
-      if constexpr (Failpoints::kEnabled) {
-        // Adversarial delivery order: rotate the batch one position.
-        // Safe under the independently-idempotent RunBatch contract;
-        // the stress_fuzz shard-chaos sweep checks invariants hold.
-        if (batch.size() > 1 &&
-            Failpoints::Hit(FailSite::kMessageReorder, worker_id) ==
-                FailAction::kFail) {
-          std::rotate(batch.begin(), batch.begin() + 1, batch.end());
-        }
-      }
-      // Per-shard AddrMap dedup: a drain batch often carries several
-      // messages for the same hub vertex; its footprint hint should
-      // count once per fused window, not once per message.
-      sh.window_vertices.Clear();
-      dup.assign(batch.size(), 0);
-      for (size_t k = 0; k < batch.size(); ++k) {
-        const BatchFrame& f = FrameOf(batch[k]);
-        bool inserted;
-        sh.window_vertices.FindOrInsert(
-            uintptr_t{f.vt->home(f.home, batch[k].item)} + 1,
-            static_cast<uint32_t>(k), &inserted);
-        if (!inserted) dup[k] = 1;
-      }
-      auto dhint = [&](uint64_t k) -> uint64_t {
-        if (dup[k] != 0) return 1;
-        const BatchFrame& f = FrameOf(batch[k]);
-        return f.vt->hint(f.hint, batch[k].item);
-      };
-      auto dbody = [&](auto& txn, uint64_t k) {
-        const ActiveMessage& msg = batch[k];
-        const BatchFrame& f = FrameOf(msg);
-        using TxnT = std::remove_cvref_t<decltype(txn)>;
-        if constexpr (std::is_same_v<TxnT, HTxn<Htm, Table>>) {
-          f.vt->run_h(f.body, txn, msg.item);
-        } else if constexpr (std::is_same_v<TxnT, OTxn<Htm, Table>>) {
-          f.vt->run_o(f.body, txn, msg.item);
-        } else {
-          f.vt->run_l(f.body, txn, msg.item);
-        }
-      };
-      RunBatchWindowed(w, worker_id, 0, batch.size(), dhint, dbody);
-      RecordShardDrain(w, static_cast<uint32_t>(batch.size()), depth);
-      sh.pending.fetch_sub(batch.size(), std::memory_order_release);
-    }
-    sh.drain_lock.Unlock();
-    return any;
-  }
-
-  static uint32_t ResolvedWorkers(const Config& c) {
-    return c.shard_workers == 0 ? 1 : c.shard_workers;
-  }
-  static uint32_t ResolvedShards(const Config& c) {
-    return c.num_shards != 0 ? c.num_shards : ResolvedWorkers(c);
-  }
-
- private:
   /// One per-item transaction inside a batch: same accounting and
   /// routing as Run(), with the item index bound into the body.
   template <typename HintFn, typename BodyFn>
@@ -662,8 +363,8 @@ class TuFastScheduler {
       return;
     }
     w.telemetry.EnterMode(SchedMode::kHardware);
-    HTxn<Htm, Table> htxn(w.state.htx, lock_table_, RecorderFor(w),
-                          WalRecorderFor(w));
+    HTxn<Htm> htxn(w.state.htx, lock_table_, RecorderFor(w),
+                   WalRecorderFor(w));
     const FusedAttemptResult attempt =
         RunFusedHtmAttempt(w.state.htx, htxn, lo, hi, body);
     if (attempt.status.ok()) {
@@ -759,8 +460,8 @@ class TuFastScheduler {
     }
     if (try_h) {
       w.telemetry.EnterMode(SchedMode::kHardware);
-      HTxn<Htm, Table> htxn(w.state.htx, lock_table_, RecorderFor(w),
-                            WalRecorderFor(w));
+      HTxn<Htm> htxn(w.state.htx, lock_table_, RecorderFor(w),
+                     WalRecorderFor(w));
       // Adaptive retry budget (paper SIV-D): under a high attempt-abort
       // rate, each retry re-executes the whole body just to abort again.
       const int h_retries =
@@ -820,11 +521,8 @@ class TuFastScheduler {
  public:
   Htm& htm() { return htm_; }
   const Config& config() const { return config_; }
-  Table& lock_table() { return lock_table_; }
+  LockTable<Htm>& lock_table() { return lock_table_; }
   uint64_t h_hint_threshold() const { return h_hint_threshold_; }
-
-  /// Sharding-layer introspection (null unless Config::enable_sharding).
-  const ShardRuntime* shard_runtime() const { return sharding_.get(); }
 
   /// Version-store introspection (null unless Config::enable_mvcc).
   Mvcc* mvcc_store() { return mvcc_.get(); }
@@ -980,15 +678,14 @@ class TuFastScheduler {
 
   Htm& htm_;
   const Config config_;
-  Table lock_table_;
-  LockManager<Htm, Table> lock_manager_;
+  LockTable<Htm> lock_table_;
+  LockManager<Htm> lock_manager_;
   const uint64_t h_hint_threshold_;
   const uint32_t max_period_;
   ProgressGuard progress_guard_;
   std::unique_ptr<Mvcc> mvcc_;
   std::unique_ptr<BasicWalWriter<Failpoints>> owned_wal_;
   WalSink* wal_sink_ = nullptr;
-  std::unique_ptr<ShardRuntime> sharding_;
   Runtime runtime_;
 };
 
@@ -997,14 +694,6 @@ using TuFast = TuFastScheduler<EmulatedHtm>;
 
 /// Instrumented variant: identical routing, EventTelemetry aggregation.
 using TuFastInstrumented = TuFastScheduler<EmulatedHtm, EventTelemetry>;
-
-/// Sharded-table TuFast: per-shard conflict spaces (ShardedLockTable)
-/// behind the same scheduler. Pair with Config::enable_sharding to get
-/// the full shard-per-core mode (per-shard tables + message routing).
-template <typename Htm, typename Telemetry = NullTelemetry>
-using ShardedTuFastScheduler =
-    TuFastScheduler<Htm, Telemetry, ShardedLockTable<Htm>>;
-using TuFastSharded = ShardedTuFastScheduler<EmulatedHtm>;
 
 }  // namespace tufast
 

@@ -278,20 +278,6 @@ inline HtmAttemptVerdict RecordFusedAbort(Worker& w, uint32_t width,
   return RecordHtmAbort(w, status);
 }
 
-/// Accounting for one shard-mailbox drain batch (sharding/): `batch`
-/// messages popped for group-commit execution with `depth` messages
-/// visible at drain entry. Mirrors RecordFusedCommit so the stats and
-/// telemetry views of the active-message layer stay in lockstep.
-template <typename Worker>
-inline void RecordShardDrain(Worker& w, uint32_t batch, uint64_t depth) {
-  ++w.stats.shard_drain_batches;
-  w.stats.shard_messages_drained += batch;
-  if (depth > w.stats.shard_max_mailbox_depth) {
-    w.stats.shard_max_mailbox_depth = depth;
-  }
-  w.telemetry.ShardDrain(batch, depth);
-}
-
 /// Scope guard releasing a progress guard's per-slot escalation state
 /// (starved bit, token) on every exit from the L retry loop — including
 /// a foreign exception unwinding out mid-escalation.

@@ -1,7 +1,7 @@
 // Strict-parsing tests for the shared bench flag parser: every malformed
 // value and every unknown flag must be a hard process exit (code 2),
-// never a silently defaulted run — a bench running with shard count "4x"
-// or batch size 0 measures the wrong thing while looking healthy.
+// never a silently defaulted run — a bench running with thread count "4x"
+// or scale 0 measures the wrong thing while looking healthy.
 
 #include <cstring>
 #include <string>
@@ -26,47 +26,6 @@ BenchFlags ParseArgs(std::vector<std::string> args) {
   }
   return BenchFlags::Parse(static_cast<int>(argv.size()), argv.data(),
                            /*default_scale=*/1.0);
-}
-
-TEST(BenchFlagsTest, ShardingFlagsParse) {
-  const BenchFlags flags =
-      ParseArgs({"--shards=8", "--am-batch=64", "--shard-chaos"});
-  EXPECT_EQ(flags.shards, 8u);
-  EXPECT_EQ(flags.am_batch, 64u);
-  EXPECT_TRUE(flags.shard_chaos);
-}
-
-TEST(BenchFlagsTest, ShardingDefaults) {
-  const BenchFlags flags = ParseArgs({"--threads=2"});
-  EXPECT_EQ(flags.shards, 0u);  // 0 = one shard per worker thread.
-  EXPECT_EQ(flags.am_batch, 32u);
-  EXPECT_FALSE(flags.shard_chaos);
-}
-
-TEST(BenchFlagsDeathTest, RejectsMalformedShardCounts) {
-  EXPECT_EXIT(ParseArgs({"--shards="}), ::testing::ExitedWithCode(2),
-              "missing value");
-  EXPECT_EXIT(ParseArgs({"--shards=4x"}), ::testing::ExitedWithCode(2),
-              "not an integer");
-  EXPECT_EXIT(ParseArgs({"--shards=abc"}), ::testing::ExitedWithCode(2),
-              "not an integer");
-  EXPECT_EXIT(ParseArgs({"--shards=-1"}), ::testing::ExitedWithCode(2),
-              "must be in");
-  EXPECT_EXIT(ParseArgs({"--shards=100000"}), ::testing::ExitedWithCode(2),
-              "must be in");
-}
-
-TEST(BenchFlagsDeathTest, RejectsMalformedAmBatch) {
-  EXPECT_EXIT(ParseArgs({"--am-batch="}), ::testing::ExitedWithCode(2),
-              "missing value");
-  EXPECT_EXIT(ParseArgs({"--am-batch=7.5"}), ::testing::ExitedWithCode(2),
-              "not an integer");
-  EXPECT_EXIT(ParseArgs({"--am-batch=0"}), ::testing::ExitedWithCode(2),
-              "must be in");
-  EXPECT_EXIT(ParseArgs({"--am-batch=-3"}), ::testing::ExitedWithCode(2),
-              "must be in");
-  EXPECT_EXIT(ParseArgs({"--am-batch=70000"}), ::testing::ExitedWithCode(2),
-              "must be in");
 }
 
 TEST(BenchFlagsTest, ServingFlagsParse) {
@@ -186,8 +145,8 @@ TEST(BenchFlagsTest, WalSwitchesAreExactMatches) {
 
 TEST(BenchFlagsDeathTest, RejectsUnknownFlags) {
   // A typo'd switch must not silently run the default sweep.
-  EXPECT_EXIT(ParseArgs({"--shard-chaoss"}), ::testing::ExitedWithCode(2),
-              "bad flag '--shard-chaoss': unknown flag");
+  EXPECT_EXIT(ParseArgs({"--mvcc-chaoss"}), ::testing::ExitedWithCode(2),
+              "bad flag '--mvcc-chaoss': unknown flag");
   EXPECT_EXIT(ParseArgs({"--quick", "--seeds=3"}),
               ::testing::ExitedWithCode(2), "unknown flag");
 }
@@ -196,6 +155,12 @@ TEST(BenchFlagsDeathTest, RejectsRemovedFlags) {
   // Flags of deleted features fail loudly instead of running without them.
   EXPECT_EXIT(ParseArgs({"--hot-threshold=0.25"}),
               ::testing::ExitedWithCode(2), "unknown flag");
+  EXPECT_EXIT(ParseArgs({"--shard-chaos"}), ::testing::ExitedWithCode(2),
+              "bad flag '--shard-chaos': unknown flag");
+  EXPECT_EXIT(ParseArgs({"--shards=4"}), ::testing::ExitedWithCode(2),
+              "bad flag '--shards=4': unknown flag");
+  EXPECT_EXIT(ParseArgs({"--am-batch=8"}), ::testing::ExitedWithCode(2),
+              "bad flag '--am-batch=8': unknown flag");
 }
 
 TEST(BenchFlagsDeathTest, ExistingFlagsStayStrict) {

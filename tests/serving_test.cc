@@ -8,6 +8,9 @@
 //     breaker trip signals, and the disposition-conservation counters —
 //     including the readmit-no-double-count regression (a deferred
 //     request that is re-admitted must move columns, not be re-offered).
+//   - BoundedMailbox: the Vyukov ring under RequestQueue — capacity
+//     rounding, FIFO order, full-ring rejection, sequence numbers across
+//     many laps, and lossless concurrent producers.
 //   - RequestQueue: bounded FIFO semantics and MPMC exactly-once
 //     delivery.
 //   - LoadGenerator: monotone Poisson arrival clock with the right mean,
@@ -34,6 +37,7 @@
 #include "serving/admission.h"
 #include "serving/latency_histogram.h"
 #include "serving/load_generator.h"
+#include "serving/mailbox.h"
 #include "serving/request_queue.h"
 #include "serving/server.h"
 #include "tm/tufast.h"
@@ -321,6 +325,89 @@ TEST(AdmissionTest, ReadmitMovesColumnsWithoutDoubleCounting) {
   EXPECT_EQ(ac.Admitted(Tenant::kBulk), 2u);
   EXPECT_EQ(ac.Readmitted(Tenant::kBulk), 2u);
   EXPECT_TRUE(ac.Conserved());
+}
+
+// ---------------------------------------------------------------------
+// BoundedMailbox
+// ---------------------------------------------------------------------
+
+TEST(BoundedMailboxTest, CapacityRoundsUpToPowerOfTwoMinFour) {
+  EXPECT_EQ(BoundedMailbox<uint64_t>(0).capacity(), 4u);
+  EXPECT_EQ(BoundedMailbox<uint64_t>(1).capacity(), 4u);
+  EXPECT_EQ(BoundedMailbox<uint64_t>(5).capacity(), 8u);
+  EXPECT_EQ(BoundedMailbox<uint64_t>(1024).capacity(), 1024u);
+}
+
+TEST(BoundedMailboxTest, FifoOrderAndEmptyTracking) {
+  BoundedMailbox<uint64_t> box(8);
+  EXPECT_TRUE(box.Empty());
+  for (uint64_t i = 0; i < 5; ++i) EXPECT_TRUE(box.TryEnqueue(i));
+  EXPECT_FALSE(box.Empty());
+  EXPECT_EQ(box.ApproxDepth(), 5u);
+  uint64_t out;
+  for (uint64_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(box.TryDequeue(&out));
+    EXPECT_EQ(out, i);
+  }
+  EXPECT_TRUE(box.Empty());
+  EXPECT_FALSE(box.TryDequeue(&out));
+}
+
+TEST(BoundedMailboxTest, FullRingRejectsUntilDrained) {
+  BoundedMailbox<uint64_t> box(4);
+  for (uint64_t i = 0; i < 4; ++i) ASSERT_TRUE(box.TryEnqueue(i));
+  EXPECT_FALSE(box.TryEnqueue(99));  // Lossless contract: caller bounces.
+  uint64_t out;
+  ASSERT_TRUE(box.TryDequeue(&out));
+  EXPECT_EQ(out, 0u);
+  EXPECT_TRUE(box.TryEnqueue(99));
+  EXPECT_FALSE(box.TryEnqueue(100));
+}
+
+TEST(BoundedMailboxTest, SequenceNumbersSurviveManyLaps) {
+  BoundedMailbox<uint64_t> box(4);
+  uint64_t out;
+  for (uint64_t lap = 0; lap < 100; ++lap) {
+    for (uint64_t i = 0; i < 3; ++i) ASSERT_TRUE(box.TryEnqueue(lap * 3 + i));
+    for (uint64_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE(box.TryDequeue(&out));
+      EXPECT_EQ(out, lap * 3 + i);
+    }
+  }
+  EXPECT_TRUE(box.Empty());
+}
+
+TEST(BoundedMailboxTest, ConcurrentProducersLoseNothing) {
+  constexpr int kProducers = 4;
+  constexpr uint64_t kPerProducer = 2000;
+  BoundedMailbox<uint64_t> box(64);
+  std::vector<uint64_t> seen_count(kProducers * kPerProducer, 0);
+  std::atomic<int> live{kProducers};
+  std::thread consumer([&] {
+    uint64_t out;
+    while (live.load(std::memory_order_acquire) > 0 || !box.Empty()) {
+      if (box.TryDequeue(&out)) {
+        ++seen_count[out];
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  });
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (uint64_t i = 0; i < kPerProducer; ++i) {
+        const uint64_t value = static_cast<uint64_t>(p) * kPerProducer + i;
+        while (!box.TryEnqueue(value)) std::this_thread::yield();
+      }
+      live.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (auto& t : producers) t.join();
+  consumer.join();
+  for (size_t v = 0; v < seen_count.size(); ++v) {
+    ASSERT_EQ(seen_count[v], 1u) << "value " << v << " lost or duplicated";
+  }
 }
 
 // ---------------------------------------------------------------------
