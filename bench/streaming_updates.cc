@@ -567,8 +567,8 @@ int Main(int argc, char** argv) {
       "expected shape: the skewed dataset routes a visible share of "
       "update transactions through O/L (hub chains exceed the H hint "
       "threshold); the uniform dataset stays almost entirely in H; the "
-      "warm-started PageRank re-converges in fewer sweeps than the "
-      "from-scratch run.\n");
+      "warm-started PageRank agrees with the from-scratch run, and saves "
+      "sweeps only when the update stream is small next to the graph.\n");
   return 0;
 }
 

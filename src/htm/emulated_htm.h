@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/compiler.h"
@@ -154,16 +155,30 @@ class BasicEmulatedHtm {
     }
   }
 
+  /// Test seam: the writer slot (-1 for none) and reader bitmap of the
+  /// line-table entry that `addr`'s line hashes to, read under its lock.
+  std::pair<int16_t, uint64_t> LineOwnersForTest(const void* addr) const {
+    const LineEntry& e =
+        table_[HashLine(htm_internal::LineOf(addr)) & table_mask_];
+    LockEntry(e);
+    const std::pair<int16_t, uint64_t> owners{
+        e.writer.load(std::memory_order_relaxed), e.readers};
+    UnlockEntry(e);
+    return owners;
+  }
+
  private:
   friend class Tx;
 
   /// One conflict-table entry: which transaction slots currently have the
   /// (hashed) line in their read set, and which single slot owns it for
-  /// writing. Guarded by its spin bit; critical sections are a few ns.
+  /// writing. Both fields change only under the spin bit, so `readers` is
+  /// a plain word; `writer` is atomic only because the drain-wait loops
+  /// poll it without the lock. Critical sections are a few ns.
   struct alignas(16) LineEntry {
-    std::atomic<bool> lock{false};
+    mutable std::atomic<bool> lock{false};
     std::atomic<int16_t> writer{-1};
-    std::atomic<uint64_t> readers{0};
+    uint64_t readers = 0;
   };
 
   /// Per-worker doom flag plus commit-progress marker, padded to avoid
@@ -202,14 +217,14 @@ class BasicEmulatedHtm {
     return z ^ (z >> 29);
   }
 
-  static void LockEntry(LineEntry& e) {
+  static void LockEntry(const LineEntry& e) {
     Backoff backoff;
     while (true) {
       if (!e.lock.exchange(true, std::memory_order_acquire)) return;
       while (e.lock.load(std::memory_order_relaxed)) backoff.Pause();
     }
   }
-  static void UnlockEntry(LineEntry& e) {
+  static void UnlockEntry(const LineEntry& e) {
     e.lock.store(false, std::memory_order_release);
   }
 
@@ -222,16 +237,15 @@ class BasicEmulatedHtm {
       if (DoomWriterMustWait(writer)) return false;
       e.writer.store(int16_t{-1}, std::memory_order_relaxed);  // Displace.
     }
-    uint64_t readers = e.readers.load(std::memory_order_relaxed);
     const uint64_t self_bit =
         self_slot >= 0 ? uint64_t{1} << self_slot : uint64_t{0};
-    uint64_t foreign = readers & ~self_bit;
+    uint64_t foreign = e.readers & ~self_bit;
     while (foreign != 0) {
       const int slot = std::countr_zero(foreign);
       slots_[slot].doomed.store(true, std::memory_order_seq_cst);
       foreign &= foreign - 1;
     }
-    e.readers.store(readers & self_bit, std::memory_order_relaxed);
+    e.readers &= self_bit;
     return true;
   }
 
@@ -449,15 +463,13 @@ class BasicEmulatedHtm<FailpointsT>::Tx {
       const Record& rec = rec_store_[rec_index_[key_pos]];
       LineEntry& e = htm_.EntryFor(rec.line);
       LockEntry(e);
-      if (rec.flags & kWriteFlag) {
-        int16_t expected = static_cast<int16_t>(slot_);
-        e.writer.compare_exchange_strong(expected, int16_t{-1},
-                                         std::memory_order_acq_rel);
+      // A writer displaced by a requester no longer owns the line, so
+      // only clear the slot if it is still ours. The unlock publishes it.
+      if ((rec.flags & kWriteFlag) &&
+          e.writer.load(std::memory_order_relaxed) == slot_) {
+        e.writer.store(int16_t{-1}, std::memory_order_relaxed);
       }
-      if (rec.flags & kReadFlag) {
-        e.readers.fetch_and(~(uint64_t{1} << slot_),
-                            std::memory_order_relaxed);
-      }
+      if (rec.flags & kReadFlag) e.readers &= ~(uint64_t{1} << slot_);
       UnlockEntry(e);
       rec_keys_[key_pos] = kEmptyKey;
       set_counts_[rec.line & (htm_.config_.num_sets - 1)] = 0;
@@ -525,8 +537,7 @@ class BasicEmulatedHtm<FailpointsT>::Tx {
         if (writer >= 0 && writer != slot_) {
           entry.writer.store(int16_t{-1}, std::memory_order_relaxed);
         }
-        entry.readers.fetch_or(uint64_t{1} << slot_,
-                               std::memory_order_relaxed);
+        entry.readers |= uint64_t{1} << slot_;
         UnlockEntry(entry);
         return;
       }

@@ -30,16 +30,25 @@ void DeadlockGraph::RemoveHolder(VertexId v, int slot, bool exclusive) {
   if (vec.empty()) holders_.erase(it);
 }
 
-bool DeadlockGraph::SetWaitingAndCheck(int slot, VertexId v) {
+bool DeadlockGraph::SetWaitingAndCheck(int slot, VertexId v,
+                                       bool keep_on_cycle) {
   TUFAST_CHECK(slot >= 0 && slot < kMaxHtmThreads);
   std::lock_guard<std::mutex> guard(mutex_);
   waiting_[slot] = v;
   is_waiting_[slot] = true;
-  if (HasCycleFromLocked(slot)) {
+  if (!keep_on_cycle && HasCycleFromLocked(slot)) {
     is_waiting_[slot] = false;
     return true;
   }
   return false;
+}
+
+bool DeadlockGraph::RecheckWaiting(int slot) {
+  TUFAST_CHECK(slot >= 0 && slot < kMaxHtmThreads);
+  std::lock_guard<std::mutex> guard(mutex_);
+  if (!is_waiting_[slot] || !HasCycleFromLocked(slot)) return false;
+  is_waiting_[slot] = false;
+  return true;
 }
 
 void DeadlockGraph::ClearWaiting(int slot) {

@@ -25,7 +25,9 @@ namespace tufast {
 /// Deadlock resolution: the thread whose new wait edge closes a cycle
 /// aborts itself (SetWaitingAndCheck returns true). Every cycle is closed
 /// by some waiter's edge insertion, so every deadlock is detected by the
-/// thread that completes it.
+/// thread that completes it. The one exception is a closer allowed to
+/// out-wait the cycle: it keeps its edge, and the other parties find the
+/// cycle when they re-check their own edges (RecheckWaiting) and abort.
 ///
 /// Slot ids are range-checked (TUFAST_CHECK) at every entry point: they
 /// index fixed kMaxHtmThreads arrays and are narrowed to int16_t, so an
@@ -45,8 +47,15 @@ class DeadlockGraph {
   /// Declares that `slot` is about to block waiting for `v` and checks
   /// for a waits-for cycle through `slot`. Returns true when waiting
   /// would deadlock — the caller must NOT wait and should abort; the
-  /// wait registration is rolled back internally in that case.
-  bool SetWaitingAndCheck(int slot, VertexId v);
+  /// wait registration is rolled back internally in that case. With
+  /// `keep_on_cycle` (a caller that may out-wait cycles) the edge stays
+  /// registered and false is returned even when it closes a cycle.
+  bool SetWaitingAndCheck(int slot, VertexId v, bool keep_on_cycle = false);
+
+  /// Re-checks the registered wait edge of `slot` for a cycle through it.
+  /// On a cycle the edge is withdrawn and true is returned: the caller
+  /// must stop waiting and abort, which breaks the cycle.
+  bool RecheckWaiting(int slot);
 
   /// Clears `slot`'s waiting edge after the lock was acquired.
   void ClearWaiting(int slot);

@@ -66,8 +66,8 @@ class LockManager {
   /// skipped by injected victim failpoints, and the single slot with
   /// cycle priority (ProgressSignals::HasCyclePriority — token holder,
   /// else lowest-id starved slot) does not self-victimize when its wait
-  /// edge would close a cycle; the other parties break the cycle through
-  /// their own wait bounds or closure checks instead. While the
+  /// edge would close a cycle; it keeps the edge, and the other parties
+  /// find the cycle on their periodic re-checks and abort. While the
   /// token is held by another slot, waiters get a short deferral bound
   /// so they abort early, release their lock sets, and let the token
   /// holder (whose own bound is extended) drain the conflict.
@@ -102,43 +102,8 @@ class LockManager {
         return false;
       }
     }
-    if (table_.TryUpgrade(v)) {
-      SwapHolderRegistration(slot, v);
-      return true;
-    }
-    if (policy_ != DeadlockPolicy::kDetection) {
-      Backoff backoff;
-      uint64_t waited = 0;
-      const uint64_t bound = WaitBoundFor(slot);
-      while (!table_.TryUpgrade(v)) {
-        if (++waited > bound) {
-          NotifyVictim(slot, v, /*cycle=*/false);
-          return false;
-        }
-        backoff.Pause();
-      }
-      SwapHolderRegistration(slot, v);
-      return true;
-    }
-    if (graph_.SetWaitingAndCheck(slot, v) && !CyclePriority(slot)) {
-      NotifyVictim(slot, v, /*cycle=*/true);
-      return false;
-    }
-    // The one cycle-priority slot whose edge would have closed a cycle
-    // falls through here with the edge rolled back: it spins under its
-    // own (larger) bound while the other cycle parties time out.
-    Backoff backoff;
-    uint64_t waited = 0;
-    const uint64_t bound = WaitBoundFor(slot);
-    while (!table_.TryUpgrade(v)) {
-      if (++waited > bound) {
-        graph_.ClearWaiting(slot);
-        NotifyVictim(slot, v, /*cycle=*/false);
-        return false;
-      }
-      backoff.Pause();
-    }
-    graph_.ClearWaiting(slot);
+    const auto try_upgrade = [&] { return table_.TryUpgrade(v); };
+    if (!try_upgrade() && !WaitFor(slot, v, try_upgrade)) return false;
     SwapHolderRegistration(slot, v);
     return true;
   }
@@ -173,6 +138,10 @@ class LockManager {
   // what guarantees the token holder's next attempt runs against a
   // draining lock table.
   static constexpr uint64_t kDeferralWaitIterations = 2000;
+  // Detection policy: how often a waiter re-checks its wait edge for a
+  // cycle. Backoff yields from its 11th pause on, so a waiter in a cycle
+  // leaves after a few dozen yields instead of the 2^20-pause bound.
+  static constexpr uint64_t kCycleRecheckPauses = 16;
 
   uint64_t WaitBound() const {
     return policy_ == DeadlockPolicy::kTimeout ? kTimeoutWaitIterations
@@ -220,35 +189,45 @@ class LockManager {
         return false;
       }
     }
-    if (try_lock()) {
-      if (policy_ == DeadlockPolicy::kDetection) {
-        graph_.AddHolder(v, slot, exclusive);
-      }
-      return true;
+    if (!try_lock() && !WaitFor(slot, v, try_lock)) return false;
+    if (policy_ == DeadlockPolicy::kDetection) {
+      graph_.AddHolder(v, slot, exclusive);
     }
-    if (policy_ == DeadlockPolicy::kDetection &&
-        graph_.SetWaitingAndCheck(slot, v) && !CyclePriority(slot)) {
+    return true;
+  }
+
+  /// Waits for the lock on `v` that `try_lock` just failed to take; false
+  /// (victim hook fired) when the slot is picked as victim or its bound
+  /// expires. Under detection the slot's wait edge stays registered for
+  /// the whole wait. An edge that closes a cycle makes the slot the
+  /// victim, unless it holds cycle priority: then it keeps the edge and
+  /// out-waits the cycle, and the other parties, which re-check their own
+  /// edges every kCycleRecheckPauses pauses, find it and leave as victims.
+  template <typename TryFn>
+  bool WaitFor(int slot, VertexId v, TryFn&& try_lock) {
+    const bool detect = policy_ == DeadlockPolicy::kDetection;
+    if (detect && graph_.SetWaitingAndCheck(
+                      slot, v, /*keep_on_cycle=*/CyclePriority(slot))) {
       NotifyVictim(slot, v, /*cycle=*/true);
       return false;  // Waiting would close a cycle: we are the victim.
     }
-    // The cycle-priority slot falls through on cycle closure (the edge
-    // was rolled back): it out-waits the cycle while the other parties
-    // hit their own bounds or closure checks, abort, and release.
     Backoff backoff;
     uint64_t waited = 0;
     const uint64_t bound = WaitBoundFor(slot);
     while (!try_lock()) {
       if (++waited > bound) {
-        if (policy_ == DeadlockPolicy::kDetection) graph_.ClearWaiting(slot);
+        if (detect) graph_.ClearWaiting(slot);
         NotifyVictim(slot, v, /*cycle=*/false);
+        return false;
+      }
+      if (detect && waited % kCycleRecheckPauses == 0 &&
+          !CyclePriority(slot) && graph_.RecheckWaiting(slot)) {
+        NotifyVictim(slot, v, /*cycle=*/true);
         return false;
       }
       backoff.Pause();
     }
-    if (policy_ == DeadlockPolicy::kDetection) {
-      graph_.ClearWaiting(slot);
-      graph_.AddHolder(v, slot, exclusive);
-    }
+    if (detect) graph_.ClearWaiting(slot);
     return true;
   }
 

@@ -50,7 +50,8 @@ class WorkerRuntime {
 
     /// Stall-watchdog heartbeats (tm/stall_watchdog.h): relaxed atomics
     /// because the watchdog thread samples them while the worker runs —
-    /// everything else in the slot stays single-threaded and plain.
+    /// everything else in the slot stays single-threaded and plain. Only
+    /// the owning worker writes them (BeatAttempt/BeatCommit).
     std::atomic<uint64_t> attempt_beat{0};
     std::atomic<uint64_t> commit_beat{0};
   };
@@ -161,14 +162,18 @@ inline void RetryBackoff(RngT& rng) {
 }
 
 /// Stall-watchdog heartbeats: one beat per execution attempt / commit.
-/// Relaxed — the watchdog only needs eventual monotone counters.
+/// A relaxed load and store, not a locked RMW: only the owning worker
+/// writes the counter, ResetStats runs with no transaction in flight, and
+/// the watchdog only needs eventual monotone counters.
 template <typename Worker>
 TUFAST_ALWAYS_INLINE void BeatAttempt(Worker& w) {
-  w.attempt_beat.fetch_add(1, std::memory_order_relaxed);
+  w.attempt_beat.store(w.attempt_beat.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
 }
 template <typename Worker>
 TUFAST_ALWAYS_INLINE void BeatCommit(Worker& w) {
-  w.commit_beat.fetch_add(1, std::memory_order_relaxed);
+  w.commit_beat.store(w.commit_beat.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
 }
 
 /// End-of-transaction retry accounting: feeds the victim re-abort

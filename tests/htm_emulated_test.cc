@@ -1,6 +1,7 @@
 // Unit tests for the emulated HTM backend: isolation, write buffering,
-// capacity model, explicit aborts, requester-wins conflicts, and the
-// non-transactional-store interplay that lock subscription relies on.
+// capacity model, explicit aborts, requester-wins conflicts, the
+// non-transactional-store interplay that lock subscription relies on, and
+// the line table draining back to empty after mixed concurrent traffic.
 
 #include <atomic>
 #include <thread>
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "htm/emulated_htm.h"
 #include "htm/native_htm.h"
 
@@ -276,6 +278,108 @@ TEST(EmulatedHtm, ManyThreadsDisjointAndSharedMix) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(EmulatedHtm::NonTxLoad(&privates[t].value),
               static_cast<TmWord>(kOpsEach));
+  }
+}
+
+// Every way a transaction ends — commit, conflict, explicit or capacity
+// abort, segment boundary — must hand its lines back while NonTxStore,
+// NotifyNonTxWrite and DrainLoad displace and wait on the same lines.
+// Once every thread has joined, no line-table entry may keep a writer or
+// a reader bit: a leaked one would doom or stall every later transaction
+// that touches the line.
+TEST(EmulatedHtm, LineTableDrainsAfterMixedConcurrentTraffic) {
+  HtmConfig config;
+  config.num_sets = 8;
+  config.num_ways = 2;  // 16 lines fit, two per set.
+  EmulatedHtm htm(config);
+  constexpr int kTxThreads = 4;
+  constexpr int kNonTxThreads = 2;
+  // Three lines per set, so a same-set triple overflows the cache.
+  constexpr int kLines = 24;
+  constexpr int kSweepLines = 16;  // Exactly a full cache, two per set.
+  constexpr int kTxIters = 2000;
+  constexpr int kNonTxOps = 3000;
+  // Transactions use words 0-3 of a line; non-transactional writes 4-7.
+  struct alignas(64) Line {
+    TmWord words[8] = {};
+  };
+  std::vector<Line> lines(kLines);
+  std::atomic<int> nontx_running{kNonTxThreads};
+
+  std::vector<std::thread> threads;
+  for (int slot = 0; slot < kTxThreads; ++slot) {
+    threads.emplace_back([&, slot] {
+      EmulatedHtm::Tx tx(htm, slot);
+      Rng rng(100 + slot);
+      for (int i = 0; i < kTxIters || nontx_running.load() > 0; ++i) {
+        TmWord* a = lines[rng.NextBounded(kLines)].words;
+        TmWord* b = lines[rng.NextBounded(kLines)].words;
+        const int set = static_cast<int>(rng.NextBounded(8));
+        (void)tx.Execute([&] {
+          switch (i % 5) {
+            case 0:  // Read-only.
+              (void)tx.Load(&a[0]);
+              (void)tx.Load(&b[1]);
+              break;
+            case 1:  // Read-modify-write.
+              tx.Store(&a[0], tx.Load(&a[0]) + 1);
+              (void)tx.Load(&b[1]);
+              break;
+            case 2:  // Explicit abort holding a read and a write.
+              (void)tx.Load(&a[2]);
+              tx.Store(&b[2], 7);
+              tx.ExplicitAbort<1>();
+            case 3:  // Capacity abort holding a write and a read.
+              tx.Store(&lines[set].words[3], 1);
+              (void)tx.Load(&lines[set + 8].words[3]);
+              (void)tx.Load(&lines[set + 16].words[3]);
+              break;
+            default:  // Two segments.
+              tx.Store(&a[1], 2);
+              (void)tx.Load(&b[0]);
+              tx.SegmentBoundary();
+              (void)tx.Load(&a[0]);
+              tx.Store(&b[1], 3);
+              break;
+          }
+        });
+      }
+      // A last read-only sweep, retried until it commits. The sweep that
+      // commits last registers the last reader bits of the run, so a
+      // release that forgot them would show below.
+      while (!tx.Execute([&] {
+                  for (int l = 0; l < kSweepLines; ++l) {
+                    (void)tx.Load(&lines[l].words[0]);
+                  }
+                }).ok()) {
+      }
+    });
+  }
+  for (int id = 0; id < kNonTxThreads; ++id) {
+    threads.emplace_back([&, id] {
+      Rng rng(200 + id);
+      for (int i = 0; i < kNonTxOps; ++i) {
+        TmWord* w = lines[rng.NextBounded(kLines)].words;
+        switch (i % 3) {
+          case 0:
+            htm.NonTxStore(&w[4], static_cast<TmWord>(i));
+            break;
+          case 1:
+            htm.NotifyNonTxWrite(&w[5]);
+            break;
+          default:
+            (void)htm.DrainLoad(&w[0]);
+            break;
+        }
+      }
+      nontx_running.fetch_sub(1);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int l = 0; l < kLines; ++l) {
+    const auto [writer, readers] = htm.LineOwnersForTest(&lines[l]);
+    EXPECT_EQ(writer, -1) << "line " << l << " kept a writer";
+    EXPECT_EQ(readers, 0u) << "line " << l << " kept reader bits";
   }
 }
 

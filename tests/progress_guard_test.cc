@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -145,8 +146,7 @@ TEST(LockManagerProgressTest, MutuallyStarvedDeadlockResolvesPromptly) {
   });
   // Let slot 0 publish its wait edge so slot 1's acquire below is the
   // one that closes the cycle. (If the race goes the other way the test
-  // still passes — slot 1 then times out of its bounded wait — it is
-  // just slower.)
+  // still passes — it becomes the reverse-order case below.)
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   // Slot 1 closes the cycle; starved but outranked, it must victimize.
   EXPECT_FALSE(mgr.AcquireExclusive(1, 0));
@@ -156,6 +156,105 @@ TEST(LockManagerProgressTest, MutuallyStarvedDeadlockResolvesPromptly) {
       << "the cycle-priority slot must win the conflict";
   mgr.ReleaseExclusive(0, 0);
   mgr.ReleaseExclusive(0, 1);
+}
+
+// Victim-hook log for the reverse-order twins below.
+struct VictimLog {
+  struct Entry {
+    int slot;
+    VertexId vertex;
+    bool cycle;
+  };
+  static void Hook(void* ctx, int slot, VertexId vertex, bool cycle) {
+    auto* log = static_cast<VictimLog*>(ctx);
+    std::lock_guard<std::mutex> guard(log->mutex);
+    log->entries.push_back(Entry{slot, vertex, cycle});
+  }
+  std::vector<Entry> Entries() {
+    std::lock_guard<std::mutex> guard(mutex);
+    return entries;
+  }
+  std::mutex mutex;
+  std::vector<Entry> entries;
+};
+
+// Reverse-order twin: the slot WITHOUT cycle priority waits first and the
+// priority slot's edge closes the cycle. The priority slot keeps its edge
+// and out-waits the cycle, so the waiting peer must find the cycle on its
+// own re-check and leave as a cycle victim — not sit out the full
+// 2^20-pause liveness bound and leave as a timeout victim.
+TEST(LockManagerProgressTest, PriorityClosedCycleVictimizesTheWaitingPeer) {
+  EmulatedHtm htm;
+  LockTable<EmulatedHtm> table(htm, /*num_vertices=*/4);
+  LockManager<EmulatedHtm> mgr(table, DeadlockPolicy::kDetection);
+  ProgressSignals signals;
+  signals.SetStarved(0);
+  signals.SetStarved(1);
+  mgr.SetProgressSignals(&signals);
+  VictimLog victims;
+  mgr.SetVictimHook(&VictimLog::Hook, &victims);
+
+  ASSERT_TRUE(mgr.AcquireExclusive(0, 0));  // slot 0 holds vertex 0
+  ASSERT_TRUE(mgr.AcquireExclusive(1, 1));  // slot 1 holds vertex 1
+
+  std::atomic<int> peer_result{-1};
+  std::thread peer([&] {
+    // Slot 1 (outranked by slot 0) waits for vertex 0 first.
+    const bool acquired = mgr.AcquireExclusive(1, 0);
+    peer_result.store(acquired ? 1 : 0);
+    if (!acquired) mgr.ReleaseExclusive(1, 1);  // Victim: release the set.
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Slot 0 (cycle priority) closes the cycle and out-waits it.
+  EXPECT_TRUE(mgr.AcquireExclusive(0, 1))
+      << "the cycle-priority slot must get its lock";
+  peer.join();
+  EXPECT_EQ(peer_result.load(), 0);
+  const auto entries = victims.Entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].slot, 1);
+  EXPECT_EQ(entries[0].vertex, VertexId{0});
+  EXPECT_TRUE(entries[0].cycle)
+      << "the waiting peer must leave as a cycle victim, not a timeout";
+  mgr.ReleaseExclusive(0, 0);
+  mgr.ReleaseExclusive(0, 1);
+}
+
+// Same ordering through Upgrade: both slots hold vertex 0 shared, the
+// slot without priority starts upgrading first, then the priority slot's
+// upgrade closes the cycle.
+TEST(LockManagerProgressTest, PriorityClosedUpgradeCycleVictimizesThePeer) {
+  EmulatedHtm htm;
+  LockTable<EmulatedHtm> table(htm, /*num_vertices=*/4);
+  LockManager<EmulatedHtm> mgr(table, DeadlockPolicy::kDetection);
+  ProgressSignals signals;
+  signals.SetStarved(0);
+  signals.SetStarved(1);
+  mgr.SetProgressSignals(&signals);
+  VictimLog victims;
+  mgr.SetVictimHook(&VictimLog::Hook, &victims);
+
+  ASSERT_TRUE(mgr.AcquireShared(0, 0));
+  ASSERT_TRUE(mgr.AcquireShared(1, 0));
+
+  std::atomic<int> peer_result{-1};
+  std::thread peer([&] {
+    const bool upgraded = mgr.Upgrade(1, 0);
+    peer_result.store(upgraded ? 1 : 0);
+    // A failed upgrade still holds the shared lock: release it.
+    if (!upgraded) mgr.ReleaseShared(1, 0);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_TRUE(mgr.Upgrade(0, 0))
+      << "the cycle-priority slot must complete its upgrade";
+  peer.join();
+  EXPECT_EQ(peer_result.load(), 0);
+  const auto entries = victims.Entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].slot, 1);
+  EXPECT_TRUE(entries[0].cycle)
+      << "the upgrading peer must leave as a cycle victim, not a timeout";
+  mgr.ReleaseExclusive(0, 0);
 }
 
 // ---------------------------------------------------------------------
