@@ -267,27 +267,51 @@ void RunDataset(const std::string& name, const Graph& base,
 
 // Reader/writer mix (--mvcc): writer threads stream a churn mix while
 // reader threads hammer per-vertex snapshot reads through RunReadOnly.
-// Each dataset runs the identical workload twice — MVCC off (readers are
+// Each dataset runs the identical workload with MVCC off (readers are
 // ordinary transactions that CAN abort under write pressure) and MVCC on
 // (snapshot reads, abort-free by construction) — so one JSON carries
 // both the reader abort rates and the writer-throughput overhead of
-// version installation. Per-read consistency is asserted inline: a
-// committed (or snapshot) read must see degree == live slots.
+// version installation. The off/on pair repeats kMixRepetitions times in
+// alternating order; each row reports the median rates, and the reader
+// transactions and aborts summed over every repetition. Per-read
+// consistency is asserted inline: a committed (or snapshot) read must
+// see degree == live slots.
+constexpr int kMixRepetitions = 5;
+// Batches of 32 updates per writer and run: long enough that the gated
+// mvcc-on / mvcc-off writer-rate ratio measures the version installs,
+// not a few-millisecond window's scheduling noise.
+constexpr int kMixBatches = 1000;
+
+/// One mode's measurements, accumulated over the repetitions.
+struct MixTotals {
+  std::vector<double> updates_per_s;  // Writer-side window, one per run.
+  std::vector<double> reader_txns_per_s;
+  uint64_t reader_txns = 0;
+  uint64_t reader_aborts = 0;
+  uint64_t snapshots = 0;
+  uint64_t staleness_sum = 0;
+  uint64_t staleness_max = 0;
+  uint64_t max_chain_walk = 0;
+  uint64_t chain_max = 0;
+  uint64_t installed = 0;
+  uint64_t freed = 0;
+  uint64_t limbo = 0;
+  uint64_t reclaims = 0;
+};
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  if (n == 0) return 0;
+  return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
+}
+
 void RunReaderWriterMixVariant(const std::string& name, const Graph& base,
                                const BenchFlags& flags, bool skewed,
-                               bool enable_mvcc, ReportTable* table) {
+                               bool enable_mvcc, int writers,
+                               MixTotals* totals) {
   ThreadPool pool(flags.threads);
   const int threads = flags.threads;
-  int readers = flags.readers > 0 ? static_cast<int>(flags.readers)
-                                  : std::max(1, threads / 2);
-  readers = std::min(readers, threads - 1);
-  if (readers < 1) {
-    std::fprintf(stderr,
-                 "reader/writer mix needs >= 2 threads; skipping\n");
-    return;
-  }
-  const int writers = threads - readers;
-  const int batches = flags.quick ? 50 : 200;
   const int batch_size = 32;
 
   auto dyn = DynamicGraph::FromCsr(base);
@@ -313,7 +337,7 @@ void RunReaderWriterMixVariant(const std::string& name, const Graph& base,
     Rng rng(SplitMix64(sm) ^ 0xabcdULL);
     if (worker < writers) {
       std::vector<EdgeUpdate> batch;
-      for (int i = 0; i < batches; ++i) {
+      for (int i = 0; i < kMixBatches; ++i) {
         batch.clear();
         for (int k = 0; k < batch_size; ++k) {
           const VertexId u = static_cast<VertexId>(
@@ -372,8 +396,10 @@ void RunReaderWriterMixVariant(const std::string& name, const Graph& base,
   Check(dyn->CheckInvariantsQuiesced() == std::nullopt,
         name + " " + mode + ": structural audit");
 
-  uint64_t staleness_avg = 0, staleness_max = 0, max_chain_walk = 0;
-  uint64_t installed = 0, freed = 0, limbo = 0, reclaims = 0, chain_max = 0;
+  totals->updates_per_s.push_back(updates / write_seconds);
+  totals->reader_txns_per_s.push_back(txns / seconds);
+  totals->reader_txns += txns;
+  totals->reader_aborts += aborts;
   if (enable_mvcc) {
     auto* store = tm.mvcc_store();
     const MvccCounters c = store->Counters();
@@ -387,28 +413,38 @@ void RunReaderWriterMixVariant(const std::string& name, const Graph& base,
     Check(c.installed_nodes ==
               c.freed_nodes + c.LimboNodes() + store->LinkedNodesQuiesced(),
           name + ": MVCC flush balance violated");
-    chain_max = store->MaxChainLengthQuiesced();
-    staleness_avg = c.snapshots ? c.staleness_sum / c.snapshots : 0;
-    staleness_max = c.staleness_max;
-    max_chain_walk = c.max_chain_walk;
-    installed = c.installed_nodes;
-    freed = c.freed_nodes;
-    limbo = c.LimboNodes();
-    reclaims = c.reclaim_passes;
+    totals->chain_max =
+        std::max(totals->chain_max, store->MaxChainLengthQuiesced());
+    totals->snapshots += c.snapshots;
+    totals->staleness_sum += c.staleness_sum;
+    totals->staleness_max = std::max(totals->staleness_max, c.staleness_max);
+    totals->max_chain_walk =
+        std::max(totals->max_chain_walk, c.max_chain_walk);
+    totals->installed += c.installed_nodes;
+    totals->freed += c.freed_nodes;
+    totals->limbo += c.LimboNodes();
+    totals->reclaims += c.reclaim_passes;
   }
+}
+
+void AddMixRow(const char* mode, int writers, int readers,
+               const MixTotals& t, ReportTable* table) {
+  const uint64_t txns = t.reader_txns;
   table->AddRow({mode, ReportTable::Int(static_cast<uint64_t>(writers)),
                  ReportTable::Int(static_cast<uint64_t>(readers)),
-                 ReportTable::Num(updates / write_seconds),
-                 ReportTable::Num(txns / seconds), ReportTable::Int(txns),
-                 ReportTable::Int(aborts),
-                 ReportTable::Num(txns ? static_cast<double>(aborts) / txns
+                 ReportTable::Num(Median(t.updates_per_s)),
+                 ReportTable::Num(Median(t.reader_txns_per_s)),
+                 ReportTable::Int(txns), ReportTable::Int(t.reader_aborts),
+                 ReportTable::Num(txns ? static_cast<double>(t.reader_aborts) /
+                                             txns
                                        : 0),
-                 ReportTable::Int(staleness_avg),
-                 ReportTable::Int(staleness_max),
-                 ReportTable::Int(max_chain_walk),
-                 ReportTable::Int(chain_max), ReportTable::Int(installed),
-                 ReportTable::Int(freed), ReportTable::Int(limbo),
-                 ReportTable::Int(reclaims)});
+                 ReportTable::Int(t.snapshots ? t.staleness_sum / t.snapshots
+                                              : 0),
+                 ReportTable::Int(t.staleness_max),
+                 ReportTable::Int(t.max_chain_walk),
+                 ReportTable::Int(t.chain_max), ReportTable::Int(t.installed),
+                 ReportTable::Int(t.freed), ReportTable::Int(t.limbo),
+                 ReportTable::Int(t.reclaims)});
 }
 
 // Durability overhead (--wal): the identical churn mix runs twice on a
@@ -517,13 +553,32 @@ void RunWalOverhead(const std::string& name, const Graph& base,
 
 void RunReaderWriterMix(const std::string& name, const Graph& base,
                         const BenchFlags& flags, bool skewed) {
+  const int threads = flags.threads;
+  int readers = flags.readers > 0 ? static_cast<int>(flags.readers)
+                                  : std::max(1, threads / 2);
+  readers = std::min(readers, threads - 1);
+  if (readers < 1) {
+    std::fprintf(stderr,
+                 "reader/writer mix needs >= 2 threads; skipping\n");
+    return;
+  }
+  const int writers = threads - readers;
+  MixTotals off, on;
+  for (int rep = 0; rep < kMixRepetitions; ++rep) {
+    // Alternate which mode runs first, so drift within the process
+    // (allocator state, frequency, neighbours' load) hits both alike.
+    for (const bool mvcc : {rep % 2 == 1, rep % 2 == 0}) {
+      RunReaderWriterMixVariant(name, base, flags, skewed, mvcc, writers,
+                                mvcc ? &on : &off);
+    }
+  }
   ReportTable table({"mode", "writers", "readers", "updates/s",
                      "reader txns/s", "reader txns", "reader aborts",
                      "reader abort rate", "staleness avg", "staleness max",
                      "max chain walk", "max chain len", "installed nodes",
                      "freed nodes", "limbo nodes", "reclaim passes"});
-  RunReaderWriterMixVariant(name, base, flags, skewed, false, &table);
-  RunReaderWriterMixVariant(name, base, flags, skewed, true, &table);
+  AddMixRow("mvcc-off", writers, readers, off, &table);
+  AddMixRow("mvcc-on", writers, readers, on, &table);
   table.Print("reader-writer mix — " + name);
 }
 

@@ -4,12 +4,14 @@
 // non-zero on the first invariant violation, printing the failing
 // (scheduler, policy, seed) triple; rerun with --seed=<that seed> and
 // --failpoint-trace=<path> to replay it deterministically and capture
-// the exact injection sequence.
+// the exact injection sequence. The MVCC, serving and crash modes run
+// TuFast only: it is the one scheduler with a version store and a WAL.
 //
 //   ./stress_fuzz --seed=1 --scale=4 --threads=3
 //   ./stress_fuzz --quick                       # smoke-sized sweep
+//   ./stress_fuzz --mvcc-chaos                  # MVCC snapshot sweep
 //   ./stress_fuzz --serve-chaos                 # serving-engine disposition sweep
-//   ./stress_fuzz --crash-chaos                 # WAL crash/recovery sweep
+//   ./stress_fuzz --crash-chaos                 # WAL+MVCC crash/recovery sweep
 //   ./stress_fuzz --seed=1337 --failpoint-trace=/tmp/trace.txt
 
 #include <unistd.h>
@@ -126,7 +128,42 @@ void DumpTraceTo(const FailpointPlan& plan, const std::string& path) {
   std::fprintf(stderr, "failpoint trace written to %s\n", path.c_str());
 }
 
-template <typename Scheduler>
+/// MVCC flush balance over a quiesced version store: every installed
+/// version is freed, parked in limbo, or still linked (visible), and
+/// after a quiesced ReclaimAll the whole budget collapses to freed ==
+/// retired == installed. A mismatch is a leak or a double-free even if
+/// no snapshot invariant tripped. Leaves the store fully reclaimed.
+template <typename Store>
+std::optional<std::string> CheckMvccFlushBalance(Store& store) {
+  MvccCounters c = store.Counters();
+  const uint64_t linked = store.LinkedNodesQuiesced();
+  if (c.installed_nodes != c.freed_nodes + c.LimboNodes() + linked) {
+    return "mvcc flush imbalance: installed " +
+           std::to_string(c.installed_nodes) + " != freed " +
+           std::to_string(c.freed_nodes) + " + limbo " +
+           std::to_string(c.LimboNodes()) + " + linked " +
+           std::to_string(linked);
+  }
+  if (linked != c.LinkedNodes()) {
+    return "mvcc linked-node drift: counters say " +
+           std::to_string(c.LinkedNodes()) + ", chains hold " +
+           std::to_string(linked);
+  }
+  store.ReclaimAll();
+  c = store.Counters();
+  if (c.freed_nodes != c.installed_nodes ||
+      c.retired_nodes != c.installed_nodes) {
+    return "mvcc reclaim-all imbalance: installed " +
+           std::to_string(c.installed_nodes) + " retired " +
+           std::to_string(c.retired_nodes) + " freed " +
+           std::to_string(c.freed_nodes);
+  }
+  return std::nullopt;
+}
+
+/// `kMvcc` (--mvcc-chaos, TuFast only) adds the snapshot-read suite and
+/// the flush-balance check to every run.
+template <typename Scheduler, bool kMvcc = false>
 bool FuzzScheduler(const char* name, const BenchFlags& flags, uint64_t seeds,
                    FuzzTotals& totals) {
   std::vector<DeadlockPolicy> policies;
@@ -140,12 +177,14 @@ bool FuzzScheduler(const char* name, const BenchFlags& flags, uint64_t seeds,
     for (uint64_t i = 0; i < seeds; ++i) {
       const uint64_t seed = flags.seed + i;
       FaultyHtm htm;
-      auto tm = flags.mvcc_chaos
-                    ? MakeMvccSchedulerFor<Scheduler>(htm, /*vertices=*/48,
-                                                      policy)
-                    : MakeSchedulerFor<Scheduler>(htm, /*vertices=*/48, policy);
-      FailpointPlan plan(
-          ChaosConfig(seed, flags.progress_chaos, flags.mvcc_chaos));
+      auto tm = [&] {
+        if constexpr (kMvcc) {
+          return MakeMvccSchedulerFor<Scheduler>(htm, /*vertices=*/48, policy);
+        } else {
+          return MakeSchedulerFor<Scheduler>(htm, /*vertices=*/48, policy);
+        }
+      }();
+      FailpointPlan plan(ChaosConfig(seed, flags.progress_chaos, kMvcc));
       FailpointScope scope(plan);
       StressConfig cfg;
       cfg.threads = flags.threads;
@@ -154,7 +193,9 @@ bool FuzzScheduler(const char* name, const BenchFlags& flags, uint64_t seeds,
       cfg.seed = seed;
       cfg.ordered_for_update = policy == DeadlockPolicy::kPrevention;
       auto err = RunInvariantSuite(*tm, cfg);
-      if (!err && flags.mvcc_chaos) err = RunMvccSnapshotSuite(*tm, cfg);
+      if constexpr (kMvcc) {
+        if (!err) err = RunMvccSnapshotSuite(*tm, cfg);
+      }
       ++totals.runs;
       totals.injections += plan.InjectionCount();
       const SchedulerStats stats = tm->AggregatedStats();
@@ -165,37 +206,10 @@ bool FuzzScheduler(const char* name, const BenchFlags& flags, uint64_t seeds,
       if (stats.max_txn_aborts > totals.max_txn_aborts) {
         totals.max_txn_aborts = stats.max_txn_aborts;
       }
-      // MVCC flush balance: quiesced, every installed version must be
-      // freed, parked in limbo, or still linked (visible); after a
-      // quiesced ReclaimAll the whole budget must collapse to freed ==
-      // retired == installed. A mismatch is a leak or a double-free even
-      // if no snapshot invariant tripped.
-      if (flags.mvcc_chaos) {
+      if constexpr (kMvcc) {
         auto* store = tm->mvcc_store();
-        MvccCounters c = store->Counters();
-        const uint64_t linked = store->LinkedNodesQuiesced();
-        if (!err &&
-            c.installed_nodes != c.freed_nodes + c.LimboNodes() + linked) {
-          err = "mvcc flush imbalance: installed " +
-                std::to_string(c.installed_nodes) + " != freed " +
-                std::to_string(c.freed_nodes) + " + limbo " +
-                std::to_string(c.LimboNodes()) + " + linked " +
-                std::to_string(linked);
-        }
-        if (!err && linked != c.LinkedNodes()) {
-          err = "mvcc linked-node drift: counters say " +
-                std::to_string(c.LinkedNodes()) + ", chains hold " +
-                std::to_string(linked);
-        }
-        store->ReclaimAll();
-        c = store->Counters();
-        if (!err && (c.freed_nodes != c.installed_nodes ||
-                     c.retired_nodes != c.installed_nodes)) {
-          err = "mvcc reclaim-all imbalance: installed " +
-                std::to_string(c.installed_nodes) + " retired " +
-                std::to_string(c.retired_nodes) + " freed " +
-                std::to_string(c.freed_nodes);
-        }
+        if (!err) err = CheckMvccFlushBalance(*store);
+        const MvccCounters c = store->Counters();
         totals.mvcc_installed += c.installed_nodes;
         totals.mvcc_freed += c.freed_nodes;
         totals.mvcc_snapshots += c.snapshots;
@@ -356,18 +370,23 @@ bool RunServeChaos(const BenchFlags& flags, uint64_t seeds,
 }
 
 // ---------------------------------------------------------------------
-// --crash-chaos: durability sweep. Every (scheduler, policy, crash site)
-// combination runs a bank-conservation workload with the WAL enabled,
-// forces a crash mid-flush (torn write, short write, or power loss
-// before fsync), recovers a fresh graph from the log, and checks that
+// --crash-chaos: durability sweep over TuFast, the one scheduler with a
+// WAL. Every (deadlock policy, crash site) combination runs a
+// bank-conservation workload with the WAL enabled — and MVCC too in
+// alternate runs, so version installs and log publishes share the
+// commit windows — forces a crash mid-flush (torn write, short write,
+// or power loss before fsync), recovers a fresh graph from the log, and
+// checks that
 //   - no acknowledged commit was lost (recovered seq >= durable seq),
 //   - no partial transaction is visible (every conservation pair is
 //     both-or-neither and sums to the constant),
-//   - the recovered state is a prefix of the committed state, and
-//   - a second workload phase runs cleanly on the recovered graph.
-// A separate case per scheduler exercises checkpoint + WAL-truncation
-// recovery, including a torn checkpoint image that CRC validation must
-// reject, and a serving-engine case crashes the log under live traffic.
+//   - the recovered state is a prefix of the committed state,
+//   - a second workload phase runs cleanly on the recovered graph, and
+//   - with MVCC on, every version store keeps its flush balance.
+// A separate case exercises checkpoint + WAL-truncation recovery,
+// including a torn checkpoint image that CRC validation must reject,
+// and a serving-engine case (MVCC snapshot reads on) crashes the log
+// under live traffic.
 
 struct CrashChaosTotals {
   uint64_t runs = 0;
@@ -378,7 +397,29 @@ struct CrashChaosTotals {
   uint64_t replayed = 0;
   uint64_t torn_tails = 0;
   uint64_t checkpoint_recoveries = 0;
+  uint64_t mvcc_runs = 0;
+  uint64_t mvcc_installed = 0;
 };
+
+using CrashScheduler = TuFastScheduler<FaultyHtm>;
+
+CrashScheduler::Config CrashConfig(DeadlockPolicy policy, bool mvcc) {
+  CrashScheduler::Config cfg;
+  cfg.deadlock_policy = policy;
+  cfg.enable_mvcc = mvcc;
+  return cfg;
+}
+
+/// Flush balance of a quiesced MVCC run (no-op with MVCC off), counted
+/// into the totals so a sweep that installed nothing shows it.
+std::optional<std::string> CheckCrashMvcc(CrashScheduler& tm,
+                                          CrashChaosTotals& totals) {
+  auto* store = tm.mvcc_store();
+  if (store == nullptr) return std::nullopt;
+  ++totals.mvcc_runs;
+  totals.mvcc_installed += store->Counters().installed_nodes;
+  return CheckMvccFlushBalance(*store);
+}
 
 constexpr VertexId kCrashCapacity = 1024;
 constexpr VertexId kCrashSources = 8;    // txn t writes under 2 + t % 8
@@ -402,8 +443,7 @@ std::string CrashTempPath(const char* name, const char* kind, int policy,
 /// vertex so the batch is a single transaction and a single WAL record.
 /// Any prefix of committed transactions satisfies the pair invariant;
 /// a partially applied transaction breaks it.
-template <typename Tm>
-void RunCrashWorkload(Tm& tm, DynamicGraph& dyn,
+void RunCrashWorkload(CrashScheduler& tm, DynamicGraph& dyn,
                       BasicWalWriter<StressFailpoints>* writer, int threads,
                       uint64_t first_txn, uint64_t txns) {
   std::atomic<uint64_t> next{first_txn};
@@ -481,27 +521,25 @@ std::optional<std::string> CheckCrashState(const DynamicGraph& dyn,
   return std::nullopt;
 }
 
-template <typename Scheduler>
-std::optional<std::string> CrashCheckpointCase(const char* name,
-                                               DeadlockPolicy policy,
-                                               const BenchFlags& flags,
+std::optional<std::string> CrashCheckpointCase(const BenchFlags& flags,
                                                CrashChaosTotals& totals) {
-  const std::string wal_path = CrashTempPath(name, "ckwal", 0, 0);
-  const std::string ck_path = CrashTempPath(name, "ckpt", 0, 0);
+  const std::string wal_path = CrashTempPath("tufast", "ckwal", 0, 0);
+  const std::string ck_path = CrashTempPath("tufast", "ckpt", 0, 0);
   const uint64_t phase1 = flags.quick ? 50 : 100;
   const uint64_t phase2 = 40;
 
   DynamicGraph live(kCrashCapacity, {.weighted = true});
   live.EnsureVerticesQuiesced(kCrashCapacity);
   FaultyHtm htm;
-  auto tm = MakeSchedulerFor<Scheduler>(htm, kCrashCapacity, policy);
+  CrashScheduler tm(htm, kCrashCapacity,
+                    CrashConfig(DeadlockPolicy::kDetection, /*mvcc=*/false));
   BasicWalWriter<StressFailpoints> writer(wal_path);
   if (!writer.ok()) return "cannot open wal at " + wal_path;
-  tm->EnableWal(&writer);
+  tm.EnableWal(&writer);
 
   // Clean phase 1, then a checkpoint attempt that dies halfway and
   // leaves a torn image at the final path.
-  RunCrashWorkload(*tm, live, &writer, flags.threads, 0, phase1);
+  RunCrashWorkload(tm, live, &writer, flags.threads, 0, phase1);
   ++totals.runs;
   {
     FailpointPlan::Config pc;
@@ -541,11 +579,11 @@ std::optional<std::string> CrashCheckpointCase(const char* name,
     plan.ForceAt(FailSite::kWalTornWrite, 0, 8 + flags.seed % 8,
                  FailAction::kFail);
     FailpointScope scope(plan);
-    RunCrashWorkload(*tm, live, &writer, flags.threads, phase1, phase2);
+    RunCrashWorkload(tm, live, &writer, flags.threads, phase1, phase2);
   }
   ++totals.runs;
   if (writer.crashed()) ++totals.crashes;
-  const SchedulerStats stats = tm->AggregatedStats();
+  const SchedulerStats stats = tm.AggregatedStats();
   totals.wal_records += stats.wal_records;
   totals.wal_bytes += stats.wal_bytes;
   totals.wal_fsyncs += writer.fsyncs();
@@ -564,16 +602,10 @@ std::optional<std::string> CrashCheckpointCase(const char* name,
   return std::nullopt;
 }
 
-template <typename Scheduler>
-bool CrashChaosScheduler(const char* name, const BenchFlags& flags,
-                         CrashChaosTotals& totals) {
-  std::vector<DeadlockPolicy> policies;
-  if constexpr (kSchedulerUsesPolicy<Scheduler, FaultyHtm>) {
-    policies = {DeadlockPolicy::kDetection, DeadlockPolicy::kPrevention,
-                DeadlockPolicy::kTimeout};
-  } else {
-    policies = {DeadlockPolicy::kDetection};
-  }
+bool RunCrashChaos(const BenchFlags& flags, CrashChaosTotals& totals) {
+  const DeadlockPolicy policies[] = {DeadlockPolicy::kDetection,
+                                     DeadlockPolicy::kPrevention,
+                                     DeadlockPolicy::kTimeout};
   const FailSite sites[] = {FailSite::kWalTornWrite, FailSite::kWalShortWrite,
                             FailSite::kCrashBeforeFsync};
   int policy_idx = 0;
@@ -581,10 +613,12 @@ bool CrashChaosScheduler(const char* name, const BenchFlags& flags,
     int site_idx = 0;
     for (FailSite site : sites) {
       const uint64_t seed = flags.seed + site_idx + 3 * policy_idx;
+      // MVCC and the WAL together in every other run.
+      const bool mvcc = (policy_idx + site_idx) % 2 == 1;
       const std::string wal_path =
-          CrashTempPath(name, "wal", policy_idx, site_idx);
+          CrashTempPath("tufast", "wal", policy_idx, site_idx);
       const std::string wal2_path =
-          CrashTempPath(name, "wal2", policy_idx, site_idx);
+          CrashTempPath("tufast", "wal2", policy_idx, site_idx);
       const uint64_t phase1 = flags.quick ? 60 : 120;
       std::optional<std::string> err;
 
@@ -594,12 +628,12 @@ bool CrashChaosScheduler(const char* name, const BenchFlags& flags,
       uint64_t durable = 0;
       {
         FaultyHtm htm;
-        auto tm = MakeSchedulerFor<Scheduler>(htm, kCrashCapacity, policy);
+        CrashScheduler tm(htm, kCrashCapacity, CrashConfig(policy, mvcc));
         BasicWalWriter<StressFailpoints> writer(wal_path);
         if (!writer.ok()) {
           err = "cannot open wal at " + wal_path;
         } else {
-          tm->EnableWal(&writer);
+          tm.EnableWal(&writer);
           FailpointPlan::Config pc;
           pc.seed = seed;
           FailpointPlan plan(pc);
@@ -607,14 +641,15 @@ bool CrashChaosScheduler(const char* name, const BenchFlags& flags,
           plan.ForceAt(site, 0, 4 + seed % 8, FailAction::kFail);
           {
             FailpointScope scope(plan);
-            RunCrashWorkload(*tm, live, &writer, flags.threads, 0, phase1);
+            RunCrashWorkload(tm, live, &writer, flags.threads, 0, phase1);
           }
           crashed = writer.crashed();
           durable = writer.durable_seq();
-          const SchedulerStats stats = tm->AggregatedStats();
+          const SchedulerStats stats = tm.AggregatedStats();
           totals.wal_records += stats.wal_records;
           totals.wal_bytes += stats.wal_bytes;
           totals.wal_fsyncs += writer.fsyncs();
+          err = CheckCrashMvcc(tm, totals);
         }
       }
       ++totals.runs;
@@ -663,16 +698,16 @@ bool CrashChaosScheduler(const char* name, const BenchFlags& flags,
       // a fresh log — as if nothing happened.
       if (!err) {
         FaultyHtm htm2;
-        auto tm2 = MakeSchedulerFor<Scheduler>(htm2, kCrashCapacity, policy);
+        CrashScheduler tm2(htm2, kCrashCapacity, CrashConfig(policy, mvcc));
         BasicWalWriter<StressFailpoints> writer2(wal2_path);
         if (!writer2.ok()) {
           err = "cannot open wal at " + wal2_path;
         } else {
-          tm2->EnableWal(&writer2);
+          tm2.EnableWal(&writer2);
           const uint64_t phase2 = 40;
-          RunCrashWorkload(*tm2, recovered, nullptr, flags.threads, phase1,
+          RunCrashWorkload(tm2, recovered, nullptr, flags.threads, phase1,
                            phase2);
-          const SchedulerStats stats = tm2->AggregatedStats();
+          const SchedulerStats stats = tm2.AggregatedStats();
           totals.wal_records += stats.wal_records;
           totals.wal_bytes += stats.wal_bytes;
           totals.wal_fsyncs += writer2.fsyncs();
@@ -682,13 +717,14 @@ bool CrashChaosScheduler(const char* name, const BenchFlags& flags,
                   std::to_string(writer2.records()) + " published, durable " +
                   std::to_string(writer2.durable_seq());
           }
+          if (!err) err = CheckCrashMvcc(tm2, totals);
         }
       }
       if (err) {
         std::fprintf(stderr,
-                     "FAIL %s policy=%s site=%s: %s\n"
+                     "FAIL tufast policy=%s site=%s mvcc=%d: %s\n"
                      "replay: --crash-chaos --seed=%llu --threads=%d\n",
-                     name, PolicyName(policy), FailSiteName(site),
+                     PolicyName(policy), FailSiteName(site), mvcc ? 1 : 0,
                      err->c_str(), static_cast<unsigned long long>(flags.seed),
                      flags.threads);
         return false;
@@ -699,13 +735,12 @@ bool CrashChaosScheduler(const char* name, const BenchFlags& flags,
     }
     ++policy_idx;
   }
-  if (auto err = CrashCheckpointCase<Scheduler>(name, policies.front(), flags,
-                                                totals)) {
+  if (auto err = CrashCheckpointCase(flags, totals)) {
     std::fprintf(stderr,
-                 "FAIL %s checkpoint case: %s\n"
+                 "FAIL tufast checkpoint case: %s\n"
                  "replay: --crash-chaos --seed=%llu --threads=%d\n",
-                 name, err->c_str(),
-                 static_cast<unsigned long long>(flags.seed), flags.threads);
+                 err->c_str(), static_cast<unsigned long long>(flags.seed),
+                 flags.threads);
     return false;
   }
   return true;
@@ -717,8 +752,10 @@ bool CrashChaosScheduler(const char* name, const BenchFlags& flags,
 /// disposition). The log then recovers into a fresh graph that a fresh
 /// engine serves — the re-admitted traffic conserves on its own fresh
 /// counters, so nothing is double-counted across the recovery boundary.
+/// MVCC is on throughout, so the serving reads go through snapshots
+/// while the log crashes.
 bool RunServeCrash(const BenchFlags& flags, CrashChaosTotals& totals) {
-  using Scheduler = TuFastScheduler<FaultyHtm>;
+  using Scheduler = CrashScheduler;
   using Engine = serving::ServeEngine<Scheduler>;
   const uint64_t requests = flags.quick ? 1500 : 4000;
   const std::string wal_path = CrashTempPath("serve", "wal", 0, 0);
@@ -727,7 +764,8 @@ bool RunServeCrash(const BenchFlags& flags, CrashChaosTotals& totals) {
 
   FaultyHtm htm;
   auto dyn = std::make_unique<DynamicGraph>(VertexId{64});
-  Scheduler::Config cfg;
+  const Scheduler::Config cfg =
+      CrashConfig(DeadlockPolicy::kDetection, /*mvcc=*/true);
   Scheduler tm(htm, dyn->capacity(), cfg);
   BasicWalWriter<StressFailpoints> writer(wal_path);
   if (!writer.ok()) {
@@ -794,6 +832,7 @@ bool RunServeCrash(const BenchFlags& flags, CrashChaosTotals& totals) {
   totals.wal_records += stats.wal_records;
   totals.wal_bytes += stats.wal_bytes;
   totals.wal_fsyncs += writer.fsyncs();
+  if (!err) err = CheckCrashMvcc(tm, totals);
 
   // Recover the serving graph and re-serve on top of it.
   DynamicGraph rec(VertexId{64});
@@ -845,6 +884,7 @@ bool RunServeCrash(const BenchFlags& flags, CrashChaosTotals& totals) {
     totals.wal_records += stats2.wal_records;
     totals.wal_bytes += stats2.wal_bytes;
     totals.wal_fsyncs += writer2.fsyncs();
+    if (!err) err = CheckCrashMvcc(tm2, totals);
   }
   if (err) {
     std::fprintf(stderr,
@@ -867,17 +907,7 @@ int Main(int argc, char** argv) {
   if (flags.crash_chaos) {
     CrashChaosTotals ct;
     bool ok = true;
-    ok = ok && CrashChaosScheduler<TuFastScheduler<FaultyHtm>>("tufast", flags,
-                                                               ct);
-    ok = ok && CrashChaosScheduler<TwoPhaseLocking<FaultyHtm>>("2pl", flags,
-                                                               ct);
-    ok = ok && CrashChaosScheduler<SiloOcc<FaultyHtm>>("silo", flags, ct);
-    ok = ok &&
-         CrashChaosScheduler<TimestampOrdering<FaultyHtm>>("to", flags, ct);
-    ok = ok && CrashChaosScheduler<TinyStm<FaultyHtm>>("tinystm", flags, ct);
-    ok = ok && CrashChaosScheduler<HsyncHybrid<FaultyHtm>>("hsync", flags, ct);
-    ok = ok && CrashChaosScheduler<HtmTimestampOrdering<FaultyHtm>>("hto",
-                                                                    flags, ct);
+    ok = ok && RunCrashChaos(flags, ct);
     ok = ok && RunServeCrash(flags, ct);
     ReportTable table({"metric", "value"});
     table.AddRow({"crash runs", ReportTable::Int(ct.runs)});
@@ -889,6 +919,9 @@ int Main(int argc, char** argv) {
     table.AddRow({"torn tails detected", ReportTable::Int(ct.torn_tails)});
     table.AddRow({"checkpoint recoveries",
                   ReportTable::Int(ct.checkpoint_recoveries)});
+    table.AddRow({"mvcc runs", ReportTable::Int(ct.mvcc_runs)});
+    table.AddRow(
+        {"mvcc versions installed", ReportTable::Int(ct.mvcc_installed)});
     table.AddRow({"verdict", ok ? "PASS" : "FAIL"});
     table.Print("stress fuzz (crash chaos)");
     return ok ? 0 : 1;
@@ -915,19 +948,24 @@ int Main(int argc, char** argv) {
 
   FuzzTotals totals;
   bool ok = true;
-  ok = ok && FuzzScheduler<TuFastScheduler<FaultyHtm>>("tufast", flags, seeds,
-                                                       totals);
-  ok = ok && FuzzScheduler<TwoPhaseLocking<FaultyHtm>>("2pl", flags, seeds,
-                                                       totals);
-  ok = ok && FuzzScheduler<SiloOcc<FaultyHtm>>("silo", flags, seeds, totals);
-  ok = ok && FuzzScheduler<TimestampOrdering<FaultyHtm>>("to", flags, seeds,
+  if (flags.mvcc_chaos) {
+    ok = FuzzScheduler<TuFastScheduler<FaultyHtm>, /*kMvcc=*/true>(
+        "tufast", flags, seeds, totals);
+  } else {
+    ok = ok && FuzzScheduler<TuFastScheduler<FaultyHtm>>("tufast", flags,
+                                                         seeds, totals);
+    ok = ok && FuzzScheduler<TwoPhaseLocking<FaultyHtm>>("2pl", flags, seeds,
                                                          totals);
-  ok = ok &&
-       FuzzScheduler<TinyStm<FaultyHtm>>("tinystm", flags, seeds, totals);
-  ok = ok &&
-       FuzzScheduler<HsyncHybrid<FaultyHtm>>("hsync", flags, seeds, totals);
-  ok = ok && FuzzScheduler<HtmTimestampOrdering<FaultyHtm>>("hto", flags,
-                                                            seeds, totals);
+    ok = ok && FuzzScheduler<SiloOcc<FaultyHtm>>("silo", flags, seeds, totals);
+    ok = ok && FuzzScheduler<TimestampOrdering<FaultyHtm>>("to", flags, seeds,
+                                                           totals);
+    ok = ok &&
+         FuzzScheduler<TinyStm<FaultyHtm>>("tinystm", flags, seeds, totals);
+    ok = ok &&
+         FuzzScheduler<HsyncHybrid<FaultyHtm>>("hsync", flags, seeds, totals);
+    ok = ok && FuzzScheduler<HtmTimestampOrdering<FaultyHtm>>("hto", flags,
+                                                              seeds, totals);
+  }
 
   ReportTable table({"metric", "value"});
   table.AddRow({"suite runs", ReportTable::Int(totals.runs)});

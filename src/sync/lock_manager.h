@@ -44,16 +44,16 @@ class LockManager {
   LockTable<Htm>& table() { return table_; }
   DeadlockPolicy policy() const { return policy_; }
 
-  /// Telemetry hook fired on the victim's own thread whenever an
+  /// Telemetry callback fired on the victim's own thread whenever an
   /// Acquire*/Upgrade picks the caller as deadlock victim: `cycle` is
   /// true when waits-for cycle detection fired, false when a liveness
   /// wait bound expired (timeout recovery). Cold path only — the check
-  /// sits behind lock-acquisition failure, so registering no hook (the
+  /// sits behind lock-acquisition failure, so registering no callback (the
   /// NullTelemetry build) costs one untaken branch per victim abort.
-  using VictimHook = void (*)(void* ctx, int slot, VertexId vertex,
-                              bool cycle);
-  void SetVictimHook(VictimHook hook, void* ctx) {
-    victim_hook_ = hook;
+  using VictimCallback = void (*)(void* ctx, int slot, VertexId vertex,
+                                  bool cycle);
+  void SetVictimCallback(VictimCallback callback, void* ctx) {
+    victim_callback_ = callback;
     victim_ctx_ = ctx;
   }
 
@@ -239,13 +239,15 @@ class LockManager {
   }
 
   void NotifyVictim(int slot, VertexId v, bool cycle) {
-    if (victim_hook_ != nullptr) victim_hook_(victim_ctx_, slot, v, cycle);
+    if (victim_callback_ != nullptr) {
+      victim_callback_(victim_ctx_, slot, v, cycle);
+    }
   }
 
   LockTable<Htm>& table_;
   const DeadlockPolicy policy_;
   DeadlockGraph graph_;
-  VictimHook victim_hook_ = nullptr;
+  VictimCallback victim_callback_ = nullptr;
   void* victim_ctx_ = nullptr;
   const ProgressSignals* progress_ = nullptr;
 };

@@ -463,33 +463,17 @@ std::unique_ptr<Scheduler> MakeSchedulerFor(Htm& htm, VertexId vertices,
   }
 }
 
-/// Detects a scheduler Config with the MVCC switch (TuFast).
-template <typename S, typename = void>
-struct SchedulerConfigHasMvccKnob : std::false_type {};
-template <typename S>
-struct SchedulerConfigHasMvccKnob<
-    S, std::void_t<decltype(std::declval<typename S::Config&>()
-                                .enable_mvcc)>> : std::true_type {};
-
-/// MVCC-enabled counterpart of MakeSchedulerFor: TuFast switches on
-/// Config::enable_mvcc, the six baselines expose EnableMvcc(). Either
-/// way the returned scheduler installs versions on every commit and
-/// serves RunReadOnly() from snapshots.
+/// MVCC-enabled counterpart of MakeSchedulerFor for TuFast, the one
+/// scheduler with a version store (Config::enable_mvcc): the returned
+/// scheduler installs versions on every commit and serves RunReadOnly()
+/// from snapshots.
 template <typename Scheduler, typename Htm>
 std::unique_ptr<Scheduler> MakeMvccSchedulerFor(Htm& htm, VertexId vertices,
                                                 DeadlockPolicy policy) {
-  if constexpr (SchedulerConfigHasMvccKnob<Scheduler>::value) {
-    typename Scheduler::Config config;
-    if constexpr (SchedulerConfigHasPolicy<Scheduler>::value) {
-      config.deadlock_policy = policy;
-    }
-    config.enable_mvcc = true;
-    return std::make_unique<Scheduler>(htm, vertices, config);
-  } else {
-    auto tm = MakeSchedulerFor<Scheduler>(htm, vertices, policy);
-    tm->EnableMvcc();
-    return tm;
-  }
+  typename Scheduler::Config config;
+  config.deadlock_policy = policy;
+  config.enable_mvcc = true;
+  return std::make_unique<Scheduler>(htm, vertices, config);
 }
 
 }  // namespace tufast

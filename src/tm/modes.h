@@ -113,6 +113,36 @@ class HTxn {
 /// Outcome of OTxn's software commit phase.
 enum class OCommitResult { kOk, kLockBusy, kValidationFail };
 
+/// One buffered software write (O and L mode write logs).
+struct BufferedWrite {
+  TmWord* addr;
+  TmWord value;
+  VertexId vertex;
+};
+
+/// The software publish step shared by O-mode (OTxn::CommitSoftware) and
+/// L-mode (LTxn::CommitApplyAndRelease) commits. The caller holds every
+/// written vertex exclusively and has decided the commit. In order:
+/// install the MVCC pre-images while live memory still holds them, append
+/// the WAL record (log order matches publication order; the fsync waits
+/// for the group-commit barrier after release, AccountWalCommit), store
+/// the writes non-transactionally (dooming subscribed hardware
+/// transactions), end the install. Null `mvcc` / `wal` = layer off. H-mode
+/// commits run the same steps through InstallCommitHooks.
+template <typename Htm>
+TUFAST_ALWAYS_INLINE void PublishBufferedWrites(
+    Htm& htm, BasicMvccStore<HtmFailpoints<Htm>>* mvcc, WalRecorder* wal,
+    int slot, const std::vector<BufferedWrite>& writes) {
+  if (TUFAST_UNLIKELY(mvcc != nullptr)) {
+    mvcc->BeginInstall(slot, writes, [](const BufferedWrite& w) {
+      return MvccWrite{w.vertex, w.addr};
+    });
+  }
+  if (TUFAST_UNLIKELY(wal != nullptr) && !wal->empty()) wal->Publish();
+  for (const BufferedWrite& w : writes) htm.NonTxStore(w.addr, w.value);
+  if (TUFAST_UNLIKELY(mvcc != nullptr)) mvcc->EndInstall(slot);
+}
+
 template <typename Htm>
 class OTxn {
  public:
@@ -183,7 +213,7 @@ class OTxn {
         reinterpret_cast<uintptr_t>(addr),
         static_cast<uint32_t>(writes_.size()), &inserted);
     if (inserted) {
-      writes_.push_back(WriteEntry{addr, value, v});
+      writes_.push_back(BufferedWrite{addr, value, v});
     } else {
       writes_[*idx].value = value;
     }
@@ -208,7 +238,7 @@ class OTxn {
   /// hardware transactions), release.
   OCommitResult CommitSoftware() {
     write_vertices_.clear();
-    for (const WriteEntry& w : writes_) write_vertices_.push_back(w.vertex);
+    for (const BufferedWrite& w : writes_) write_vertices_.push_back(w.vertex);
     std::sort(write_vertices_.begin(), write_vertices_.end());
     write_vertices_.erase(
         std::unique(write_vertices_.begin(), write_vertices_.end()),
@@ -234,20 +264,9 @@ class OTxn {
       }
     }
 
-    // Versions install after validation (commit is decided) and before
-    // publication (live memory still holds the pre-images); the written
-    // vertices stay exclusively locked across the whole window.
-    if (TUFAST_UNLIKELY(mvcc_ != nullptr)) {
-      mvcc_->BeginInstall(htx_.slot(), writes_, [](const WriteEntry& w) {
-        return MvccWrite{w.vertex, w.addr};
-      });
-    }
-    // The WAL record is appended inside the same exclusive window, so log
-    // order matches publication order; the fsync waits for the group
-    // commit barrier after release (AccountWalCommit).
-    if (TUFAST_UNLIKELY(wal_ != nullptr) && !wal_->empty()) wal_->Publish();
-    for (const WriteEntry& w : writes_) htm_.NonTxStore(w.addr, w.value);
-    if (TUFAST_UNLIKELY(mvcc_ != nullptr)) mvcc_->EndInstall(htx_.slot());
+    // Validated: the commit is decided and the written vertices stay
+    // exclusively locked until the publish is done.
+    PublishBufferedWrites(htm_, mvcc_, wal_, htx_.slot(), writes_);
     ReleaseExclusive(write_vertices_.size());
     return OCommitResult::kOk;
   }
@@ -264,11 +283,6 @@ class OTxn {
  private:
   struct ReadEntry {
     const TmWord* addr;
-    TmWord value;
-    VertexId vertex;
-  };
-  struct WriteEntry {
-    TmWord* addr;
     TmWord value;
     VertexId vertex;
   };
@@ -304,7 +318,7 @@ class OTxn {
   uint32_t segment_ops_ = 0;
   uint64_t ops_ = 0;
   std::vector<ReadEntry> reads_;
-  std::vector<WriteEntry> writes_;
+  std::vector<BufferedWrite> writes_;
   std::vector<VertexId> write_vertices_;
   AddrMap write_map_;
 };
@@ -368,7 +382,7 @@ class LTxn {
         reinterpret_cast<uintptr_t>(addr),
         static_cast<uint32_t>(writes_.size()), &inserted);
     if (inserted) {
-      writes_.push_back(WriteEntry{addr, value, v});
+      writes_.push_back(BufferedWrite{addr, value, v});
     } else {
       writes_[*idx].value = value;
     }
@@ -387,16 +401,7 @@ class LTxn {
   /// Strict 2PL commit: publish buffered writes (all their vertices are
   /// exclusively held), then release everything.
   void CommitApplyAndRelease() {
-    if (TUFAST_UNLIKELY(mvcc_ != nullptr)) {
-      mvcc_->BeginInstall(slot_, writes_, [](const WriteEntry& w) {
-        return MvccWrite{w.vertex, w.addr};
-      });
-    }
-    // Log-before-release: the record lands in the group-commit buffer
-    // while every written vertex is still exclusively held.
-    if (TUFAST_UNLIKELY(wal_ != nullptr) && !wal_->empty()) wal_->Publish();
-    for (const WriteEntry& w : writes_) htm_.NonTxStore(w.addr, w.value);
-    if (TUFAST_UNLIKELY(mvcc_ != nullptr)) mvcc_->EndInstall(slot_);
+    PublishBufferedWrites(htm_, mvcc_, wal_, slot_, writes_);
     ReleaseAll();
   }
 
@@ -429,11 +434,6 @@ class LTxn {
   struct Held {
     VertexId vertex;
     bool exclusive;
-  };
-  struct WriteEntry {
-    TmWord* addr;
-    TmWord value;
-    VertexId vertex;
   };
 
   void EnsureAtLeastShared(VertexId v) {
@@ -471,7 +471,7 @@ class LTxn {
   uint64_t ops_ = 0;
   std::vector<Held> held_;
   AddrMap held_map_;
-  std::vector<WriteEntry> writes_;
+  std::vector<BufferedWrite> writes_;
   AddrMap write_map_;
 };
 

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 
-#include "common/spin.h"
-
 namespace tufast {
 
 /// Which execution class a committed TuFast transaction fell into,
@@ -186,18 +184,6 @@ struct DeadlockVictimSignal {};
 /// Internal signal for an O-mode software abort (lock busy / validation
 /// failure) raised outside the hardware segment.
 struct OModeFailSignal {};
-
-/// Shared exponential randomized backoff between deadlock-victim retries
-/// (see TwoPhaseLocking::Run). `attempt` is the number of victim aborts
-/// this transaction has suffered so far.
-template <typename RngT>
-void DeadlockRetryBackoff(RngT& rng, uint32_t attempt) {
-  const uint32_t shift = attempt < 12 ? attempt : 12;
-  const uint64_t window = uint64_t{16} << shift;
-  const uint64_t pauses = 4 + rng.NextBounded(window);
-  Backoff backoff;
-  for (uint64_t i = 0; i < pauses; ++i) backoff.Pause();
-}
 
 }  // namespace tufast
 

@@ -120,8 +120,8 @@ inline uint64_t ConflictBackoff(RngT& rng, uint32_t attempt) {
 
 /// Progress-guard context threaded into RunLockTxnLoop by the schedulers
 /// that own a guard (TuFast's L mode, the 2PL baseline). The default
-/// (guard == nullptr) reproduces the pre-guard loop: no escalation, no
-/// failpoint-driven re-victimization, legacy backoff pacing.
+/// (guard == nullptr) runs the loop without escalation or failpoint-
+/// driven re-victimization; victim retries always pay ConflictBackoff.
 struct ProgressContext {
   ProgressGuard* guard = nullptr;
   /// Lock-manager slot of the worker (== worker id everywhere).
@@ -129,10 +129,6 @@ struct ProgressContext {
   /// Failed attempts the transaction already accumulated in earlier
   /// modes (H/O), so the escalation ladder sees the whole transaction.
   uint32_t prior_aborts = 0;
-  /// false = pace victim retries with the legacy DeadlockRetryBackoff
-  /// (bit-for-bit the pre-guard behavior); true = ConflictBackoff with
-  /// backoff telemetry.
-  bool enable_backoff = true;
 };
 
 }  // namespace tufast

@@ -2,13 +2,11 @@
 #define TUFAST_TM_SCHEDULER_HSYNC_H_
 
 #include <bit>
-#include <memory>
 #include <vector>
 
 #include "common/spin.h"
 #include "common/types.h"
 #include "htm/htm_config.h"
-#include "mvcc/version_store.h"
 #include "tm/outcome.h"
 #include "tm/telemetry.h"
 #include "tm/worker_runtime.h"
@@ -29,23 +27,15 @@ class HsyncHybrid {
     int htm_retries = 8;
   };
 
-  using Mvcc = BasicMvccStore<HtmFailpoints<Htm>>;
-
-  HsyncHybrid(Htm& htm, VertexId num_vertices = 0, Config config = {})
-      : htm_(htm), num_vertices_(num_vertices), config_(config),
-        runtime_(0x45c0u) {}
+  HsyncHybrid(Htm& htm, VertexId /*num_vertices*/ = 0, Config config = {})
+      : htm_(htm), config_(config), runtime_(0x45c0u) {}
   TUFAST_DISALLOW_COPY_AND_MOVE(HsyncHybrid);
 
   /// Hardware-path transaction context.
   class HwTxn {
    public:
-    HwTxn(typename Htm::Tx& htx, const TmWord* global_lock,
-          MvccRecorder* recorder = nullptr, WalRecorder* wal = nullptr)
-        : htx_(htx), global_lock_(global_lock), recorder_(recorder),
-          wal_(wal) {
-      // Hardware-path publishes ride the Tx commit hooks; arm them.
-      if (TUFAST_UNLIKELY(wal_ != nullptr)) wal_->hw_armed = true;
-    }
+    HwTxn(typename Htm::Tx& htx, const TmWord* global_lock)
+        : htx_(htx), global_lock_(global_lock) {}
 
     TmWord Read(VertexId /*v*/, const TmWord* addr) {
       ++ops_;
@@ -55,9 +45,8 @@ class HsyncHybrid {
       return Read(v, addr);  // Optimistic/timestamped: no early locking.
     }
 
-    void Write(VertexId v, TmWord* addr, TmWord value) {
+    void Write(VertexId /*v*/, TmWord* addr, TmWord value) {
       ++ops_;
-      if (TUFAST_UNLIKELY(recorder_ != nullptr)) recorder_->Record(v, addr);
       htx_.Store(addr, value);
     }
     double ReadDouble(VertexId v, const double* addr) {
@@ -81,17 +70,9 @@ class HsyncHybrid {
     uint64_t ops() const { return ops_; }
     void ResetOps() { ops_ = 0; }
 
-    /// Durable builds: stage one logical mutation for the WAL.
-    void WalNote(const EdgeUpdate& up) {
-      if (TUFAST_UNLIKELY(wal_ != nullptr)) wal_->Note(up);
-    }
-    WalRecorder* wal_recorder() const { return wal_; }
-
    private:
     typename Htm::Tx& htx_;
     const TmWord* global_lock_;
-    MvccRecorder* recorder_;
-    WalRecorder* wal_;
     uint64_t ops_ = 0;
   };
 
@@ -113,9 +94,9 @@ class HsyncHybrid {
       return Read(v, addr);  // Optimistic/timestamped: no early locking.
     }
 
-    void Write(VertexId v, TmWord* addr, TmWord value) {
+    void Write(VertexId /*v*/, TmWord* addr, TmWord value) {
       ++ops_;
-      pending_.push_back({addr, value, v});
+      pending_.push_back({addr, value});
     }
     double ReadDouble(VertexId v, const double* addr) {
       return std::bit_cast<double>(
@@ -128,21 +109,13 @@ class HsyncHybrid {
 
     uint64_t ops() const { return ops_; }
 
-    /// Durable builds: stage one logical mutation for the WAL.
-    void WalNote(const EdgeUpdate& up) {
-      if (TUFAST_UNLIKELY(wal_ != nullptr)) wal_->Note(up);
-    }
-    WalRecorder* wal_recorder() const { return wal_; }
-
    private:
     friend class HsyncHybrid;
     struct Pending {
       TmWord* addr;
       TmWord value;
-      VertexId vertex;  // MVCC version-chain owner (unused otherwise).
     };
     Htm& htm_;
-    WalRecorder* wal_ = nullptr;
     uint64_t ops_ = 0;
     std::vector<Pending> pending_;
 
@@ -159,10 +132,7 @@ class HsyncHybrid {
     Worker& w = runtime_.GetWorker(worker_id, *this);
     w.telemetry.TxnBegin();
     w.telemetry.EnterMode(SchedMode::kHardware);
-    WalRecorder* wal =
-        wal_sink_ != nullptr ? &w.state.wal_recorder : nullptr;
-    HwTxn hw(w.state.htx, &global_lock_,
-             mvcc_ != nullptr ? &w.state.recorder : nullptr, wal);
+    HwTxn hw(w.state.htx, &global_lock_);
     uint32_t txn_aborts = 0;
     for (int attempt = 0; attempt <= config_.htm_retries; ++attempt) {
       BeatAttempt(w);
@@ -172,7 +142,6 @@ class HsyncHybrid {
         fn(hw);
       });
       if (status.ok()) {
-        AccountWalCommit(w, wal);  // Ack barrier: HW commit done.
         w.stats.RecordCommit(TxnClass::kH, hw.ops());
         w.telemetry.TxnCommit(TxnClass::kH, hw.ops());
         BeatCommit(w);
@@ -198,13 +167,6 @@ class HsyncHybrid {
     BeatAttempt(w);
     AcquireGlobalLock();
     FallbackTxn fb(htm_);
-    if (TUFAST_UNLIKELY(wal != nullptr)) {
-      // Drop residue from the failed hardware attempts and route staged
-      // notes through the software publish below, not the Tx hooks.
-      wal->hw_armed = false;
-      wal->Clear();
-      fb.wal_ = wal;
-    }
     try {
       fn(fb);
     } catch (const UserAbortSignal&) {
@@ -216,63 +178,12 @@ class HsyncHybrid {
       ReleaseGlobalLock();
       throw;
     }
-    // MVCC: the global lock (which every hardware attempt subscribes)
-    // is exclusive ownership of the whole conflict space; pre-images
-    // are captured before the pending writes land. Duplicates in the
-    // pending log are fine — they capture identical pre-images.
-    if (TUFAST_UNLIKELY(mvcc_ != nullptr)) {
-      mvcc_->BeginInstall(worker_id, fb.pending_,
-                          [](const typename FallbackTxn::Pending& p) {
-                            return MvccWrite{p.vertex, p.addr};
-                          });
-    }
-    // WAL record lands under the global lock (exclusive window), so log
-    // order matches commit order; the fsync waits for the group-commit
-    // barrier after the lock is released.
-    if (TUFAST_UNLIKELY(wal != nullptr) && !wal->empty()) {
-      wal->Publish();
-    }
     for (const auto& p : fb.pending_) htm_.NonTxStore(p.addr, p.value);
-    if (TUFAST_UNLIKELY(mvcc_ != nullptr)) mvcc_->EndInstall(worker_id);
     ReleaseGlobalLock();
-    AccountWalCommit(w, wal);  // Ack barrier: global lock released.
     w.stats.RecordCommit(TxnClass::kL, fb.ops());
     w.telemetry.TxnCommit(TxnClass::kL, fb.ops());
     BeatCommit(w);
     return RunOutcome{true, TxnClass::kL, fb.ops(), txn_aborts};
-  }
-
-  /// Attaches an MVCC version store (DESIGN.md "MVCC snapshot reads"):
-  /// commits install pre-image versions and RunReadOnly() becomes an
-  /// abort-free snapshot read. Requires the graph-sized constructor
-  /// (num_vertices > 0); call before the first transaction.
-  void EnableMvcc() {
-    TUFAST_CHECK(num_vertices_ > 0);
-    if (mvcc_ == nullptr) {
-      // The hardware path installs through Tx commit hooks; a hook-less
-      // backend would hand snapshot readers torn history.
-      TUFAST_CHECK(kHtmTxHasCommitHooks<Htm>);
-      mvcc_ = std::make_unique<Mvcc>(num_vertices_);
-    }
-  }
-  Mvcc* mvcc_store() { return mvcc_.get(); }
-
-  /// Attaches a WAL sink (durability/wal.h): commits publish their
-  /// staged mutations as checksummed records and Run() acks only after
-  /// the group commit made them durable. The hardware path publishes
-  /// through Tx commit hooks; call before the first transaction.
-  void EnableWal(WalSink* sink) {
-    TUFAST_CHECK(kHtmTxHasCommitHooks<Htm>);
-    wal_sink_ = sink;
-  }
-
-  /// Read-only transaction: an abort-free snapshot read once EnableMvcc
-  /// was called, an ordinary hybrid Run() otherwise.
-  template <typename Fn>
-  RunOutcome RunReadOnly(int worker_id, uint64_t size_hint, Fn&& fn) {
-    if (mvcc_ == nullptr) return Run(worker_id, size_hint, fn);
-    Worker& w = runtime_.GetWorker(worker_id, *this);
-    return RunSnapshotReadOnly(*mvcc_, w, worker_id, fn);
   }
 
   SchedulerStats AggregatedStats() const { return runtime_.AggregatedStats(); }
@@ -286,26 +197,8 @@ class HsyncHybrid {
 
  private:
   struct State {
-    State(HsyncHybrid& parent, int slot) : htx(parent.htm_, slot) {
-      hook_ctx.slot = slot;
-      if (parent.mvcc_ != nullptr) {
-        hook_ctx.store = parent.mvcc_.get();
-        hook_ctx.recorder = &recorder;
-      }
-      if (parent.wal_sink_ != nullptr) {
-        wal_recorder.SetSink(parent.wal_sink_);
-        hook_ctx.wal = &wal_recorder;
-      }
-      if (parent.mvcc_ != nullptr || parent.wal_sink_ != nullptr) {
-        if constexpr (kHtmTxHasCommitHooks<Htm>) {
-          InstallCommitHooks(htx, hook_ctx);
-        }
-      }
-    }
+    State(HsyncHybrid& parent, int slot) : htx(parent.htm_, slot) {}
     typename Htm::Tx htx;
-    MvccRecorder recorder;
-    WalRecorder wal_recorder;
-    CommitHookCtx<Mvcc> hook_ctx;
   };
   using Runtime = WorkerRuntime<State, Telemetry>;
   using Worker = typename Runtime::Worker;
@@ -330,10 +223,7 @@ class HsyncHybrid {
   }
 
   Htm& htm_;
-  const VertexId num_vertices_;
   const Config config_;
-  std::unique_ptr<Mvcc> mvcc_;
-  WalSink* wal_sink_ = nullptr;
   alignas(kCacheLineBytes) TmWord global_lock_ = 0;
   Runtime runtime_;
 };

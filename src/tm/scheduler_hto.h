@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <bit>
-#include <memory>
 
 #include "common/rng.h"
 #include "common/spin.h"
@@ -32,8 +31,6 @@ class HtmTimestampOrdering {
     int htm_retries = 4;
   };
 
-  using Mvcc = typename TimestampOrdering<Htm, Telemetry>::Mvcc;
-
   HtmTimestampOrdering(Htm& htm, VertexId num_vertices, Config config = {})
       : htm_(htm),
         config_(config),
@@ -45,23 +42,13 @@ class HtmTimestampOrdering {
   /// timestamp maintenance.
   class HwTxn {
    public:
-    HwTxn(HtmTimestampOrdering& parent, typename Htm::Tx& htx,
-          MvccRecorder* recorder = nullptr, WalRecorder* wal = nullptr)
-        : parent_(parent), htx_(htx), recorder_(recorder), wal_(wal) {
-      // Hardware-path publishes ride the Tx commit hooks; arm them.
-      if (TUFAST_UNLIKELY(wal_ != nullptr)) wal_->hw_armed = true;
-    }
+    HwTxn(HtmTimestampOrdering& parent, typename Htm::Tx& htx)
+        : parent_(parent), htx_(htx) {}
 
     void Reset(uint64_t ts) {
       ts_ = ts;
       ops_ = 0;
     }
-
-    /// Durable builds: stage one logical mutation for the WAL.
-    void WalNote(const EdgeUpdate& up) {
-      if (TUFAST_UNLIKELY(wal_ != nullptr)) wal_->Note(up);
-    }
-    WalRecorder* wal_recorder() const { return wal_; }
 
     TmWord Read(VertexId v, const TmWord* addr) {
       ++ops_;
@@ -98,9 +85,6 @@ class HtmTimestampOrdering {
         htx_.template ExplicitAbort<kAbortCodeLockBusy>();
       }
       htx_.Store(wts, ts_);
-      // MVCC: record only the user data word — the wts metadata store
-      // above is scheduler bookkeeping, not snapshot-visible state.
-      if (TUFAST_UNLIKELY(recorder_ != nullptr)) recorder_->Record(v, addr);
       htx_.Store(addr, value);
     }
 
@@ -120,8 +104,6 @@ class HtmTimestampOrdering {
    private:
     HtmTimestampOrdering& parent_;
     typename Htm::Tx& htx_;
-    MvccRecorder* recorder_;
-    WalRecorder* wal_;
     uint64_t ts_ = 0;
     uint64_t ops_ = 0;
   };
@@ -131,16 +113,12 @@ class HtmTimestampOrdering {
     Worker& w = runtime_.GetWorker(worker_id, *this);
     w.telemetry.TxnBegin();
     w.telemetry.EnterMode(SchedMode::kHardware);
-    WalRecorder* wal =
-        wal_sink_ != nullptr ? &w.state.wal_recorder : nullptr;
-    HwTxn hw(*this, w.state.htx,
-             mvcc_ != nullptr ? &w.state.recorder : nullptr, wal);
+    HwTxn hw(*this, w.state.htx);
     uint32_t txn_aborts = 0;
     for (int attempt = 0; attempt <= config_.htm_retries; ++attempt) {
       hw.Reset(fallback_.NextTs());
       const AbortStatus status = w.state.htx.Execute([&] { fn(hw); });
       if (status.ok()) {
-        AccountWalCommit(w, wal);  // Ack barrier: HW commit done.
         w.stats.RecordCommit(TxnClass::kH, hw.ops());
         w.telemetry.TxnCommit(TxnClass::kH, hw.ops());
         return RunOutcome{true, TxnClass::kH, hw.ops(), txn_aborts};
@@ -161,40 +139,6 @@ class HtmTimestampOrdering {
     RunOutcome out = fallback_.Run(worker_id, size_hint, fn);
     out.aborts += txn_aborts;  // The failed hardware attempts count too.
     return out;
-  }
-
-  /// Attaches an MVCC version store (DESIGN.md "MVCC snapshot reads").
-  /// The fallback TO scheduler owns the store and this hybrid's hardware
-  /// path installs into the SAME store through its commit hooks — both
-  /// paths' commits must land on one version timeline. Call before the
-  /// first transaction.
-  void EnableMvcc() {
-    if (mvcc_ == nullptr) {
-      TUFAST_CHECK(kHtmTxHasCommitHooks<Htm>);
-      fallback_.EnableMvcc();
-      mvcc_ = fallback_.mvcc_store();
-    }
-  }
-  Mvcc* mvcc_store() { return mvcc_; }
-
-  /// Attaches a WAL sink (durability/wal.h). The fallback TO scheduler
-  /// publishes under its commit latches; this hybrid's hardware path
-  /// publishes through its Tx commit hooks into the SAME sink — both
-  /// paths' records must land on one log. Call before the first
-  /// transaction.
-  void EnableWal(WalSink* sink) {
-    TUFAST_CHECK(kHtmTxHasCommitHooks<Htm>);
-    fallback_.EnableWal(sink);
-    wal_sink_ = sink;
-  }
-
-  /// Read-only transaction: an abort-free snapshot read once EnableMvcc
-  /// was called, an ordinary hybrid Run() otherwise.
-  template <typename Fn>
-  RunOutcome RunReadOnly(int worker_id, uint64_t size_hint, Fn&& fn) {
-    if (mvcc_ == nullptr) return Run(worker_id, size_hint, fn);
-    Worker& w = runtime_.GetWorker(worker_id, *this);
-    return RunSnapshotReadOnly(*mvcc_, w, worker_id, fn);
   }
 
   SchedulerStats AggregatedStats() const {
@@ -219,26 +163,8 @@ class HtmTimestampOrdering {
 
  private:
   struct State {
-    State(HtmTimestampOrdering& parent, int slot) : htx(parent.htm_, slot) {
-      hook_ctx.slot = slot;
-      if (parent.mvcc_ != nullptr) {
-        hook_ctx.store = parent.mvcc_;
-        hook_ctx.recorder = &recorder;
-      }
-      if (parent.wal_sink_ != nullptr) {
-        wal_recorder.SetSink(parent.wal_sink_);
-        hook_ctx.wal = &wal_recorder;
-      }
-      if (parent.mvcc_ != nullptr || parent.wal_sink_ != nullptr) {
-        if constexpr (kHtmTxHasCommitHooks<Htm>) {
-          InstallCommitHooks(htx, hook_ctx);
-        }
-      }
-    }
+    State(HtmTimestampOrdering& parent, int slot) : htx(parent.htm_, slot) {}
     typename Htm::Tx htx;
-    MvccRecorder recorder;
-    WalRecorder wal_recorder;
-    CommitHookCtx<Mvcc> hook_ctx;
   };
   using Runtime = WorkerRuntime<State, Telemetry>;
   using Worker = typename Runtime::Worker;
@@ -246,8 +172,6 @@ class HtmTimestampOrdering {
   Htm& htm_;
   const Config config_;
   TimestampOrdering<Htm, Telemetry> fallback_;
-  Mvcc* mvcc_ = nullptr;  // Owned by fallback_; set by EnableMvcc().
-  WalSink* wal_sink_ = nullptr;
   Runtime runtime_;
 };
 

@@ -3,13 +3,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <memory>
 #include <vector>
 
 #include "common/spin.h"
 #include "common/types.h"
 #include "htm/htm_config.h"
-#include "mvcc/version_store.h"
 #include "tm/addr_map.h"
 #include "tm/outcome.h"
 #include "tm/telemetry.h"
@@ -25,15 +23,13 @@ namespace tufast {
 template <typename Htm, typename Telemetry = NullTelemetry>
 class SiloOcc {
  public:
-  using Mvcc = BasicMvccStore<HtmFailpoints<Htm>>;
-
   SiloOcc(Htm& htm, VertexId num_vertices)
       : htm_(htm), tids_(num_vertices, 0), runtime_(0x5170u) {}
   TUFAST_DISALLOW_COPY_AND_MOVE(SiloOcc);
 
   class Txn {
    public:
-    Txn(SiloOcc& parent, int slot) : parent_(parent), slot_(slot) {}
+    explicit Txn(SiloOcc& parent) : parent_(parent) {}
     TUFAST_DISALLOW_COPY_AND_MOVE(Txn);
 
     void Reset() {
@@ -41,14 +37,7 @@ class SiloOcc {
       reads_.clear();
       writes_.clear();
       write_map_.Clear();
-      if (TUFAST_UNLIKELY(wal_ != nullptr)) wal_->Clear();
     }
-
-    /// Durable builds: stage one logical mutation for the WAL.
-    void WalNote(const EdgeUpdate& up) {
-      if (TUFAST_UNLIKELY(wal_ != nullptr)) wal_->Note(up);
-    }
-    WalRecorder* wal_recorder() const { return wal_; }
 
     TmWord Read(VertexId v, const TmWord* addr) {
       ++ops_;
@@ -120,8 +109,6 @@ class SiloOcc {
     static constexpr uint32_t kReadSpinLimit = 1000;
 
     SiloOcc& parent_;
-    const int slot_;
-    WalRecorder* wal_ = nullptr;
     uint64_t ops_ = 0;
     std::vector<ReadEntry> reads_;
     std::vector<WriteEntry> writes_;
@@ -138,31 +125,6 @@ class SiloOcc {
         [this](Txn& txn) { return TryCommit(txn); }, [](Txn&) {});
   }
 
-  /// Attaches an MVCC version store (DESIGN.md "MVCC snapshot reads"):
-  /// commits install pre-image versions and RunReadOnly() becomes an
-  /// abort-free snapshot read. Call before the first transaction.
-  void EnableMvcc() {
-    if (mvcc_ == nullptr) {
-      mvcc_ = std::make_unique<Mvcc>(static_cast<VertexId>(tids_.size()));
-    }
-  }
-  Mvcc* mvcc_store() { return mvcc_.get(); }
-
-  /// Attaches a WAL sink (durability/wal.h): commits publish their
-  /// staged mutations as checksummed records and Run() acks only after
-  /// the group commit made them durable. Call before the first
-  /// transaction.
-  void EnableWal(WalSink* sink) { wal_sink_ = sink; }
-
-  /// Read-only transaction: an abort-free snapshot read once EnableMvcc
-  /// was called, an ordinary optimistic Run() otherwise.
-  template <typename Fn>
-  RunOutcome RunReadOnly(int worker_id, uint64_t size_hint, Fn&& fn) {
-    if (mvcc_ == nullptr) return Run(worker_id, size_hint, fn);
-    Worker& w = runtime_.GetWorker(worker_id, *this);
-    return RunSnapshotReadOnly(*mvcc_, w, worker_id, fn);
-  }
-
   SchedulerStats AggregatedStats() const { return runtime_.AggregatedStats(); }
   Telemetry AggregatedTelemetry() const {
     return runtime_.AggregatedTelemetry();
@@ -176,14 +138,8 @@ class SiloOcc {
   struct SiloAbortSignal {};
 
   struct State {
-    State(SiloOcc& parent, int slot) : txn(parent, slot) {
-      if (parent.wal_sink_ != nullptr) {
-        wal_recorder.SetSink(parent.wal_sink_);
-        txn.wal_ = &wal_recorder;
-      }
-    }
+    State(SiloOcc& parent, int /*slot*/) : txn(parent) {}
     Txn txn;
-    WalRecorder wal_recorder;
   };
   using Runtime = WorkerRuntime<State, Telemetry>;
   using Worker = typename Runtime::Worker;
@@ -244,31 +200,14 @@ class SiloOcc {
       }
     }
 
-    // Phase 3: install and bump versions. The MVCC pre-images are
-    // captured while the write set is still TID-locked (exclusive
-    // ownership) and before the new values land in live memory.
-    if (TUFAST_UNLIKELY(mvcc_ != nullptr)) {
-      mvcc_->BeginInstall(txn.slot_, txn.writes_,
-                          [](const typename Txn::WriteEntry& e) {
-                            return MvccWrite{e.vertex, e.addr};
-                          });
-    }
-    // WAL record lands while the write set is still TID-locked, so log
-    // order matches commit order; the fsync waits for the group-commit
-    // barrier after unlock (AccountWalCommit in the retry loop).
-    if (TUFAST_UNLIKELY(txn.wal_ != nullptr) && !txn.wal_->empty()) {
-      txn.wal_->Publish();
-    }
+    // Phase 3: install and bump versions.
     for (const auto& w : txn.writes_) htm_.NonTxStore(w.addr, w.value);
-    if (TUFAST_UNLIKELY(mvcc_ != nullptr)) mvcc_->EndInstall(txn.slot_);
     for (const VertexId v : wv) UnlockTidBump(v);
     return true;
   }
 
   Htm& htm_;
   std::vector<TmWord> tids_;
-  std::unique_ptr<Mvcc> mvcc_;
-  WalSink* wal_sink_ = nullptr;
   Runtime runtime_;
 };
 

@@ -3,13 +3,11 @@
 
 #include <atomic>
 #include <bit>
-#include <memory>
 #include <vector>
 
 #include "common/spin.h"
 #include "common/types.h"
 #include "htm/htm_config.h"
-#include "mvcc/version_store.h"
 #include "tm/addr_map.h"
 #include "tm/outcome.h"
 #include "tm/telemetry.h"
@@ -26,17 +24,14 @@ namespace tufast {
 template <typename Htm, typename Telemetry = NullTelemetry>
 class TinyStm {
  public:
-  using Mvcc = BasicMvccStore<HtmFailpoints<Htm>>;
-
-  explicit TinyStm(Htm& htm, VertexId num_vertices = 0)
-      : htm_(htm), num_vertices_(num_vertices), orecs_(kOrecCount, 0),
-        runtime_(0x57u) {}
+  explicit TinyStm(Htm& htm, VertexId /*num_vertices*/ = 0)
+      : htm_(htm), orecs_(kOrecCount, 0), runtime_(0x57u) {}
   TUFAST_DISALLOW_COPY_AND_MOVE(TinyStm);
 
   class Txn {
    public:
     explicit Txn(TinyStm& parent, int slot)
-        : parent_(parent), slot_(slot),
+        : parent_(parent),
           owner_mark_((static_cast<uint64_t>(slot) << 1) | 1) {}
     TUFAST_DISALLOW_COPY_AND_MOVE(Txn);
 
@@ -47,14 +42,7 @@ class TinyStm {
       write_orecs_.clear();
       writes_.clear();
       write_map_.Clear();
-      if (TUFAST_UNLIKELY(wal_ != nullptr)) wal_->Clear();
     }
-
-    /// Durable builds: stage one logical mutation for the WAL.
-    void WalNote(const EdgeUpdate& up) {
-      if (TUFAST_UNLIKELY(wal_ != nullptr)) wal_->Note(up);
-    }
-    WalRecorder* wal_recorder() const { return wal_; }
 
     TmWord Read(VertexId /*v*/, const TmWord* addr) {
       ++ops_;
@@ -81,7 +69,7 @@ class TinyStm {
       return Read(v, addr);  // Optimistic/timestamped: no early locking.
     }
 
-    void Write(VertexId v, TmWord* addr, TmWord value) {
+    void Write(VertexId /*v*/, TmWord* addr, TmWord value) {
       ++ops_;
       bool inserted;
       uint32_t* idx = write_map_.FindOrInsert(
@@ -91,7 +79,7 @@ class TinyStm {
         writes_[*idx].value = value;
         return;
       }
-      writes_.push_back(WriteEntry{addr, value, v});
+      writes_.push_back(WriteEntry{addr, value});
       // Encounter-time stripe locking.
       const size_t orec = parent_.OrecIndex(addr);
       const uint64_t mark = owner_mark_composite(orec);
@@ -127,7 +115,6 @@ class TinyStm {
     struct WriteEntry {
       TmWord* addr;
       TmWord value;
-      VertexId vertex;  // MVCC version-chain owner (unused otherwise).
     };
 
     uint64_t owner_mark_composite(size_t /*orec*/) const {
@@ -135,8 +122,6 @@ class TinyStm {
     }
 
     TinyStm& parent_;
-    const int slot_;
-    WalRecorder* wal_ = nullptr;
     const uint64_t owner_mark_;  // (slot<<1)|1: odd = locked marker.
     uint64_t rv_ = 0;
     uint64_t ops_ = 0;
@@ -156,31 +141,6 @@ class TinyStm {
         [this](Txn& txn) { RollbackOrecs(txn); });
   }
 
-  /// Attaches an MVCC version store (DESIGN.md "MVCC snapshot reads"):
-  /// commits install pre-image versions and RunReadOnly() becomes an
-  /// abort-free snapshot read. Requires the graph-sized constructor
-  /// (num_vertices > 0); call before the first transaction.
-  void EnableMvcc() {
-    TUFAST_CHECK(num_vertices_ > 0);
-    if (mvcc_ == nullptr) mvcc_ = std::make_unique<Mvcc>(num_vertices_);
-  }
-  Mvcc* mvcc_store() { return mvcc_.get(); }
-
-  /// Attaches a WAL sink (durability/wal.h): commits publish their
-  /// staged mutations as checksummed records and Run() acks only after
-  /// the group commit made them durable. Call before the first
-  /// transaction.
-  void EnableWal(WalSink* sink) { wal_sink_ = sink; }
-
-  /// Read-only transaction: an abort-free snapshot read once EnableMvcc
-  /// was called, an ordinary STM Run() otherwise.
-  template <typename Fn>
-  RunOutcome RunReadOnly(int worker_id, uint64_t size_hint, Fn&& fn) {
-    if (mvcc_ == nullptr) return Run(worker_id, size_hint, fn);
-    Worker& w = runtime_.GetWorker(worker_id, *this);
-    return RunSnapshotReadOnly(*mvcc_, w, worker_id, fn);
-  }
-
   SchedulerStats AggregatedStats() const { return runtime_.AggregatedStats(); }
   Telemetry AggregatedTelemetry() const {
     return runtime_.AggregatedTelemetry();
@@ -195,14 +155,8 @@ class TinyStm {
   static constexpr size_t kOrecCount = size_t{1} << 20;
 
   struct State {
-    State(TinyStm& parent, int slot) : txn(parent, slot) {
-      if (parent.wal_sink_ != nullptr) {
-        wal_recorder.SetSink(parent.wal_sink_);
-        txn.wal_ = &wal_recorder;
-      }
-    }
+    State(TinyStm& parent, int slot) : txn(parent, slot) {}
     Txn txn;
-    WalRecorder wal_recorder;
   };
   using Runtime = WorkerRuntime<State, Telemetry>;
   using Worker = typename Runtime::Worker;
@@ -242,22 +196,7 @@ class TinyStm {
         }
       }
     }
-    // MVCC: pre-images are captured while the write stripes are still
-    // orec-locked (exclusive ownership) and before the new values land.
-    if (TUFAST_UNLIKELY(mvcc_ != nullptr)) {
-      mvcc_->BeginInstall(txn.slot_, txn.writes_,
-                          [](const typename Txn::WriteEntry& e) {
-                            return MvccWrite{e.vertex, e.addr};
-                          });
-    }
-    // WAL record lands while the write stripes are still orec-locked, so
-    // log order matches commit order; the fsync waits for the
-    // group-commit barrier after unlock (AccountWalCommit in the loop).
-    if (TUFAST_UNLIKELY(txn.wal_ != nullptr) && !txn.wal_->empty()) {
-      txn.wal_->Publish();
-    }
     for (const auto& w : txn.writes_) htm_.NonTxStore(w.addr, w.value);
-    if (TUFAST_UNLIKELY(mvcc_ != nullptr)) mvcc_->EndInstall(txn.slot_);
     for (const auto& e : txn.write_orecs_) {
       __atomic_store_n(&orecs_[e.orec], wv << 1, __ATOMIC_RELEASE);
       htm_.NotifyNonTxWrite(&orecs_[e.orec]);
@@ -266,11 +205,8 @@ class TinyStm {
   }
 
   Htm& htm_;
-  const VertexId num_vertices_;
   std::atomic<uint64_t> clock_{0};
   std::vector<uint64_t> orecs_;
-  std::unique_ptr<Mvcc> mvcc_;
-  WalSink* wal_sink_ = nullptr;
   Runtime runtime_;
 };
 

@@ -4,13 +4,11 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <memory>
 #include <vector>
 
 #include "common/spin.h"
 #include "common/types.h"
 #include "htm/htm_config.h"
-#include "mvcc/version_store.h"
 #include "tm/addr_map.h"
 #include "tm/outcome.h"
 #include "tm/telemetry.h"
@@ -27,8 +25,6 @@ namespace tufast {
 template <typename Htm, typename Telemetry = NullTelemetry>
 class TimestampOrdering {
  public:
-  using Mvcc = BasicMvccStore<HtmFailpoints<Htm>>;
-
   TimestampOrdering(Htm& htm, VertexId num_vertices)
       : htm_(htm),
         read_ts_(num_vertices, 0),
@@ -39,8 +35,7 @@ class TimestampOrdering {
 
   class Txn {
    public:
-    explicit Txn(TimestampOrdering& parent, int slot)
-        : parent_(parent), slot_(slot) {}
+    explicit Txn(TimestampOrdering& parent) : parent_(parent) {}
     TUFAST_DISALLOW_COPY_AND_MOVE(Txn);
 
     void Reset(uint64_t ts) {
@@ -48,14 +43,7 @@ class TimestampOrdering {
       ops_ = 0;
       writes_.clear();
       write_map_.Clear();
-      if (TUFAST_UNLIKELY(wal_ != nullptr)) wal_->Clear();
     }
-
-    /// Durable builds: stage one logical mutation for the WAL.
-    void WalNote(const EdgeUpdate& up) {
-      if (TUFAST_UNLIKELY(wal_ != nullptr)) wal_->Note(up);
-    }
-    WalRecorder* wal_recorder() const { return wal_; }
 
     TmWord Read(VertexId v, const TmWord* addr) {
       ++ops_;
@@ -131,8 +119,6 @@ class TimestampOrdering {
     };
 
     TimestampOrdering& parent_;
-    const int slot_;
-    WalRecorder* wal_ = nullptr;
     uint64_t ts_ = 0;
     uint64_t ops_ = 0;
     std::vector<WriteEntry> writes_;
@@ -172,48 +158,12 @@ class TimestampOrdering {
     return clock_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// Attaches an MVCC version store (DESIGN.md "MVCC snapshot reads"):
-  /// commits install pre-image versions and RunReadOnly() becomes an
-  /// abort-free snapshot read. Call before the first transaction.
-  void EnableMvcc() {
-    if (mvcc_ == nullptr) {
-      owned_mvcc_ = std::make_unique<Mvcc>(
-          static_cast<VertexId>(read_ts_.size()));
-      mvcc_ = owned_mvcc_.get();
-    }
-  }
-  /// Shares an externally owned store (the H-TO hybrid: its hardware
-  /// path and this software fallback must install into ONE store).
-  void SetMvccStore(Mvcc* store) { mvcc_ = store; }
-  Mvcc* mvcc_store() { return mvcc_; }
-
-  /// Attaches a WAL sink (durability/wal.h): commits publish their
-  /// staged mutations as checksummed records and Run() acks only after
-  /// the group commit made them durable. Call before the first
-  /// transaction.
-  void EnableWal(WalSink* sink) { wal_sink_ = sink; }
-
-  /// Read-only transaction: an abort-free snapshot read once a store is
-  /// attached, an ordinary timestamped Run() otherwise.
-  template <typename Fn>
-  RunOutcome RunReadOnly(int worker_id, uint64_t size_hint, Fn&& fn) {
-    if (mvcc_ == nullptr) return Run(worker_id, size_hint, fn);
-    Worker& w = runtime_.GetWorker(worker_id, *this);
-    return RunSnapshotReadOnly(*mvcc_, w, worker_id, fn);
-  }
-
  private:
   struct ToAbortSignal {};
 
   struct State {
-    State(TimestampOrdering& parent, int slot) : txn(parent, slot) {
-      if (parent.wal_sink_ != nullptr) {
-        wal_recorder.SetSink(parent.wal_sink_);
-        txn.wal_ = &wal_recorder;
-      }
-    }
+    State(TimestampOrdering& parent, int /*slot*/) : txn(parent) {}
     Txn txn;
-    WalRecorder wal_recorder;
   };
   using Runtime = WorkerRuntime<State, Telemetry>;
   using Worker = typename Runtime::Worker;
@@ -259,24 +209,7 @@ class TimestampOrdering {
         return false;
       }
     }
-    // MVCC: pre-images are captured under the latches (exclusive
-    // ownership of the user data words) before the new values land.
-    // Only the user data versions — the rts/wts metadata words are
-    // scheduler-internal and meaningless to a snapshot reader.
-    if (TUFAST_UNLIKELY(mvcc_ != nullptr)) {
-      mvcc_->BeginInstall(txn.slot_, txn.writes_,
-                          [](const typename Txn::WriteEntry& e) {
-                            return MvccWrite{e.vertex, e.addr};
-                          });
-    }
-    // WAL record lands under the latches, so log order matches commit
-    // order; the fsync waits for the group-commit barrier after unlatch
-    // (AccountWalCommit in the retry loop).
-    if (TUFAST_UNLIKELY(txn.wal_ != nullptr) && !txn.wal_->empty()) {
-      txn.wal_->Publish();
-    }
     for (const auto& w : txn.writes_) htm_.NonTxStore(w.addr, w.value);
-    if (TUFAST_UNLIKELY(mvcc_ != nullptr)) mvcc_->EndInstall(txn.slot_);
     for (const VertexId v : wv) {
       htm_.NonTxStore(&write_ts_[v], txn.ts_);  // See Read: drains HW owners.
       Unlatch(v);
@@ -289,9 +222,6 @@ class TimestampOrdering {
   std::vector<TmWord> read_ts_;
   std::vector<TmWord> write_ts_;
   std::vector<TmWord> latches_;
-  Mvcc* mvcc_ = nullptr;
-  std::unique_ptr<Mvcc> owned_mvcc_;
-  WalSink* wal_sink_ = nullptr;
   Runtime runtime_;
 };
 

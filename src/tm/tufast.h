@@ -62,8 +62,9 @@ class TuFastScheduler {
   using Mvcc = BasicMvccStore<Failpoints>;
 
   /// Whether the HTM backend's Tx exposes the commit hooks the H-mode
-  /// MVCC install needs (EmulatedHtm does; a native backend without
-  /// hooks can still run every non-MVCC configuration).
+  /// MVCC install and WAL publish need (EmulatedHtm does; a native
+  /// backend without hooks can still run every configuration with both
+  /// layers off).
   static constexpr bool kHtmHasCommitHooks = kHtmTxHasCommitHooks<Htm>;
 
   struct Config {
@@ -91,26 +92,21 @@ class TuFastScheduler {
     bool enable_h_mode = true;
     bool enable_o_mode = true;
     /// Group-commit fusion (tm/batch_executor.h): RunBatch() fuses runs
-    /// of small per-item transactions into single H-mode regions. Off =
-    /// RunBatch degenerates to one Run() per item (bit-identical
-    /// results; the equivalence tests rely on this).
-    bool enable_fusion = true;
-    /// Hard cap on the fusion width. The adaptive controller picks the
+    /// of small per-item transactions into single H-mode regions. Hard
+    /// cap on the fusion width: the adaptive controller picks the
     /// working width in [1, max_fusion_width] from the monitored
     /// per-item abort probability (same P* analysis as the O period).
     uint32_t max_fusion_width = 16;
     /// Non-zero pins the fusion width (bench fusion-width sweep);
-    /// 0 = adaptive.
+    /// 0 = adaptive. Width 1 routes every item alone, exactly like one
+    /// Run() per item (the equivalence tests rely on this).
     uint32_t fixed_fusion_width = 0;
-    /// Progress guard (tm/progress_guard.h, DESIGN.md "Progress guard").
-    /// enable_backoff gates the randomized exponential backoff between
-    /// conflict retries in all three loops (H attempts, O period
-    /// halvings, L victim restarts); off reproduces the pre-guard retry
-    /// pacing bit-for-bit. The starvation thresholds drive the
-    /// escalation ladder: priority aging (never a victim) past the
-    /// first, the global starvation token (other waiters defer, fusion
-    /// pauses) past the second.
-    bool enable_backoff = true;
+    /// Progress guard (tm/progress_guard.h, DESIGN.md "Progress guard"):
+    /// randomized exponential backoff between conflict retries in all
+    /// three loops (H attempts, O period halvings, L victim restarts).
+    /// The starvation thresholds drive the escalation ladder: priority
+    /// aging (never a victim) past the first, the global starvation
+    /// token (other waiters defer, fusion pauses) past the second.
     uint32_t starvation_priority_threshold = 3;
     uint32_t starvation_token_threshold = 8;
     /// Abort-storm circuit breaker (tm/contention_monitor.h): sustained
@@ -179,7 +175,7 @@ class TuFastScheduler {
     }
     lock_manager_.SetProgressSignals(&progress_guard_.signals());
     if constexpr (Telemetry::kEnabled) {
-      lock_manager_.SetVictimHook(
+      lock_manager_.SetVictimCallback(
           [](void* ctx, int slot, VertexId /*v*/, bool cycle) {
             auto* self = static_cast<TuFastScheduler*>(ctx);
             if (auto* w = self->runtime_.worker(slot)) {
@@ -225,8 +221,9 @@ class TuFastScheduler {
   /// analysis applied to the per-item abort probability.
   ///
   /// `body(txn, i)` and `hint(i)` follow the batch_executor.h contract;
-  /// items whose hint exceeds the H threshold, and all items when fusion
-  /// or H mode is disabled, are routed per-item exactly like Run().
+  /// items whose hint exceeds the H threshold, and all items when H mode
+  /// is disabled or the width is pinned to 1, are routed per-item exactly
+  /// like Run().
   template <typename HintFn, typename BodyFn>
   void RunBatch(int worker_id, uint64_t lo, uint64_t hi, HintFn&& hint,
                 BodyFn&& body) {
@@ -253,18 +250,20 @@ class TuFastScheduler {
       if (parent.mvcc_ != nullptr) {
         hook_ctx.store = parent.mvcc_.get();
         hook_ctx.recorder = &recorder;
-        // O and L commits own a software write log and install directly;
-        // H commits have only the write-back buffer, so the recorder +
-        // commit hooks reconstruct their write set (pre-images are read
-        // from live memory between pre_publish and the flush).
+        // O and L commits install from their own write logs
+        // (PublishBufferedWrites, tm/modes.h); H commits have only the
+        // write-back buffer, so the recorder + commit hooks reconstruct
+        // their write set (pre-images are read from live memory between
+        // pre_publish and the flush).
         otxn.SetMvcc(hook_ctx.store);
         ltxn.SetMvcc(hook_ctx.store);
       }
       if (parent.wal_sink_ != nullptr) {
         wal_recorder.SetSink(parent.wal_sink_);
         // O and L publish their staged notes from their own commit
-        // windows; H publishes through the Tx commit hooks (scoped by
-        // WalRecorder::hw_armed, since O-mode segments share the Tx).
+        // windows (PublishBufferedWrites); H publishes through the Tx
+        // commit hooks (scoped by WalRecorder::hw_armed, since O-mode
+        // segments share the Tx).
         hook_ctx.wal = &wal_recorder;
         otxn.SetWal(&wal_recorder);
         ltxn.SetWal(&wal_recorder);
@@ -297,7 +296,7 @@ class TuFastScheduler {
   template <typename HintFn, typename BodyFn>
   void RunBatchWindowed(Worker& w, int worker_id, uint64_t lo, uint64_t hi,
                         HintFn& hint, BodyFn& body) {
-    if (!config_.enable_fusion || !config_.enable_h_mode) {
+    if (!config_.enable_h_mode) {
       for (uint64_t i = lo; i < hi; ++i) {
         RunItemRouted(w, worker_id, i, hint, body);
       }
@@ -415,8 +414,7 @@ class TuFastScheduler {
   /// Progress-guard context for this worker's lock-mode retry loop.
   ProgressContext MakeProgressContext(int worker_id,
                                       uint32_t prior_aborts) {
-    return ProgressContext{&progress_guard_, worker_id, prior_aborts,
-                           config_.enable_backoff};
+    return ProgressContext{&progress_guard_, worker_id, prior_aborts};
   }
 
   /// The Fig. 10 router shared by Run() and the batch executor's
@@ -495,7 +493,7 @@ class TuFastScheduler {
         }
         // Conflict retry: back off so the conflicting peers drain
         // before the re-execution pays the whole body again.
-        if (config_.enable_backoff && attempt < h_retries) {
+        if (attempt < h_retries) {
           PayBackoff(w, txn_aborts - 1);
         }
       }
@@ -665,8 +663,7 @@ class TuFastScheduler {
       // same contenders. A capacity abort is about the segment's
       // footprint, not contention (as in H mode): the halving alone
       // answers it.
-      if (config_.enable_backoff && !capacity_abort &&
-          period >= config_.min_period) {
+      if (!capacity_abort && period >= config_.min_period) {
         PayBackoff(w, txn_aborts - 1);
       }
     }

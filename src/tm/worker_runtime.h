@@ -320,13 +320,24 @@ inline void OnLockVictimAbort(Worker& w, const ProgressContext& ctx,
         break;
     }
   }
-  if (ctx.enable_backoff) {
-    PayBackoff(w, aborts - 1);
-  } else {
-    // Legacy pacing (pre-progress-guard, bit-for-bit): same exponential
-    // randomized wait, no accounting.
-    DeadlockRetryBackoff(w.rng, aborts - 1);
-  }
+  PayBackoff(w, aborts - 1);
+}
+
+/// Group-commit acknowledgment + stats drain for one committed TuFast
+/// transaction that published WAL records (null `wal` = durability off,
+/// returns at once). Runs after every lock / ownership release but
+/// before Run() returns: the fsync is the slow part, and group commit
+/// exists precisely so contending workers never serialize on it —
+/// Commit() returns immediately when another worker's flush already
+/// covered this sequence number.
+template <typename Worker>
+inline void AccountWalCommit(Worker& w, WalRecorder* wal) {
+  if (wal == nullptr || wal->published_records == 0) return;
+  if (wal->sink() != nullptr) wal->sink()->Commit(wal->last_seq);
+  w.stats.wal_records += wal->published_records;
+  w.stats.wal_bytes += wal->published_bytes;
+  wal->published_records = 0;
+  wal->published_bytes = 0;
 }
 
 /// Two-phase-locking retry loop shared by TuFast's L mode and the 2PL
@@ -387,7 +398,9 @@ RunOutcome RunLockTxnLoop(Worker& w, LockTxn& ltxn, Fn& fn, TxnClass cls,
       fn(ltxn);
       ltxn.CommitApplyAndRelease();
       release.Dismiss();  // Commit already released everything.
-      AccountWalCommitFromTxn(w, ltxn);  // Ack barrier: no locks held.
+      // Ack barrier: no locks held. A null recorder (WAL off, and always
+      // on 2PL) returns at once.
+      AccountWalCommit(w, ltxn.wal_recorder());
       BeatCommit(w);
       w.stats.RecordCommit(cls, ltxn.ops());
       w.telemetry.TxnCommit(cls, ltxn.ops());
@@ -410,16 +423,17 @@ RunOutcome RunLockTxnLoop(Worker& w, LockTxn& ltxn, Fn& fn, TxnClass cls,
   }
 }
 
-/// Whether an HTM backend's Tx exposes the commit hooks the hardware-path
-/// MVCC install needs (EmulatedHtm does; a native backend without hooks
-/// still runs every non-MVCC configuration).
+/// Whether an HTM backend's Tx exposes the commit hooks TuFast's H-mode
+/// MVCC install and WAL publish need (EmulatedHtm does; a native backend
+/// without hooks still runs every configuration with both layers off).
 template <typename Htm>
 inline constexpr bool kHtmTxHasCommitHooks =
     requires(typename Htm::Tx& tx) { tx.SetHooks(typename Htm::Tx::Hooks{}); };
 
-/// HTM-path commit plumbing, shared by every scheduler whose hardware
-/// commits publish through Tx commit hooks (TuFast H mode, HSync, H-TO).
-/// Two independent consumers hang off the same three hook points:
+/// HTM-path commit plumbing for TuFast's H mode (fused windows included),
+/// the one hardware path with MVCC and WAL support; O and L commits
+/// publish through PublishBufferedWrites (tm/modes.h) instead. Two
+/// independent consumers hang off the same three hook points:
 ///
 ///  - MVCC (store + recorder non-null): the hardware context records
 ///    (vertex, addr) on every Write and pre_publish turns the recording
@@ -479,34 +493,8 @@ inline void InstallCommitHooks(Tx& htx, CommitHookCtx<Store>& ctx) {
   htx.SetHooks(hooks);
 }
 
-/// Group-commit acknowledgment + stats drain for one committed
-/// transaction that published WAL records. Runs after every lock /
-/// ownership release but before Run() returns: the fsync is the slow
-/// part, and group commit exists precisely so contending workers never
-/// serialize on it — Commit() returns immediately when another worker's
-/// flush already covered this sequence number.
-template <typename Worker>
-inline void AccountWalCommit(Worker& w, WalRecorder* wal) {
-  if (wal == nullptr || wal->published_records == 0) return;
-  if (wal->sink() != nullptr) wal->sink()->Commit(wal->last_seq);
-  w.stats.wal_records += wal->published_records;
-  w.stats.wal_bytes += wal->published_bytes;
-  wal->published_records = 0;
-  wal->published_bytes = 0;
-}
-
-/// Same, reaching through a transaction context that may or may not
-/// carry a WAL recorder (baseline txn types grow one only when the
-/// scheduler supports EnableWal).
-template <typename Worker, typename Txn>
-inline void AccountWalCommitFromTxn(Worker& w, Txn& txn) {
-  if constexpr (requires { txn.wal_recorder(); }) {
-    AccountWalCommit(w, txn.wal_recorder());
-  }
-}
-
-/// MVCC read-only runner shared by every scheduler's RunReadOnly() once
-/// a version store is attached: executes `fn` against an abort-free
+/// MVCC read-only runner behind TuFastScheduler::RunReadOnly() once its
+/// version store exists: executes `fn` against an abort-free
 /// snapshot transaction with heartbeat + snapshot-stats accounting.
 /// `outcome.aborts` is 0 by construction — snapshot reads never enter
 /// the conflict space.
@@ -550,7 +538,6 @@ RunOutcome RunOptimisticRetryLoop(Worker& w, Txn& txn, Fn& fn, ResetFn reset,
     try {
       fn(txn);
       if (try_commit(txn)) {
-        AccountWalCommitFromTxn(w, txn);  // Ack barrier: locks released.
         BeatCommit(w);
         w.stats.RecordCommit(TxnClass::kO, txn.ops());
         w.telemetry.TxnCommit(TxnClass::kO, txn.ops());

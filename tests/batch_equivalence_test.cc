@@ -1,9 +1,9 @@
 // Batched-vs-unbatched equivalence under fault injection (the `stress`
 // ctest label): every batch-converted algorithm must produce
-// bit-identical results on all seven schedulers, with fusion on and
-// off, while failpoints force capacity aborts through the fused
-// regions. The runs use a single-threaded pool, which makes each
-// execution fully deterministic: fusing consecutive per-vertex
+// bit-identical results on all seven schedulers, and on TuFast with
+// fusion on and off (width 1), while failpoints force capacity aborts
+// through the fused regions. The runs use a single-threaded pool, which
+// makes each execution fully deterministic: fusing consecutive per-vertex
 // transactions into one H region (or bisecting it back apart) must then
 // be a pure performance transformation with no observable effect.
 //
@@ -110,14 +110,6 @@ FailpointPlan::Config CapacityChaos(uint64_t seed) {
   return config;
 }
 
-/// Detects a scheduler Config with the fusion toggles (TuFast only).
-template <typename S, typename = void>
-struct SchedulerConfigHasFusion : std::false_type {};
-template <typename S>
-struct SchedulerConfigHasFusion<
-    S, std::void_t<decltype(std::declval<typename S::Config&>()
-                                .enable_fusion)>> : std::true_type {};
-
 template <typename Scheduler>
 class BatchEquivalenceTest : public ::testing::Test {};
 
@@ -141,51 +133,35 @@ TYPED_TEST(BatchEquivalenceTest, BitIdenticalUnderForcedCapacityAborts) {
   // timestamp ordering may touch neither HTM nor locks), so only the
   // fusion-capable scheduler — whose fused H regions definitely hit the
   // HTM sites — must show fired injections.
-  if constexpr (SchedulerConfigHasFusion<Scheduler>::value) {
+  if constexpr (std::is_same_v<Scheduler, TuFastScheduler<FaultyHtm>>) {
     EXPECT_GT(plan.InjectionCount(), 0u);
   }
 }
 
-TYPED_TEST(BatchEquivalenceTest, FusionOnAndOffAgreeUnderAborts) {
-  using Scheduler = TypeParam;
-  if constexpr (!SchedulerConfigHasFusion<Scheduler>::value) {
-    GTEST_SKIP() << "scheduler has no fusion knob: RunBatch is already "
-                    "per-item, covered by the default-config test";
-  } else {
-    const VertexId n = SharedGraphs().directed.NumVertices();
-    ThreadPool pool(1);
-    struct Variant {
-      const char* label;
-      bool enable_fusion;
-      uint32_t fixed_width;
-      bool enable_backoff;
-    };
-    // The two backoff variants pin the progress-guard acceptance
-    // criterion: enable_backoff only changes retry *pacing* (how long a
-    // deterministic single-threaded run spins between attempts), never
-    // which attempts happen, so the results must stay bit-identical to
-    // the golden run — and to each other — with it on or off.
-    for (const Variant& variant :
-         {Variant{"fusion off", false, 0, true},
-          Variant{"fusion on", true, 0, true},
-          Variant{"fixed width 4", true, 4, true},
-          Variant{"fixed width 16", true, 16, true},
-          Variant{"fusion on, backoff off", true, 0, false},
-          Variant{"fusion off, backoff off", false, 0, false}}) {
-      FaultyHtm htm;
-      typename Scheduler::Config config;
-      config.enable_fusion = variant.enable_fusion;
-      config.fixed_fusion_width = variant.fixed_width;
-      config.enable_backoff = variant.enable_backoff;
-      Scheduler tm(htm, n, config);
-      FailpointPlan plan(CapacityChaos(/*seed=*/6));
-      FailpointScope scope(plan);
-      ExpectBitIdentical(RunConvertedAlgorithms(tm, pool), variant.label);
-      if (variant.enable_fusion) {
-        EXPECT_GT(tm.AggregatedStats().fused_regions, 0u) << variant.label;
-      } else {
-        EXPECT_EQ(tm.AggregatedStats().fused_regions, 0u) << variant.label;
-      }
+// Fusion is a pure performance transformation: width 1 (every item
+// routed alone, no fused region), the adaptive width and pinned widths
+// must all reproduce the golden results.
+TEST(FusionEquivalenceTest, FusionOnAndOffAgreeUnderAborts) {
+  const VertexId n = SharedGraphs().directed.NumVertices();
+  ThreadPool pool(1);
+  struct Variant {
+    const char* label;
+    uint32_t fixed_width;
+  };
+  for (const Variant& variant :
+       {Variant{"fusion off (width 1)", 1}, Variant{"fusion on", 0},
+        Variant{"fixed width 4", 4}, Variant{"fixed width 16", 16}}) {
+    FaultyHtm htm;
+    TuFastScheduler<FaultyHtm>::Config config;
+    config.fixed_fusion_width = variant.fixed_width;
+    TuFastScheduler<FaultyHtm> tm(htm, n, config);
+    FailpointPlan plan(CapacityChaos(/*seed=*/6));
+    FailpointScope scope(plan);
+    ExpectBitIdentical(RunConvertedAlgorithms(tm, pool), variant.label);
+    if (variant.fixed_width == 1) {
+      EXPECT_EQ(tm.AggregatedStats().fused_regions, 0u) << variant.label;
+    } else {
+      EXPECT_GT(tm.AggregatedStats().fused_regions, 0u) << variant.label;
     }
   }
 }

@@ -67,7 +67,7 @@ TEST(BatchExecutorTest, NonFusionSchedulerFallsBackToPerItemRun) {
 TEST(BatchExecutorTest, FusionDisabledRoutesPerItem) {
   EmulatedHtm htm;
   TuFast::Config config;
-  config.enable_fusion = false;
+  config.fixed_fusion_width = 1;  // Every item routed alone.
   TuFast tm(htm, kVertices, config);
   std::vector<TmWord> values(kVertices, 0);
   IncrementBatch(tm, values, 64);

@@ -1,8 +1,8 @@
 // Durability-layer unit tests: WAL record framing and group commit,
 // crash failpoints (torn write, short write, crash before fsync),
 // checkpoint atomicity, and RecoverFromWal's prefix-consistency
-// contract — plus the scheduler integration smoke that runs all seven
-// schedulers against a real log and replays it. The crash-chaos
+// contract — plus the scheduler integration smoke that runs TuFast, the
+// one scheduler with a WAL, against a real log and replays it. The crash-chaos
 // *stress* sweep lives in bench/stress_fuzz.cc; these tests pin the
 // exact byte-level and sequencing behaviors it builds on.
 
@@ -372,19 +372,19 @@ TEST(CheckpointTest, CheckpointPlusTailReplay) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler integration: every scheduler's publish hook must produce a
-// log that replays to exactly the committed state.
+// Scheduler integration: TuFast's publish steps (H-mode commit hooks, O
+// and L software publish) must produce a log that replays to exactly the
+// committed state.
 
-template <typename Scheduler>
-void RunSchedulerWalRecoverySmoke(const char* name) {
-  SCOPED_TRACE(name);
+TEST(DurabilitySchedulerTest, TuFastLogsReplayably) {
   constexpr VertexId kCap = 96;
-  PathGuard wal(TempPath(std::string("sched_") + name + ".wal"));
+  PathGuard wal(TempPath("sched_tufast.wal"));
 
   DynamicGraph live(kCap, {.weighted = true});
   live.EnsureVerticesQuiesced(kCap);
   EmulatedHtm htm;
-  auto tm = MakeSchedulerFor<Scheduler>(htm, kCap, DeadlockPolicy::kDetection);
+  auto tm = MakeSchedulerFor<TuFastScheduler<EmulatedHtm>>(
+      htm, kCap, DeadlockPolicy::kDetection);
   WalWriter writer(wal.path);
   ASSERT_TRUE(writer.ok());
   tm->EnableWal(&writer);
@@ -421,16 +421,6 @@ void RunSchedulerWalRecoverySmoke(const char* name) {
   rec.EnsureVerticesQuiesced(kCap);
   EXPECT_EQ(rec.CheckInvariantsQuiesced(), std::nullopt);
   ExpectSameFrozenGraph(live, rec);
-}
-
-TEST(DurabilitySchedulerTest, AllSevenSchedulersLogReplayably) {
-  RunSchedulerWalRecoverySmoke<TuFastScheduler<EmulatedHtm>>("tufast");
-  RunSchedulerWalRecoverySmoke<TwoPhaseLocking<EmulatedHtm>>("2pl");
-  RunSchedulerWalRecoverySmoke<SiloOcc<EmulatedHtm>>("silo");
-  RunSchedulerWalRecoverySmoke<TimestampOrdering<EmulatedHtm>>("to");
-  RunSchedulerWalRecoverySmoke<TinyStm<EmulatedHtm>>("tinystm");
-  RunSchedulerWalRecoverySmoke<HsyncHybrid<EmulatedHtm>>("hsync");
-  RunSchedulerWalRecoverySmoke<HtmTimestampOrdering<EmulatedHtm>>("hto");
 }
 
 // Deterministic single-worker mutation stream covering all three ops.

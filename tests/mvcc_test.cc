@@ -1,7 +1,8 @@
 // MVCC snapshot-read coverage: version-store unit semantics (pre-image
 // chains, timestamp resolution, epoch reclamation flush balance), the
-// RunReadOnly snapshot path across all seven schedulers (abort-free,
-// pair-sum consistent, bit-identical committed state with MVCC off),
+// RunReadOnly snapshot path of TuFast, the one scheduler with a version
+// store (abort-free, pair-sum consistent, bit-identical committed state
+// with MVCC off),
 // the dynamic-graph regressions from this PR — a traversal-bound
 // overflow must widen and retry instead of committing a truncated edge
 // list, and RebuildFromSnapshot must reset all derived union-find state
@@ -217,11 +218,8 @@ TEST(MvccRecorderTest, CollapsesConsecutiveRewritesOnly) {
 template <typename Scheduler>
 class MvccSchedulerTest : public ::testing::Test {};
 
-using MvccSchedulers = ::testing::Types<
-    TuFastScheduler<EmulatedHtm>, TwoPhaseLocking<EmulatedHtm>,
-    SiloOcc<EmulatedHtm>, TimestampOrdering<EmulatedHtm>,
-    TinyStm<EmulatedHtm>, HsyncHybrid<EmulatedHtm>,
-    HtmTimestampOrdering<EmulatedHtm>>;
+// A typed suite over one type keeps the cases' ids (MvccSchedulerTest/0).
+using MvccSchedulers = ::testing::Types<TuFastScheduler<EmulatedHtm>>;
 TYPED_TEST_SUITE(MvccSchedulerTest, MvccSchedulers);
 
 TYPED_TEST(MvccSchedulerTest, SnapshotReadsAreAbortFreeAndConsistent) {
@@ -415,10 +413,7 @@ FailpointPlan::Config MvccChaosConfig(uint64_t seed) {
 template <typename Scheduler>
 class MvccCompactionStressTest : public ::testing::Test {};
 
-using FaultyMvccSchedulers = ::testing::Types<
-    TuFastScheduler<FaultyHtm>, TwoPhaseLocking<FaultyHtm>,
-    SiloOcc<FaultyHtm>, TimestampOrdering<FaultyHtm>, TinyStm<FaultyHtm>,
-    HsyncHybrid<FaultyHtm>, HtmTimestampOrdering<FaultyHtm>>;
+using FaultyMvccSchedulers = ::testing::Types<TuFastScheduler<FaultyHtm>>;
 TYPED_TEST_SUITE(MvccCompactionStressTest, FaultyMvccSchedulers);
 
 // Tombstone-heavy delete streams interleaved with MVCC snapshot reads,

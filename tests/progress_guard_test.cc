@@ -165,7 +165,7 @@ struct VictimLog {
     VertexId vertex;
     bool cycle;
   };
-  static void Hook(void* ctx, int slot, VertexId vertex, bool cycle) {
+  static void OnVictim(void* ctx, int slot, VertexId vertex, bool cycle) {
     auto* log = static_cast<VictimLog*>(ctx);
     std::lock_guard<std::mutex> guard(log->mutex);
     log->entries.push_back(Entry{slot, vertex, cycle});
@@ -192,7 +192,7 @@ TEST(LockManagerProgressTest, PriorityClosedCycleVictimizesTheWaitingPeer) {
   signals.SetStarved(1);
   mgr.SetProgressSignals(&signals);
   VictimLog victims;
-  mgr.SetVictimHook(&VictimLog::Hook, &victims);
+  mgr.SetVictimCallback(&VictimLog::OnVictim, &victims);
 
   ASSERT_TRUE(mgr.AcquireExclusive(0, 0));  // slot 0 holds vertex 0
   ASSERT_TRUE(mgr.AcquireExclusive(1, 1));  // slot 1 holds vertex 1
@@ -232,7 +232,7 @@ TEST(LockManagerProgressTest, PriorityClosedUpgradeCycleVictimizesThePeer) {
   signals.SetStarved(1);
   mgr.SetProgressSignals(&signals);
   VictimLog victims;
-  mgr.SetVictimHook(&VictimLog::Hook, &victims);
+  mgr.SetVictimCallback(&VictimLog::OnVictim, &victims);
 
   ASSERT_TRUE(mgr.AcquireShared(0, 0));
   ASSERT_TRUE(mgr.AcquireShared(1, 0));
@@ -506,29 +506,6 @@ TEST(TuFastStarvationTest, ForcedTokenIsAcquiredAndReleased) {
       << "OnTxnDone must release the token at commit";
   const SchedulerStats stats = tm.AggregatedStats();
   EXPECT_EQ(stats.starvation_tokens, 1u);
-}
-
-TEST(TuFastStarvationTest, BackoffDisabledKeepsCountersAtZero) {
-  FaultyHtm htm;
-  typename TuFastScheduler<FaultyHtm>::Config config;
-  config.enable_backoff = false;
-  TuFastScheduler<FaultyHtm> tm(htm, 64, config);
-  std::vector<TmWord> values(64, 0);
-  FailpointPlan plan(FailpointPlan::Config{});
-  for (uint64_t hit = 0; hit < 8; ++hit) {
-    plan.ForceAt(FailSite::kVictimReabort, 0, hit, FailAction::kFail);
-  }
-  FailpointScope scope(plan);
-  const RunOutcome outcome =
-      tm.Run(0, tm.config().o_hint_threshold + 1, [&](auto& txn) {
-        txn.Write(0, &values[0], txn.Read(0, &values[0]) + 1);
-      });
-  EXPECT_TRUE(outcome.committed);
-  const SchedulerStats stats = tm.AggregatedStats();
-  EXPECT_EQ(stats.backoff_events, 0u)
-      << "enable_backoff=false must fall back to the legacy pacing";
-  EXPECT_GT(stats.max_txn_aborts, 0u)
-      << "the escalation ladder is independent of the backoff switch";
 }
 
 TEST(TuFastStarvationTest, SameSeedReplaysIdenticalBackoffSequence) {
