@@ -40,19 +40,19 @@ void RunBreakdown(const Graph& graph, ThreadPool& pool,
     RunMicroWorkload(tm, pool, graph, values, options);
   }
 
-  // The breakdown now comes from the telemetry snapshot, which adds
-  // per-class commit latency on top of the count/ops split the
-  // SchedulerStats-based version reported.
+  // Counts come from SchedulerStats; the telemetry snapshot adds the
+  // per-class commit latency.
+  const SchedulerStats stats = tm.AggregatedStats();
   const TelemetrySnapshot& snap = tm.AggregatedTelemetry().Snapshot();
-  JsonReport::AddTelemetry(title, snap);
-  const uint64_t total_txns = snap.TotalCommits();
-  const uint64_t total_ops = snap.TotalCommittedOps();
+  JsonReport::AddTelemetry(title, stats, snap);
+  const uint64_t total_txns = stats.commits;
+  const uint64_t total_ops = stats.ops_committed;
 
   ReportTable table({"class", "committed txns", "% txns", "committed ops",
                      "% ops", "avg ops/txn", "p50 latency ns"});
   for (int c = 0; c < kNumTxnClasses; ++c) {
-    const uint64_t count = snap.commits[c];
-    const uint64_t ops = snap.commit_ops[c];
+    const uint64_t count = stats.class_count[c];
+    const uint64_t ops = stats.class_ops[c];
     table.AddRow(
         {TxnClassName(static_cast<TxnClass>(c)), ReportTable::Int(count),
          ReportTable::Num(total_txns ? 100.0 * count / total_txns : 0),
@@ -62,26 +62,8 @@ void RunBreakdown(const Graph& graph, ThreadPool& pool,
          ReportTable::Int(snap.commit_latency_ns[c].ApproxQuantile(0.5))});
   }
   table.Print(title);
-  PrintFusionSummary(snap, "fusion summary — " + title);
-  PrintProgressSummary(snap, "progress guard — " + title);
-
-  // Cross-check: telemetry and SchedulerStats must agree on the split.
-  // The fused commit paths keep the same per-item accounting as the
-  // per-item router, so this invariant holds in the batched pass too.
-  const SchedulerStats stats = tm.AggregatedStats();
-  for (int c = 0; c < kNumTxnClasses; ++c) {
-    if (stats.class_count[c] != snap.commits[c] ||
-        stats.class_ops[c] != snap.commit_ops[c]) {
-      std::fprintf(stderr,
-                   "telemetry/stats divergence in class %s: %llu/%llu vs "
-                   "%llu/%llu\n",
-                   TxnClassName(static_cast<TxnClass>(c)),
-                   static_cast<unsigned long long>(stats.class_count[c]),
-                   static_cast<unsigned long long>(stats.class_ops[c]),
-                   static_cast<unsigned long long>(snap.commits[c]),
-                   static_cast<unsigned long long>(snap.commit_ops[c]));
-    }
-  }
+  PrintFusionSummary(stats, snap, "fusion summary — " + title);
+  PrintProgressSummary(stats, snap, "progress guard — " + title);
 }
 
 int Main(int argc, char** argv) {

@@ -117,6 +117,7 @@ int Main(int argc, char** argv) {
     if (a.active_after == 0 && s.active_after == 0) break;
   }
   JsonReport::AddTelemetry("fig17 adaptive run",
+                           adaptive_tm.AggregatedStats(),
                            adaptive_tm.AggregatedTelemetry().Snapshot());
   table.Print(
       "Fig. 17 — static (period=1000) vs adaptive period, PageRank on " +

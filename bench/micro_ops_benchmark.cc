@@ -273,7 +273,8 @@ void BenchProgressGuard() {
     table.AddRow(
         {"breaker_half_opens", ReportTable::Int(snap.breaker_half_opens)});
     table.AddRow({"breaker_closes", ReportTable::Int(snap.breaker_closes)});
-    table.AddRow({"breaker_bypass", ReportTable::Int(snap.breaker_bypass)});
+    table.AddRow({"breaker_bypass",
+                  ReportTable::Int(tm.AggregatedStats().breaker_bypass)});
   }
 
   // Escalation ladder: forced victim re-aborts on one lock-mode
@@ -292,13 +293,13 @@ void BenchProgressGuard() {
     tm.Run(0, big, [&](auto& txn) {
       txn.Write(0, &values[0], txn.Read(0, &values[0]) + 1);
     });
-    const TelemetrySnapshot& snap = tm.AggregatedTelemetry().Snapshot();
+    const SchedulerStats stats = tm.AggregatedStats();
     table.AddRow({"starved_escalations",
-                  ReportTable::Int(snap.starvation_escalations)});
+                  ReportTable::Int(stats.starvation_escalations)});
     table.AddRow(
-        {"starved_txn_aborts", ReportTable::Int(snap.max_txn_aborts)});
+        {"starved_txn_aborts", ReportTable::Int(stats.max_txn_aborts)});
     table.AddRow(
-        {"starved_backoff_events", ReportTable::Int(snap.backoff_events)});
+        {"starved_backoff_events", ReportTable::Int(stats.backoff_events)});
   }
   {
     FaultyHtm htm;
@@ -311,9 +312,8 @@ void BenchProgressGuard() {
     tm.Run(0, big, [&](auto& txn) {
       txn.Write(0, &values[0], txn.Read(0, &values[0]) + 1);
     });
-    const TelemetrySnapshot& snap = tm.AggregatedTelemetry().Snapshot();
-    table.AddRow(
-        {"starvation_tokens", ReportTable::Int(snap.starvation_tokens)});
+    table.AddRow({"starvation_tokens",
+                  ReportTable::Int(tm.AggregatedStats().starvation_tokens)});
   }
 
   table.Print("progress guard");

@@ -189,7 +189,7 @@ VariantResult RunVariant(const Graph& base, const BenchFlags& flags,
             std::to_string(engine.ExecutedTotal()));
   Check(res.goodput_per_s > 0, label + ": zero goodput");
 
-  JsonReport::AddTelemetry("serve " + label,
+  JsonReport::AddTelemetry("serve " + label, stats,
                            tm.AggregatedTelemetry().Snapshot());
   return res;
 }

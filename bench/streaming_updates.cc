@@ -114,24 +114,25 @@ MixOutcome RunMix(DynamicGraph& dyn, TuFastInstrumented& tm, ThreadPool& pool,
 
 void ReportModeBreakdown(const TuFastInstrumented& tm,
                          const std::string& title) {
+  const SchedulerStats stats = tm.AggregatedStats();
   const TelemetrySnapshot& snap = tm.AggregatedTelemetry().Snapshot();
-  JsonReport::AddTelemetry(title, snap);
-  const uint64_t total = snap.TotalCommits();
+  JsonReport::AddTelemetry(title, stats, snap);
+  const uint64_t total = stats.commits;
   ReportTable table({"class", "committed txns", "% txns", "avg ops/txn"});
   for (int c = 0; c < kNumTxnClasses; ++c) {
-    const uint64_t count = snap.commits[c];
+    const uint64_t count = stats.class_count[c];
     table.AddRow({TxnClassName(static_cast<TxnClass>(c)),
                   ReportTable::Int(count),
                   ReportTable::Num(total ? 100.0 * count / total : 0),
                   ReportTable::Num(
-                      count ? static_cast<double>(snap.commit_ops[c]) / count
+                      count ? static_cast<double>(stats.class_ops[c]) / count
                             : 0)});
   }
   table.Print(title);
   // ApplyBatch routes per-source update groups through the batch
   // executor, so the update mixes exercise group-commit fusion; surface
   // the achieved widths alongside the mode split.
-  PrintFusionSummary(snap, "fusion summary — " + title);
+  PrintFusionSummary(stats, snap, "fusion summary — " + title);
 }
 
 void RunDataset(const std::string& name, const Graph& base,
@@ -511,11 +512,10 @@ void RunWalOverhead(const std::string& name, const Graph& base,
 
     uint64_t replayed = 0;
     const char* recovered = "-";
-    SchedulerStats stats = tm.AggregatedStats();
+    const SchedulerStats stats = tm.AggregatedStats();
     uint64_t fsyncs = 0;
     if (on != 0) {
       fsyncs = tm.wal_writer()->fsyncs();
-      stats.wal_fsyncs = fsyncs;
       // Replay onto a second copy of the base dataset (checkpoints, when
       // taken, carry the full image and override the seed). Log order is
       // commit order, so the recovered store must equal the live one.
@@ -523,8 +523,6 @@ void RunWalOverhead(const std::string& name, const Graph& base,
       const WalRecoveryResult res = RecoverFromWal(
           rec.get(), wal_path, checkpoints > 0 ? ck_path : std::string());
       replayed = res.replayed;
-      stats.recovery_replayed = res.replayed;
-      stats.recovery_torn_tail = res.torn_tail ? 1 : 0;
       Check(!res.torn_tail, name + ": clean shutdown left a torn wal tail");
       Check(checkpoints == 0 || res.from_checkpoint,
             name + ": recovery ignored a valid checkpoint");

@@ -97,13 +97,9 @@ FailpointPlan::Config ServeChaosConfig(uint64_t seed) {
 struct FuzzTotals {
   uint64_t runs = 0;
   uint64_t injections = 0;
-  // Progress-guard activity, summed over every (scheduler, policy, seed)
-  // run; SchedulerStats carries these even in NullTelemetry builds.
-  uint64_t backoff_events = 0;
-  uint64_t starvation_escalations = 0;
-  uint64_t starvation_tokens = 0;
-  uint64_t breaker_bypass = 0;
-  uint64_t max_txn_aborts = 0;
+  // Scheduler counts merged over every (scheduler, policy, seed) run;
+  // the progress-guard rows read them.
+  SchedulerStats stats;
   // MVCC version-store traffic, summed over the --mvcc-chaos sweep.
   uint64_t mvcc_installed = 0;
   uint64_t mvcc_freed = 0;
@@ -198,14 +194,7 @@ bool FuzzScheduler(const char* name, const BenchFlags& flags, uint64_t seeds,
       }
       ++totals.runs;
       totals.injections += plan.InjectionCount();
-      const SchedulerStats stats = tm->AggregatedStats();
-      totals.backoff_events += stats.backoff_events;
-      totals.starvation_escalations += stats.starvation_escalations;
-      totals.starvation_tokens += stats.starvation_tokens;
-      totals.breaker_bypass += stats.breaker_bypass;
-      if (stats.max_txn_aborts > totals.max_txn_aborts) {
-        totals.max_txn_aborts = stats.max_txn_aborts;
-      }
+      totals.stats.Merge(tm->AggregatedStats());
       if constexpr (kMvcc) {
         auto* store = tm->mvcc_store();
         if (!err) err = CheckMvccFlushBalance(*store);
@@ -391,8 +380,7 @@ bool RunServeChaos(const BenchFlags& flags, uint64_t seeds,
 struct CrashChaosTotals {
   uint64_t runs = 0;
   uint64_t crashes = 0;
-  uint64_t wal_records = 0;
-  uint64_t wal_bytes = 0;
+  SchedulerStats stats;  // Merged over every run; the WAL rows read it.
   uint64_t wal_fsyncs = 0;
   uint64_t replayed = 0;
   uint64_t torn_tails = 0;
@@ -583,9 +571,7 @@ std::optional<std::string> CrashCheckpointCase(const BenchFlags& flags,
   }
   ++totals.runs;
   if (writer.crashed()) ++totals.crashes;
-  const SchedulerStats stats = tm.AggregatedStats();
-  totals.wal_records += stats.wal_records;
-  totals.wal_bytes += stats.wal_bytes;
+  totals.stats.Merge(tm.AggregatedStats());
   totals.wal_fsyncs += writer.fsyncs();
   DynamicGraph rec(kCrashCapacity, {.weighted = true});
   const WalRecoveryResult res = RecoverFromWal(&rec, wal_path, ck_path);
@@ -645,9 +631,7 @@ bool RunCrashChaos(const BenchFlags& flags, CrashChaosTotals& totals) {
           }
           crashed = writer.crashed();
           durable = writer.durable_seq();
-          const SchedulerStats stats = tm.AggregatedStats();
-          totals.wal_records += stats.wal_records;
-          totals.wal_bytes += stats.wal_bytes;
+          totals.stats.Merge(tm.AggregatedStats());
           totals.wal_fsyncs += writer.fsyncs();
           err = CheckCrashMvcc(tm, totals);
         }
@@ -707,9 +691,7 @@ bool RunCrashChaos(const BenchFlags& flags, CrashChaosTotals& totals) {
           const uint64_t phase2 = 40;
           RunCrashWorkload(tm2, recovered, nullptr, flags.threads, phase1,
                            phase2);
-          const SchedulerStats stats = tm2.AggregatedStats();
-          totals.wal_records += stats.wal_records;
-          totals.wal_bytes += stats.wal_bytes;
+          totals.stats.Merge(tm2.AggregatedStats());
           totals.wal_fsyncs += writer2.fsyncs();
           err = CheckCrashState(recovered, phase1 + phase2, nullptr);
           if (!err && writer2.durable_seq() != writer2.records()) {
@@ -828,9 +810,7 @@ bool RunServeCrash(const BenchFlags& flags, CrashChaosTotals& totals) {
             " != admitted " + std::to_string(admitted) + " under log crash";
     }
   }
-  const SchedulerStats stats = tm.AggregatedStats();
-  totals.wal_records += stats.wal_records;
-  totals.wal_bytes += stats.wal_bytes;
+  totals.stats.Merge(tm.AggregatedStats());
   totals.wal_fsyncs += writer.fsyncs();
   if (!err) err = CheckCrashMvcc(tm, totals);
 
@@ -880,9 +860,7 @@ bool RunServeCrash(const BenchFlags& flags, CrashChaosTotals& totals) {
             std::to_string(engine2.ExecutedTotal()) + " != admitted " +
             std::to_string(admitted2);
     }
-    const SchedulerStats stats2 = tm2.AggregatedStats();
-    totals.wal_records += stats2.wal_records;
-    totals.wal_bytes += stats2.wal_bytes;
+    totals.stats.Merge(tm2.AggregatedStats());
     totals.wal_fsyncs += writer2.fsyncs();
     if (!err) err = CheckCrashMvcc(tm2, totals);
   }
@@ -912,8 +890,9 @@ int Main(int argc, char** argv) {
     ReportTable table({"metric", "value"});
     table.AddRow({"crash runs", ReportTable::Int(ct.runs)});
     table.AddRow({"forced crashes", ReportTable::Int(ct.crashes)});
-    table.AddRow({"wal records published", ReportTable::Int(ct.wal_records)});
-    table.AddRow({"wal payload bytes", ReportTable::Int(ct.wal_bytes)});
+    table.AddRow(
+        {"wal records published", ReportTable::Int(ct.stats.wal_records)});
+    table.AddRow({"wal payload bytes", ReportTable::Int(ct.stats.wal_bytes)});
     table.AddRow({"wal fsyncs", ReportTable::Int(ct.wal_fsyncs)});
     table.AddRow({"records replayed", ReportTable::Int(ct.replayed)});
     table.AddRow({"torn tails detected", ReportTable::Int(ct.torn_tails)});
@@ -972,13 +951,14 @@ int Main(int argc, char** argv) {
   table.AddRow({"seeds per combo", ReportTable::Int(seeds)});
   table.AddRow({"fault injections", ReportTable::Int(totals.injections)});
   if (flags.progress_chaos) {
-    table.AddRow({"backoff events", ReportTable::Int(totals.backoff_events)});
+    const SchedulerStats& stats = totals.stats;
+    table.AddRow({"backoff events", ReportTable::Int(stats.backoff_events)});
     table.AddRow({"starvation escalations",
-                  ReportTable::Int(totals.starvation_escalations)});
+                  ReportTable::Int(stats.starvation_escalations)});
     table.AddRow(
-        {"starvation tokens", ReportTable::Int(totals.starvation_tokens)});
-    table.AddRow({"breaker bypass", ReportTable::Int(totals.breaker_bypass)});
-    table.AddRow({"max txn aborts", ReportTable::Int(totals.max_txn_aborts)});
+        {"starvation tokens", ReportTable::Int(stats.starvation_tokens)});
+    table.AddRow({"breaker bypass", ReportTable::Int(stats.breaker_bypass)});
+    table.AddRow({"max txn aborts", ReportTable::Int(stats.max_txn_aborts)});
   }
   if (flags.mvcc_chaos) {
     table.AddRow(

@@ -58,14 +58,15 @@ void TelemetrySharePass(const Graph& graph, ThreadPool& pool,
   options.seed = seed;
   RunMicroWorkload(tm, pool, graph, values, options);
 
+  const SchedulerStats stats = tm.AggregatedStats();
   const TelemetrySnapshot& snap = tm.AggregatedTelemetry().Snapshot();
-  JsonReport::AddTelemetry(label, snap);
+  JsonReport::AddTelemetry(label, stats, snap);
   const double commits =
-      static_cast<double>(snap.TotalCommits() ? snap.TotalCommits() : 1);
+      static_cast<double>(stats.commits ? stats.commits : 1);
   uint64_t mode_commits[kNumSchedModes] = {};
   for (int c = 0; c < kNumTxnClasses; ++c) {
     mode_commits[static_cast<int>(ModeOfClass(static_cast<TxnClass>(c)))] +=
-        snap.commits[c];
+        stats.class_count[c];
   }
   uint64_t total_mode_ns = 0;
   for (uint64_t ns : snap.time_in_mode_ns) total_mode_ns += ns;

@@ -134,11 +134,11 @@ void JsonReport::AddTable(const std::string& title,
 }
 
 void JsonReport::AddTelemetry(const std::string& name,
+                              const SchedulerStats& stats,
                               const TelemetrySnapshot& snapshot) {
   if (!enabled()) return;
-  std::string obj = "{\"name\":\"" + Escape(name) +
-                    "\",\"telemetry\":" + TelemetrySnapshotToJson(snapshot) +
-                    "}";
+  std::string obj = "{\"name\":\"" + Escape(name) + "\",\"telemetry\":" +
+                    TelemetryToJson(stats, snapshot) + "}";
   auto& s = State();
   std::lock_guard<std::mutex> lock(s.mu);
   s.telemetry.push_back(std::move(obj));
@@ -193,10 +193,10 @@ std::string LogHistogramToJson(const LogHistogram& hist) {
   return out;
 }
 
-std::string TelemetrySnapshotToJson(const TelemetrySnapshot& snap) {
+std::string TelemetryToJson(const SchedulerStats& stats,
+                            const TelemetrySnapshot& snap) {
   std::string out = "{";
-  out += "\"begins\":" + U64(snap.begins);
-  out += ",\"user_aborts\":" + U64(snap.user_aborts);
+  out += "\"user_aborts\":" + U64(stats.user_aborts);
   out += ",\"deadlock_cycle_victims\":" + U64(snap.deadlock_cycle_victims);
   out += ",\"deadlock_timeout_victims\":" + U64(snap.deadlock_timeout_victims);
 
@@ -205,8 +205,8 @@ std::string TelemetrySnapshotToJson(const TelemetrySnapshot& snap) {
     if (c > 0) out += ",";
     const TxnClass cls = static_cast<TxnClass>(c);
     out += "\"" + std::string(TxnClassName(cls)) +
-           "\":{\"count\":" + U64(snap.commits[c]) +
-           ",\"ops\":" + U64(snap.commit_ops[c]) +
+           "\":{\"count\":" + U64(stats.class_count[c]) +
+           ",\"ops\":" + U64(stats.class_ops[c]) +
            ",\"latency_ns\":" + LogHistogramToJson(snap.commit_latency_ns[c]) +
            "}";
   }
@@ -253,75 +253,77 @@ std::string TelemetrySnapshotToJson(const TelemetrySnapshot& snap) {
   out += ",\"last_period\":" + U64(snap.last_period);
 
   out += ",\"fusion\":{";
-  out += "\"fused_regions\":" + U64(snap.fused_regions);
-  out += ",\"fused_items\":" + U64(snap.fused_items);
-  out += ",\"fusion_aborts\":" + U64(snap.fusion_aborts);
+  out += "\"fused_regions\":" + U64(stats.fused_regions);
+  out += ",\"fused_items\":" + U64(stats.fused_items);
+  out += ",\"fusion_aborts\":" + U64(stats.fusion_aborts);
   out += ",\"width\":" + LogHistogramToJson(snap.fusion_width_hist);
   out += ",\"bisection_depth\":" + LogHistogramToJson(snap.bisection_depth_hist);
   out += "}";
 
   out += ",\"progress\":{";
-  out += "\"backoff_events\":" + U64(snap.backoff_events);
+  out += "\"backoff_events\":" + U64(stats.backoff_events);
   out += ",\"backoff_pauses\":" + U64(snap.backoff_pauses);
-  out += ",\"starvation_escalations\":" + U64(snap.starvation_escalations);
-  out += ",\"starvation_tokens\":" + U64(snap.starvation_tokens);
+  out += ",\"starvation_escalations\":" + U64(stats.starvation_escalations);
+  out += ",\"starvation_tokens\":" + U64(stats.starvation_tokens);
   out += ",\"breaker_trips\":" + U64(snap.breaker_trips);
   out += ",\"breaker_half_opens\":" + U64(snap.breaker_half_opens);
   out += ",\"breaker_closes\":" + U64(snap.breaker_closes);
-  out += ",\"breaker_bypass\":" + U64(snap.breaker_bypass);
+  out += ",\"breaker_bypass\":" + U64(stats.breaker_bypass);
   out += ",\"txn_aborts\":" + LogHistogramToJson(snap.txn_abort_hist);
-  out += ",\"max_txn_aborts\":" + U64(snap.max_txn_aborts);
+  out += ",\"max_txn_aborts\":" + U64(stats.max_txn_aborts);
   out += "}";
 
   out += ",\"serve\":{";
-  out += "\"requests\":" + U64(snap.serve_requests);
-  out += ",\"queue_delay_ns\":" + U64(snap.serve_queue_delay_ns);
-  out += ",\"max_queue_delay_ns\":" + U64(snap.serve_max_queue_delay_ns);
+  out += "\"requests\":" + U64(stats.serve_requests);
+  out += ",\"queue_delay_ns\":" + U64(stats.serve_queue_delay_ns);
+  out += ",\"max_queue_delay_ns\":" + U64(stats.serve_max_queue_delay_ns);
   out += ",\"queue_delay\":" + LogHistogramToJson(snap.serve_queue_delay_hist);
   out += "}";
   out += "}";
   return out;
 }
 
-void PrintFusionSummary(const TelemetrySnapshot& snap,
+void PrintFusionSummary(const SchedulerStats& stats,
+                        const TelemetrySnapshot& snap,
                         const std::string& title) {
-  if (snap.fused_regions == 0) return;
+  if (stats.fused_regions == 0) return;
   ReportTable table({"fused regions", "fused items", "avg width",
                      "p50 width", "p99 width", "fusion aborts",
                      "p50 bisect depth", "p99 bisect depth"});
   table.AddRow(
-      {ReportTable::Int(snap.fused_regions),
-       ReportTable::Int(snap.fused_items),
-       ReportTable::Num(static_cast<double>(snap.fused_items) /
-                        snap.fused_regions),
+      {ReportTable::Int(stats.fused_regions),
+       ReportTable::Int(stats.fused_items),
+       ReportTable::Num(static_cast<double>(stats.fused_items) /
+                        stats.fused_regions),
        ReportTable::Int(snap.fusion_width_hist.ApproxQuantile(0.5)),
        ReportTable::Int(snap.fusion_width_hist.ApproxQuantile(0.99)),
-       ReportTable::Int(snap.fusion_aborts),
+       ReportTable::Int(stats.fusion_aborts),
        ReportTable::Int(snap.bisection_depth_hist.ApproxQuantile(0.5)),
        ReportTable::Int(snap.bisection_depth_hist.ApproxQuantile(0.99))});
   table.Print(title);
 }
 
-void PrintProgressSummary(const TelemetrySnapshot& snap,
+void PrintProgressSummary(const SchedulerStats& stats,
+                          const TelemetrySnapshot& snap,
                           const std::string& title) {
-  if (snap.backoff_events == 0 && snap.starvation_escalations == 0 &&
-      snap.starvation_tokens == 0 && snap.breaker_trips == 0 &&
-      snap.breaker_bypass == 0 && snap.max_txn_aborts == 0) {
+  if (stats.backoff_events == 0 && stats.starvation_escalations == 0 &&
+      stats.starvation_tokens == 0 && snap.breaker_trips == 0 &&
+      stats.breaker_bypass == 0 && stats.max_txn_aborts == 0) {
     return;
   }
   ReportTable table({"backoff events", "backoff pauses", "starved",
                      "tokens", "breaker trips", "half-opens", "closes",
                      "bypassed", "p99 txn aborts", "max txn aborts"});
-  table.AddRow({ReportTable::Int(snap.backoff_events),
+  table.AddRow({ReportTable::Int(stats.backoff_events),
                 ReportTable::Int(snap.backoff_pauses),
-                ReportTable::Int(snap.starvation_escalations),
-                ReportTable::Int(snap.starvation_tokens),
+                ReportTable::Int(stats.starvation_escalations),
+                ReportTable::Int(stats.starvation_tokens),
                 ReportTable::Int(snap.breaker_trips),
                 ReportTable::Int(snap.breaker_half_opens),
                 ReportTable::Int(snap.breaker_closes),
-                ReportTable::Int(snap.breaker_bypass),
+                ReportTable::Int(stats.breaker_bypass),
                 ReportTable::Int(snap.txn_abort_hist.ApproxQuantile(0.99)),
-                ReportTable::Int(snap.max_txn_aborts)});
+                ReportTable::Int(stats.max_txn_aborts)});
   table.Print(title);
 }
 

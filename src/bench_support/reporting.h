@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/histogram.h"
+#include "tm/outcome.h"
 #include "tm/telemetry.h"
 
 namespace tufast {
@@ -48,8 +49,10 @@ class JsonReport {
                        const std::vector<std::string>& headers,
                        const std::vector<std::vector<std::string>>& rows);
 
-  /// Records a named telemetry snapshot: {"name":..,"telemetry":{..}}.
+  /// Records one scheduler's counts and telemetry snapshot under a name:
+  /// {"name":..,"telemetry":{..}}.
   static void AddTelemetry(const std::string& name,
+                           const SchedulerStats& stats,
                            const TelemetrySnapshot& snapshot);
 
   /// Writes the document now. Also runs automatically at exit.
@@ -59,22 +62,27 @@ class JsonReport {
   static std::string Escape(const std::string& text);
 };
 
-/// Serializers used by JsonReport and the telemetry golden tests.
+/// Serializers used by JsonReport and the telemetry golden tests. Every
+/// count in the telemetry object is read from `stats`; `snapshot` adds
+/// the clocks, histograms and matrices.
 std::string LogHistogramToJson(const LogHistogram& hist);
-std::string TelemetrySnapshotToJson(const TelemetrySnapshot& snapshot);
+std::string TelemetryToJson(const SchedulerStats& stats,
+                            const TelemetrySnapshot& snapshot);
 
-/// Prints (and mirrors to JSON) the batch-executor fusion summary of a
-/// telemetry snapshot: fused regions/items, fusion aborts, and the
-/// width / bisection-depth histogram quantiles. No-op when the snapshot
-/// recorded no fused regions (per-item benches stay uncluttered).
-void PrintFusionSummary(const TelemetrySnapshot& snapshot,
+/// Prints (and mirrors to JSON) the batch-executor fusion summary: fused
+/// regions/items, fusion aborts, and the width / bisection-depth
+/// histogram quantiles. No-op when the run committed no fused regions
+/// (per-item benches stay uncluttered).
+void PrintFusionSummary(const SchedulerStats& stats,
+                        const TelemetrySnapshot& snapshot,
                         const std::string& title);
 
 /// Prints (and mirrors to JSON) the progress-guard summary: backoff
 /// volume, starvation escalations/tokens, breaker transitions and
 /// bypasses, and the per-transaction abort-count tail. No-op when the
-/// snapshot saw no guard activity at all (uncontended runs stay quiet).
-void PrintProgressSummary(const TelemetrySnapshot& snapshot,
+/// run saw no guard activity at all (uncontended runs stay quiet).
+void PrintProgressSummary(const SchedulerStats& stats,
+                          const TelemetrySnapshot& snapshot,
                           const std::string& title);
 
 }  // namespace tufast

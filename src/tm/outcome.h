@@ -41,9 +41,11 @@ struct RunOutcome {
   uint64_t aborts = 0;
 };
 
-/// Per-worker counters common to every scheduler in this repository.
-/// Merge per-worker copies for global numbers; never shared across
-/// threads without merging.
+/// Per-worker counters common to every scheduler in this repository, and
+/// the one place each count lives: telemetry sinks (tm/telemetry.h) add
+/// clocks, distributions and breakdowns but repeat none of these. Merge
+/// per-worker copies for global numbers; never shared across threads
+/// without merging.
 struct SchedulerStats {
   uint64_t commits = 0;
   uint64_t user_aborts = 0;
@@ -70,8 +72,7 @@ struct SchedulerStats {
   uint64_t fusion_aborts = 0;      // fused-region attempts that aborted
   uint64_t fusion_bisections = 0;  // abort-driven width halvings
 
-  // Progress-guard counters (tm/progress_guard.h), kept in the plain
-  // stats so the guarantees stay observable in NullTelemetry builds.
+  // Progress-guard counters (tm/progress_guard.h).
   uint64_t backoff_events = 0;          // retry backoffs paid
   uint64_t starvation_escalations = 0;  // priority-aging escalations
   uint64_t starvation_tokens = 0;       // global-token acquisitions
@@ -80,29 +81,16 @@ struct SchedulerStats {
 
   // Serving front end (serving/server.h): per-worker queue-delay
   // accounting, recorded exactly once per executed request via
-  // TuFastScheduler::NoteQueueDelay. Kept in the plain stats (like the
-  // progress-guard counters) so serve-side SLO accounting works in
-  // NullTelemetry builds without a side channel.
+  // TuFastScheduler::NoteQueueDelay, so serve-side SLO accounting works
+  // in NullTelemetry builds without a side channel.
   uint64_t serve_requests = 0;
   uint64_t serve_queue_delay_ns = 0;
   uint64_t serve_max_queue_delay_ns = 0;
 
-  // MVCC snapshot transactions (RunReadOnly with enable_mvcc). Kept out
-  // of commits/class_count: snapshot reads never enter the conflict
-  // space, so folding them into the Fig. 15 breakdown would skew the
-  // mode-mix comparisons.
-  uint64_t snapshot_commits = 0;
-  uint64_t snapshot_ops = 0;
-
   // Durability (enable_wal / EnableWal): committed WAL records and
-  // payload bytes attributed to this worker's transactions; fsyncs come
-  // from the shared writer and recovery_* from the replay path — both
-  // stamped into one stats copy post-run (never per-worker).
+  // payload bytes attributed to this worker's transactions.
   uint64_t wal_records = 0;
   uint64_t wal_bytes = 0;
-  uint64_t wal_fsyncs = 0;
-  uint64_t recovery_replayed = 0;
-  uint64_t recovery_torn_tail = 0;
 
   void RecordCommit(TxnClass cls, uint64_t ops) {
     ++commits;
@@ -160,13 +148,8 @@ struct SchedulerStats {
     if (other.serve_max_queue_delay_ns > serve_max_queue_delay_ns) {
       serve_max_queue_delay_ns = other.serve_max_queue_delay_ns;
     }
-    snapshot_commits += other.snapshot_commits;
-    snapshot_ops += other.snapshot_ops;
     wal_records += other.wal_records;
     wal_bytes += other.wal_bytes;
-    wal_fsyncs += other.wal_fsyncs;
-    recovery_replayed += other.recovery_replayed;
-    recovery_torn_tail += other.recovery_torn_tail;
   }
 };
 

@@ -142,16 +142,11 @@ class HsyncHybrid {
         fn(hw);
       });
       if (status.ok()) {
-        w.stats.RecordCommit(TxnClass::kH, hw.ops());
-        w.telemetry.TxnCommit(TxnClass::kH, hw.ops());
-        BeatCommit(w);
-        return RunOutcome{true, TxnClass::kH, hw.ops(), txn_aborts};
+        return RecordTxnCommit(w, TxnClass::kH, hw.ops(), txn_aborts);
       }
       const HtmAttemptVerdict verdict = RecordHtmAbort(w, status);
       if (verdict == HtmAttemptVerdict::kUserAbort) {
-        ++w.stats.user_aborts;
-        w.telemetry.TxnUserAbort(TxnClass::kH);
-        return RunOutcome{false, TxnClass::kH, 0, txn_aborts};
+        return RecordTxnUserAbort(w, TxnClass::kH, txn_aborts);
       }
       ++txn_aborts;
       if (verdict == HtmAttemptVerdict::kCapacity) {
@@ -171,19 +166,14 @@ class HsyncHybrid {
       fn(fb);
     } catch (const UserAbortSignal&) {
       ReleaseGlobalLock();
-      ++w.stats.user_aborts;
-      w.telemetry.TxnUserAbort(TxnClass::kL);
-      return RunOutcome{false, TxnClass::kL, 0, txn_aborts};
+      return RecordTxnUserAbort(w, TxnClass::kL, txn_aborts);
     } catch (...) {
       ReleaseGlobalLock();
       throw;
     }
     for (const auto& p : fb.pending_) htm_.NonTxStore(p.addr, p.value);
     ReleaseGlobalLock();
-    w.stats.RecordCommit(TxnClass::kL, fb.ops());
-    w.telemetry.TxnCommit(TxnClass::kL, fb.ops());
-    BeatCommit(w);
-    return RunOutcome{true, TxnClass::kL, fb.ops(), txn_aborts};
+    return RecordTxnCommit(w, TxnClass::kL, fb.ops(), txn_aborts);
   }
 
   SchedulerStats AggregatedStats() const { return runtime_.AggregatedStats(); }

@@ -119,22 +119,18 @@ class HtmTimestampOrdering {
       hw.Reset(fallback_.NextTs());
       const AbortStatus status = w.state.htx.Execute([&] { fn(hw); });
       if (status.ok()) {
-        w.stats.RecordCommit(TxnClass::kH, hw.ops());
-        w.telemetry.TxnCommit(TxnClass::kH, hw.ops());
-        return RunOutcome{true, TxnClass::kH, hw.ops(), txn_aborts};
+        return RecordTxnCommit(w, TxnClass::kH, hw.ops(), txn_aborts);
       }
       const HtmAttemptVerdict verdict = RecordHtmAbort(w, status);
       if (verdict == HtmAttemptVerdict::kUserAbort) {
-        ++w.stats.user_aborts;
-        w.telemetry.TxnUserAbort(TxnClass::kH);
-        return RunOutcome{false, TxnClass::kH, 0, txn_aborts};
+        return RecordTxnUserAbort(w, TxnClass::kH, txn_aborts);
       }
       ++txn_aborts;
       if (verdict == HtmAttemptVerdict::kCapacity) break;
     }
     // Hand off to the software path. The fallback scheduler begins its
-    // own telemetry transaction (begins count hand-offs twice by design;
-    // commit latency for fallen-back txns is attributed to the fallback).
+    // own telemetry transaction, so commit latency for fallen-back txns
+    // is measured from the hand-off.
     w.telemetry.EnterMode(SchedMode::kOptimistic);
     RunOutcome out = fallback_.Run(worker_id, size_hint, fn);
     out.aborts += txn_aborts;  // The failed hardware attempts count too.

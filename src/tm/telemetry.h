@@ -24,12 +24,15 @@ namespace tufast {
 ///   PeriodChange        O mode is about to attempt with this `period`;
 ///   DeadlockVictim      the lock manager picked this worker as victim
 ///                       (cycle detection or wait-bound expiry);
-///   TxnCommit           the txn committed in class `cls` with `ops`
-///                       operations;
+///   TxnCommit           the txn committed in class `cls`;
 ///   TxnUserAbort        the body called txn.Abort() (final, no retry).
 ///
-/// Sinks are per-worker (no synchronization inside event handlers) and
-/// joined with Merge(), exactly like SchedulerStats.
+/// Sinks repeat no count SchedulerStats (outcome.h) holds: they add
+/// clocks, distributions, the abort and transition matrices, the
+/// deadlock-victim split and breaker transitions. The worker_runtime.h
+/// helpers update both for an event that touches both. Sinks are
+/// per-worker (no synchronization inside event handlers) and joined with
+/// Merge(), exactly like SchedulerStats.
 
 /// Coarse execution machinery a transaction is currently running under.
 /// TxnClass (outcome.h) is the per-commit refinement of this.
@@ -54,7 +57,8 @@ inline constexpr SchedMode ModeOfClass(TxnClass cls) {
 }
 
 /// Why one execution attempt failed. Mirrors the SchedulerStats abort
-/// counters one-for-one so sinks and stats can be cross-checked.
+/// counters one-for-one: each reason's row of the mode x reason matrix
+/// sums to its counter.
 enum class AbortReason : uint8_t {
   kConflict = 0,
   kCapacity,
@@ -94,35 +98,31 @@ struct NullTelemetry {
   void AttemptAbort(AbortReason) {}
   void PeriodChange(uint32_t) {}
   void DeadlockVictim(bool /*cycle*/) {}
-  void TxnCommit(TxnClass, uint64_t /*ops*/) {}
+  void TxnCommit(TxnClass) {}
   void TxnUserAbort(TxnClass) {}
-  void FusedCommit(uint32_t /*width*/, uint32_t /*depth*/, uint64_t /*ops*/) {}
-  void FusionAbort(uint32_t /*width*/) {}
+  void FusedCommit(uint32_t /*width*/, uint32_t /*depth*/) {}
   void BackoffWait(uint64_t /*pauses*/) {}
-  void StarvationEscalated() {}
-  void StarvationToken() {}
   void BreakerTrip() {}
   void BreakerHalfOpen() {}
   void BreakerClose() {}
-  void BreakerBypass() {}
   void TxnRetries(uint64_t /*aborts*/) {}
   void ServeQueueDelay(uint64_t /*ns*/) {}
   void Merge(const NullTelemetry&) {}
 };
 
-/// Aggregated view of one EventTelemetry sink (or a Merge of several).
-/// Plain data so bench_support can serialize it (JSON) without depending
-/// on the sink internals.
+/// Aggregated view of one EventTelemetry sink (or a Merge of several):
+/// the clocks, distributions and breakdowns SchedulerStats does not hold.
+/// Plain data so bench_support can serialize it (JSON) beside the stats
+/// without depending on the sink internals.
 struct TelemetrySnapshot {
-  uint64_t begins = 0;
-  uint64_t user_aborts = 0;
+  /// Deadlock victims split by how the lock manager picked them; the two
+  /// sum to SchedulerStats::deadlock_aborts.
   uint64_t deadlock_cycle_victims = 0;
   uint64_t deadlock_timeout_victims = 0;
 
-  /// Per-commit-class counts / operation totals (the Fig. 15 breakdown)
-  /// and commit-latency histograms in nanoseconds.
-  uint64_t commits[kNumTxnClasses] = {};
-  uint64_t commit_ops[kNumTxnClasses] = {};
+  /// Per-class commit latency in nanoseconds, from TxnBegin: one sample
+  /// per routed (unfused) commit. Fused items count in
+  /// SchedulerStats::class_count[kH] but add no sample here.
   LogHistogram commit_latency_ns[kNumTxnClasses];
 
   /// Wall nanoseconds spent executing under each mode's machinery,
@@ -140,49 +140,25 @@ struct TelemetrySnapshot {
   LogHistogram period_hist;
   uint32_t last_period = 0;
 
-  /// Batch-executor (group-commit fusion) breakdown. A committed fused
-  /// region of width w also counts w commits in `commits[kH]` above, so
-  /// the Fig. 15 class totals stay comparable with fusion on or off.
-  uint64_t fused_regions = 0;   // committed fused regions (width >= 2)
-  uint64_t fused_items = 0;     // items committed inside those regions
-  uint64_t fusion_aborts = 0;   // fused-region attempts that aborted
-  LogHistogram fusion_width_hist;     // committed region widths
-  LogHistogram bisection_depth_hist;  // width halvings before commit
+  /// Batch-executor shape: committed fused-region widths and the width
+  /// halvings each paid before it committed.
+  LogHistogram fusion_width_hist;
+  LogHistogram bisection_depth_hist;
 
-  /// Progress-guard breakdown (tm/progress_guard.h): retry backoffs,
-  /// starvation escalations / token grabs, abort-storm breaker state
-  /// transitions, and the victim re-abort histogram (failed attempts per
-  /// transaction that retried at least once; max over all transactions).
-  uint64_t backoff_events = 0;
+  /// Progress-guard breakdown (tm/progress_guard.h): total backoff
+  /// pauses, abort-storm breaker state transitions, and the victim
+  /// re-abort histogram (failed attempts per transaction that retried at
+  /// least once).
   uint64_t backoff_pauses = 0;
-  uint64_t starvation_escalations = 0;
-  uint64_t starvation_tokens = 0;
   uint64_t breaker_trips = 0;
   uint64_t breaker_half_opens = 0;
   uint64_t breaker_closes = 0;
-  uint64_t breaker_bypass = 0;
   LogHistogram txn_abort_hist;
-  uint64_t max_txn_aborts = 0;
 
   /// Serving front end (serving/server.h): time each executed request
-  /// sat between its scheduled arrival and execution start, recorded by
-  /// the owning worker exactly once per executed request — the
-  /// serve-side SLO accounting reads these instead of a side channel.
-  uint64_t serve_requests = 0;
-  uint64_t serve_queue_delay_ns = 0;
-  uint64_t serve_max_queue_delay_ns = 0;
+  /// sat between its scheduled arrival and execution start.
   LogHistogram serve_queue_delay_hist;
 
-  uint64_t TotalCommits() const {
-    uint64_t total = 0;
-    for (uint64_t c : commits) total += c;
-    return total;
-  }
-  uint64_t TotalCommittedOps() const {
-    uint64_t total = 0;
-    for (uint64_t o : commit_ops) total += o;
-    return total;
-  }
   uint64_t TotalAborts(AbortReason reason) const {
     uint64_t total = 0;
     for (int m = 0; m < kNumSchedModes; ++m) {
@@ -202,7 +178,6 @@ class EventTelemetry {
 
   void TxnBegin() {
     const uint64_t now = Now();
-    ++snap_.begins;
     txn_start_ns_ = now;
     mode_start_ns_ = now;
     in_mode_ = false;
@@ -236,33 +211,18 @@ class EventTelemetry {
     }
   }
 
-  void TxnCommit(TxnClass cls, uint64_t ops) {
+  void TxnCommit(TxnClass cls) {
     const uint64_t now = Now();
-    const int c = static_cast<int>(cls);
-    ++snap_.commits[c];
-    snap_.commit_ops[c] += ops;
-    snap_.commit_latency_ns[c].Add(now - txn_start_ns_);
+    snap_.commit_latency_ns[static_cast<int>(cls)].Add(now - txn_start_ns_);
     CloseMode(now);
   }
 
-  void TxnUserAbort(TxnClass /*cls*/) {
-    ++snap_.user_aborts;
-    CloseMode(Now());
-  }
+  void TxnUserAbort(TxnClass /*cls*/) { CloseMode(Now()); }
 
-  /// One fused H-mode region committed: `width` items, after `depth`
-  /// abort-driven width halvings, totalling `ops` operations. Each item
-  /// is accounted as one begin + one H-class commit so the per-class
-  /// totals cross-check against SchedulerStats with fusion enabled.
-  void FusedCommit(uint32_t width, uint32_t depth, uint64_t ops) {
+  /// One fused H-mode region of `width` items committed after `depth`
+  /// abort-driven width halvings.
+  void FusedCommit(uint32_t width, uint32_t depth) {
     const uint64_t now = Now();
-    snap_.begins += width;
-    snap_.commits[static_cast<int>(TxnClass::kH)] += width;
-    snap_.commit_ops[static_cast<int>(TxnClass::kH)] += ops;
-    if (width >= 2) {
-      ++snap_.fused_regions;
-      snap_.fused_items += width;
-    }
     snap_.fusion_width_hist.Add(width);
     snap_.bisection_depth_hist.Add(depth);
     // The scheduler brackets fused attempts with EnterMode(kHardware);
@@ -270,59 +230,30 @@ class EventTelemetry {
     CloseMode(now);
   }
 
-  /// One fused-region attempt of `width` items aborted (capacity,
-  /// conflict, or a user abort inside the region) and will be bisected.
-  /// The abort *reason* is reported separately through AttemptAbort by
-  /// the batch executor, which keeps the abort matrix consistent between
-  /// the fused and per-item paths.
-  void FusionAbort(uint32_t width) {
-    ++snap_.fusion_aborts;
-    (void)width;
-  }
-
   /// One randomized-backoff wait of `pauses` spin/yield pauses between
   /// conflict retries (all three retry loops report here).
-  void BackoffWait(uint64_t pauses) {
-    ++snap_.backoff_events;
-    snap_.backoff_pauses += pauses;
-  }
+  void BackoffWait(uint64_t pauses) { snap_.backoff_pauses += pauses; }
 
-  void StarvationEscalated() { ++snap_.starvation_escalations; }
-  void StarvationToken() { ++snap_.starvation_tokens; }
   void BreakerTrip() { ++snap_.breaker_trips; }
   void BreakerHalfOpen() { ++snap_.breaker_half_opens; }
   void BreakerClose() { ++snap_.breaker_closes; }
-  void BreakerBypass() { ++snap_.breaker_bypass; }
 
   /// A transaction finished having failed `aborts` attempts; feeds the
   /// victim re-abort histogram (transactions that never retried stay out
   /// of the histogram so its count reads "retried transactions").
   void TxnRetries(uint64_t aborts) {
-    if (aborts == 0) return;
-    snap_.txn_abort_hist.Add(aborts);
-    if (aborts > snap_.max_txn_aborts) snap_.max_txn_aborts = aborts;
+    if (aborts != 0) snap_.txn_abort_hist.Add(aborts);
   }
 
   /// One serving request entered execution after `ns` nanoseconds in the
   /// run queue (measured from its scheduled open-loop arrival).
-  void ServeQueueDelay(uint64_t ns) {
-    ++snap_.serve_requests;
-    snap_.serve_queue_delay_ns += ns;
-    if (ns > snap_.serve_max_queue_delay_ns) {
-      snap_.serve_max_queue_delay_ns = ns;
-    }
-    snap_.serve_queue_delay_hist.Add(ns);
-  }
+  void ServeQueueDelay(uint64_t ns) { snap_.serve_queue_delay_hist.Add(ns); }
 
   void Merge(const EventTelemetry& other) {
     const TelemetrySnapshot& o = other.snap_;
-    snap_.begins += o.begins;
-    snap_.user_aborts += o.user_aborts;
     snap_.deadlock_cycle_victims += o.deadlock_cycle_victims;
     snap_.deadlock_timeout_victims += o.deadlock_timeout_victims;
     for (int c = 0; c < kNumTxnClasses; ++c) {
-      snap_.commits[c] += o.commits[c];
-      snap_.commit_ops[c] += o.commit_ops[c];
       snap_.commit_latency_ns[c].Merge(o.commit_latency_ns[c]);
     }
     for (int m = 0; m < kNumSchedModes; ++m) {
@@ -336,28 +267,13 @@ class EventTelemetry {
     }
     snap_.period_hist.Merge(o.period_hist);
     if (o.last_period != 0) snap_.last_period = o.last_period;
-    snap_.fused_regions += o.fused_regions;
-    snap_.fused_items += o.fused_items;
-    snap_.fusion_aborts += o.fusion_aborts;
     snap_.fusion_width_hist.Merge(o.fusion_width_hist);
     snap_.bisection_depth_hist.Merge(o.bisection_depth_hist);
-    snap_.backoff_events += o.backoff_events;
     snap_.backoff_pauses += o.backoff_pauses;
-    snap_.starvation_escalations += o.starvation_escalations;
-    snap_.starvation_tokens += o.starvation_tokens;
     snap_.breaker_trips += o.breaker_trips;
     snap_.breaker_half_opens += o.breaker_half_opens;
     snap_.breaker_closes += o.breaker_closes;
-    snap_.breaker_bypass += o.breaker_bypass;
     snap_.txn_abort_hist.Merge(o.txn_abort_hist);
-    if (o.max_txn_aborts > snap_.max_txn_aborts) {
-      snap_.max_txn_aborts = o.max_txn_aborts;
-    }
-    snap_.serve_requests += o.serve_requests;
-    snap_.serve_queue_delay_ns += o.serve_queue_delay_ns;
-    if (o.serve_max_queue_delay_ns > snap_.serve_max_queue_delay_ns) {
-      snap_.serve_max_queue_delay_ns = o.serve_max_queue_delay_ns;
-    }
     snap_.serve_queue_delay_hist.Merge(o.serve_queue_delay_hist);
   }
 

@@ -379,7 +379,7 @@ class TuFastScheduler {
     // here: bisection isolates the aborting item at width 1, where the
     // router delivers the per-item user-abort semantics.
     w.state.monitor.RecordFusedAttempt(width, /*aborted=*/true);
-    RecordFusedAbort(w, static_cast<uint32_t>(width), attempt.status);
+    RecordFusedAbort(w, attempt.status);
     const uint64_t mid = lo + width / 2;
     ExecuteFusedRange(w, worker_id, lo, mid, hint, body, depth + 1);
     ExecuteFusedRange(w, worker_id, mid, hi, hint, body, depth + 1);
@@ -438,7 +438,6 @@ class TuFastScheduler {
     NoteBreakerState(w);
     if (w.state.monitor.BreakerShouldBypass()) {
       ++w.stats.breaker_bypass;
-      w.telemetry.BreakerBypass();
       NoteBreakerState(w);  // A bypass can step the breaker to half-open.
       return RunLockTxnLoop<Failpoints>(w, w.state.ltxn, fn, TxnClass::kL,
                                         MakeProgressContext(worker_id, 0));
@@ -471,18 +470,11 @@ class TuFastScheduler {
         if (status.ok()) {
           AccountWalCommit(w, WalRecorderFor(w));  // Ack: region retired.
           w.state.monitor.RecordAttempt(htxn.ops(), /*aborted=*/false);
-          w.stats.RecordCommit(TxnClass::kH, htxn.ops());
-          w.telemetry.TxnCommit(TxnClass::kH, htxn.ops());
-          BeatCommit(w);
-          RecordTxnRetries(w, txn_aborts);
-          return RunOutcome{true, TxnClass::kH, htxn.ops(), txn_aborts};
+          return RecordTxnCommit(w, TxnClass::kH, htxn.ops(), txn_aborts);
         }
         const HtmAttemptVerdict verdict = RecordHtmAbort(w, status);
         if (verdict == HtmAttemptVerdict::kUserAbort) {
-          ++w.stats.user_aborts;
-          w.telemetry.TxnUserAbort(TxnClass::kH);
-          RecordTxnRetries(w, txn_aborts);
-          return RunOutcome{false, TxnClass::kH, 0, txn_aborts};
+          return RecordTxnUserAbort(w, TxnClass::kH, txn_aborts);
         }
         w.state.monitor.RecordAttempt(htxn.ops(), /*aborted=*/true);
         ++txn_aborts;
@@ -555,15 +547,7 @@ class TuFastScheduler {
   /// executed request, so `serve_requests` doubles as the executed count
   /// in the conservation cross-check.
   void NoteQueueDelay(int worker_id, uint64_t delay_ns) {
-    Worker& w = runtime_.GetWorker(worker_id, *this);
-    ++w.stats.serve_requests;
-    w.stats.serve_queue_delay_ns += delay_ns;
-    if (delay_ns > w.stats.serve_max_queue_delay_ns) {
-      w.stats.serve_max_queue_delay_ns = delay_ns;
-    }
-    if constexpr (Telemetry::kEnabled) {
-      w.telemetry.ServeQueueDelay(delay_ns);
-    }
+    RecordQueueDelay(runtime_.GetWorker(worker_id, *this), delay_ns);
   }
 
   /// Telemetry merged across all workers (same in-flight contract).
@@ -631,27 +615,16 @@ class TuFastScheduler {
           const TxnClass cls =
               first_attempt ? TxnClass::kO : TxnClass::kOPlus;
           w.state.monitor.RecordAttempt(w.state.otxn.ops(), /*aborted=*/false);
-          w.stats.RecordCommit(cls, w.state.otxn.ops());
-          w.telemetry.TxnCommit(cls, w.state.otxn.ops());
-          BeatCommit(w);
-          RecordTxnRetries(w, txn_aborts);
-          return RunOutcome{true, cls, w.state.otxn.ops(), txn_aborts};
+          return RecordTxnCommit(w, cls, w.state.otxn.ops(), txn_aborts);
         }
-        if (result == OCommitResult::kLockBusy) {
-          ++w.stats.lock_busy_aborts;
-          w.telemetry.AttemptAbort(AbortReason::kLockBusy);
-        } else {
-          ++w.stats.validation_aborts;
-          w.telemetry.AttemptAbort(AbortReason::kValidation);
-        }
+        RecordAttemptAbort(w, result == OCommitResult::kLockBusy
+                                  ? AbortReason::kLockBusy
+                                  : AbortReason::kValidation);
         w.state.monitor.RecordAttempt(w.state.otxn.ops(), /*aborted=*/true);
       } else {
         const HtmAttemptVerdict verdict = RecordHtmAbort(w, status);
         if (verdict == HtmAttemptVerdict::kUserAbort) {
-          ++w.stats.user_aborts;
-          w.telemetry.TxnUserAbort(TxnClass::kO);
-          RecordTxnRetries(w, txn_aborts);
-          return RunOutcome{false, TxnClass::kO, 0, txn_aborts};
+          return RecordTxnUserAbort(w, TxnClass::kO, txn_aborts);
         }
         w.state.monitor.RecordAttempt(w.state.otxn.ops(), /*aborted=*/true);
         capacity_abort = verdict == HtmAttemptVerdict::kCapacity;

@@ -176,6 +176,11 @@ TUFAST_ALWAYS_INLINE void BeatCommit(Worker& w) {
                       std::memory_order_relaxed);
 }
 
+/// Event accounting. Counts live in SchedulerStats, clocks and
+/// distributions in the telemetry sink; each event that touches both
+/// goes through one helper here, so no scheduler decides on its own
+/// which counters an event updates.
+
 /// End-of-transaction retry accounting: feeds the victim re-abort
 /// histogram and the worst-case bound the starvation stress asserts on.
 template <typename Worker>
@@ -184,7 +189,73 @@ inline void RecordTxnRetries(Worker& w, uint64_t aborts) {
   if (aborts > w.stats.max_txn_aborts) w.stats.max_txn_aborts = aborts;
 }
 
-/// Pays one progress-guard backoff and records it (stats + telemetry).
+/// A transaction committed in class `cls` with `ops` operations after
+/// `aborts` failed attempts; returns the caller's RunOutcome. Forced
+/// inline like the heartbeats: it sits on every scheduler's commit path.
+template <typename Worker>
+TUFAST_ALWAYS_INLINE RunOutcome RecordTxnCommit(Worker& w, TxnClass cls,
+                                                uint64_t ops, uint32_t aborts) {
+  BeatCommit(w);
+  w.stats.RecordCommit(cls, ops);
+  w.telemetry.TxnCommit(cls);
+  RecordTxnRetries(w, aborts);
+  return RunOutcome{true, cls, ops, aborts};
+}
+
+/// The body called txn.Abort() (final) after `aborts` failed attempts;
+/// returns the caller's RunOutcome.
+template <typename Worker>
+TUFAST_ALWAYS_INLINE RunOutcome RecordTxnUserAbort(Worker& w, TxnClass cls,
+                                                   uint32_t aborts) {
+  ++w.stats.user_aborts;
+  w.telemetry.TxnUserAbort(cls);
+  RecordTxnRetries(w, aborts);
+  return RunOutcome{false, cls, 0, aborts};
+}
+
+/// One failed execution attempt: its SchedulerStats counter and its cell
+/// of the mode x reason matrix.
+template <typename Worker>
+TUFAST_ALWAYS_INLINE void RecordAttemptAbort(Worker& w, AbortReason reason) {
+  switch (reason) {
+    case AbortReason::kConflict: ++w.stats.conflict_aborts; break;
+    case AbortReason::kCapacity: ++w.stats.capacity_aborts; break;
+    case AbortReason::kValidation: ++w.stats.validation_aborts; break;
+    case AbortReason::kLockBusy: ++w.stats.lock_busy_aborts; break;
+    case AbortReason::kDeadlock: ++w.stats.deadlock_aborts; break;
+    case AbortReason::kNumReasons: break;
+  }
+  w.telemetry.AttemptAbort(reason);
+}
+
+/// One step up the progress guard's escalation ladder.
+template <typename Worker>
+inline void RecordEscalation(Worker& w, ProgressGuard::Escalation step) {
+  switch (step) {
+    case ProgressGuard::Escalation::kStarved:
+      ++w.stats.starvation_escalations;
+      break;
+    case ProgressGuard::Escalation::kToken:
+      ++w.stats.starvation_tokens;
+      break;
+    case ProgressGuard::Escalation::kNone:
+      break;
+  }
+}
+
+/// One serving request started executing after `ns` nanoseconds in the
+/// run queue.
+template <typename Worker>
+inline void RecordQueueDelay(Worker& w, uint64_t ns) {
+  ++w.stats.serve_requests;
+  w.stats.serve_queue_delay_ns += ns;
+  if (ns > w.stats.serve_max_queue_delay_ns) {
+    w.stats.serve_max_queue_delay_ns = ns;
+  }
+  w.telemetry.ServeQueueDelay(ns);
+}
+
+/// Pays one progress-guard backoff and records it.
 template <typename Worker>
 inline void PayBackoff(Worker& w, uint32_t attempt) {
   const uint64_t pauses = ConflictBackoff(w.rng, attempt);
@@ -217,9 +288,8 @@ enum class HtmAttemptVerdict {
   kRetryable,  // conflict / lock-busy: retry or fall through on budget
 };
 
-/// Classifies a failed AbortStatus, bumping the matching SchedulerStats
-/// counter and telemetry event. Shared by every HTM-first retry loop
-/// (TuFast H mode, HSync, H-TO).
+/// Classifies and records a failed AbortStatus. Shared by every
+/// HTM-first retry loop (TuFast H mode, HSync, H-TO).
 template <typename Worker>
 inline HtmAttemptVerdict RecordHtmAbort(Worker& w, const AbortStatus& status) {
   if (status.cause == AbortCause::kExplicit &&
@@ -227,16 +297,13 @@ inline HtmAttemptVerdict RecordHtmAbort(Worker& w, const AbortStatus& status) {
     return HtmAttemptVerdict::kUserAbort;
   }
   if (status.cause == AbortCause::kCapacity) {
-    ++w.stats.capacity_aborts;
-    w.telemetry.AttemptAbort(AbortReason::kCapacity);
+    RecordAttemptAbort(w, AbortReason::kCapacity);
     return HtmAttemptVerdict::kCapacity;
   }
   if (status.cause == AbortCause::kExplicit) {
-    ++w.stats.lock_busy_aborts;
-    w.telemetry.AttemptAbort(AbortReason::kLockBusy);
+    RecordAttemptAbort(w, AbortReason::kLockBusy);
   } else {
-    ++w.stats.conflict_aborts;
-    w.telemetry.AttemptAbort(AbortReason::kConflict);
+    RecordAttemptAbort(w, AbortReason::kConflict);
   }
   return HtmAttemptVerdict::kRetryable;
 }
@@ -262,24 +329,23 @@ inline FusedAttemptResult RunFusedHtmAttempt(Tx& htx, HTxnT& htxn, uint64_t lo,
 }
 
 /// Accounting for a committed fused region: every item counts as one
-/// H-class commit in both stats and telemetry (Fig. 15 parity with the
-/// per-item path) plus the fusion packaging counters.
+/// H-class commit (Fig. 15 parity with the per-item path) plus the
+/// fusion packaging counters and the width / depth histograms.
 template <typename Worker>
 inline void RecordFusedCommit(Worker& w, uint32_t width, uint32_t depth,
                               uint64_t ops) {
   w.stats.RecordFusedCommit(width, ops);
-  w.telemetry.FusedCommit(width, depth, ops);
+  w.telemetry.FusedCommit(width, depth);
 }
 
 /// Accounting for an aborted fused region that is about to be bisected:
 /// one fusion abort + one bisection, with the abort *reason* classified
 /// through the same RecordHtmAbort path the per-item loops use.
 template <typename Worker>
-inline HtmAttemptVerdict RecordFusedAbort(Worker& w, uint32_t width,
+inline HtmAttemptVerdict RecordFusedAbort(Worker& w,
                                           const AbortStatus& status) {
   ++w.stats.fusion_aborts;
   ++w.stats.fusion_bisections;
-  w.telemetry.FusionAbort(width);
   return RecordHtmAbort(w, status);
 }
 
@@ -307,18 +373,7 @@ template <typename Worker>
 inline void OnLockVictimAbort(Worker& w, const ProgressContext& ctx,
                               uint32_t aborts) {
   if (ctx.guard != nullptr) {
-    switch (ctx.guard->OnAbort(ctx.slot, aborts)) {
-      case ProgressGuard::Escalation::kStarved:
-        ++w.stats.starvation_escalations;
-        w.telemetry.StarvationEscalated();
-        break;
-      case ProgressGuard::Escalation::kToken:
-        ++w.stats.starvation_tokens;
-        w.telemetry.StarvationToken();
-        break;
-      case ProgressGuard::Escalation::kNone:
-        break;
-    }
+    RecordEscalation(w, ctx.guard->OnAbort(ctx.slot, aborts));
   }
   PayBackoff(w, aborts - 1);
 }
@@ -369,8 +424,7 @@ RunOutcome RunLockTxnLoop(Worker& w, LockTxn& ltxn, Fn& fn, TxnClass cls,
       if ((ctx.guard == nullptr || !ctx.guard->Protected(ctx.slot)) &&
           FailpointsT::Hit(FailSite::kVictimReabort, ctx.slot) ==
               FailAction::kFail) {
-        ++w.stats.deadlock_aborts;
-        w.telemetry.AttemptAbort(AbortReason::kDeadlock);
+        RecordAttemptAbort(w, AbortReason::kDeadlock);
         OnLockVictimAbort(w, ctx, ++aborts);
         continue;
       }
@@ -378,18 +432,7 @@ RunOutcome RunLockTxnLoop(Worker& w, LockTxn& ltxn, Fn& fn, TxnClass cls,
       if (ctx.guard != nullptr &&
           FailpointsT::Hit(FailSite::kStarvationToken, ctx.slot) ==
               FailAction::kFail) {
-        switch (ctx.guard->ForceEscalate(ctx.slot)) {
-          case ProgressGuard::Escalation::kToken:
-            ++w.stats.starvation_tokens;
-            w.telemetry.StarvationToken();
-            [[fallthrough]];
-          case ProgressGuard::Escalation::kStarved:
-            ++w.stats.starvation_escalations;
-            w.telemetry.StarvationEscalated();
-            break;
-          case ProgressGuard::Escalation::kNone:
-            break;
-        }
+        RecordEscalation(w, ctx.guard->ForceEscalate(ctx.slot));
       }
     }
     ltxn.Reset();
@@ -401,23 +444,15 @@ RunOutcome RunLockTxnLoop(Worker& w, LockTxn& ltxn, Fn& fn, TxnClass cls,
       // Ack barrier: no locks held. A null recorder (WAL off, and always
       // on 2PL) returns at once.
       AccountWalCommit(w, ltxn.wal_recorder());
-      BeatCommit(w);
-      w.stats.RecordCommit(cls, ltxn.ops());
-      w.telemetry.TxnCommit(cls, ltxn.ops());
-      RecordTxnRetries(w, aborts);
-      return RunOutcome{true, cls, ltxn.ops(), aborts};
+      return RecordTxnCommit(w, cls, ltxn.ops(), aborts);
     } catch (const UserAbortSignal&) {
       // LockReleaseGuard frees the lock set on unwind.
-      ++w.stats.user_aborts;
-      w.telemetry.TxnUserAbort(cls);
-      RecordTxnRetries(w, aborts);
-      return RunOutcome{false, cls, 0, aborts};
+      return RecordTxnUserAbort(w, cls, aborts);
     } catch (const DeadlockVictimSignal&) {
       // Free the lock set NOW — escalation and backoff must run with no
       // locks held (the guard dtor would only fire at scope end).
       ltxn.ReleaseAll();
-      ++w.stats.deadlock_aborts;
-      w.telemetry.AttemptAbort(AbortReason::kDeadlock);
+      RecordAttemptAbort(w, AbortReason::kDeadlock);
       OnLockVictimAbort(w, ctx, ++aborts);
     }
   }
@@ -495,7 +530,8 @@ inline void InstallCommitHooks(Tx& htx, CommitHookCtx<Store>& ctx) {
 
 /// MVCC read-only runner behind TuFastScheduler::RunReadOnly() once its
 /// version store exists: executes `fn` against an abort-free
-/// snapshot transaction with heartbeat + snapshot-stats accounting.
+/// snapshot transaction with heartbeat accounting (MvccCounters count
+/// the snapshots and their reads).
 /// `outcome.aborts` is 0 by construction — snapshot reads never enter
 /// the conflict space.
 template <typename Store, typename Worker, typename Fn>
@@ -512,8 +548,6 @@ RunOutcome RunSnapshotReadOnly(Store& store, Worker& w, int slot, Fn& fn) {
   }
   const uint64_t ops = txn.ops();
   txn.Finish();
-  ++w.stats.snapshot_commits;
-  w.stats.snapshot_ops += ops;
   BeatCommit(w);
   return RunOutcome{true, TxnClass::kH, ops};
 }
@@ -538,24 +572,15 @@ RunOutcome RunOptimisticRetryLoop(Worker& w, Txn& txn, Fn& fn, ResetFn reset,
     try {
       fn(txn);
       if (try_commit(txn)) {
-        BeatCommit(w);
-        w.stats.RecordCommit(TxnClass::kO, txn.ops());
-        w.telemetry.TxnCommit(TxnClass::kO, txn.ops());
-        RecordTxnRetries(w, aborts);
-        return RunOutcome{true, TxnClass::kO, txn.ops(), aborts};
+        return RecordTxnCommit(w, TxnClass::kO, txn.ops(), aborts);
       }
-      ++w.stats.validation_aborts;
-      w.telemetry.AttemptAbort(AbortReason::kValidation);
+      RecordAttemptAbort(w, AbortReason::kValidation);
     } catch (const UserAbortSignal&) {
       rollback(txn);
-      ++w.stats.user_aborts;
-      w.telemetry.TxnUserAbort(TxnClass::kO);
-      RecordTxnRetries(w, aborts);
-      return RunOutcome{false, TxnClass::kO, 0, aborts};
+      return RecordTxnUserAbort(w, TxnClass::kO, aborts);
     } catch (const AbortSignal&) {
       rollback(txn);
-      ++w.stats.conflict_aborts;
-      w.telemetry.AttemptAbort(AbortReason::kConflict);
+      RecordAttemptAbort(w, AbortReason::kConflict);
     } catch (...) {
       // Foreign exception from the body: undo encounter-time side
       // effects (TinySTM holds write locks mid-body) before propagating.

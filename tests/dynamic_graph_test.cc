@@ -204,20 +204,20 @@ TEST(DynamicGraphTest, DegreeSizeHintRoutesHubMutationsOutOfHMode) {
   ASSERT_GT(dyn->SizeHintFor(2), config.o_hint_threshold);
 
   ASSERT_TRUE(dyn->InsertEdge(tm, 0, 0, 5));  // Cold vertex: H mode.
-  TelemetrySnapshot snap = tm.AggregatedTelemetry().Snapshot();
-  EXPECT_EQ(snap.commits[static_cast<int>(TxnClass::kH)], 1u);
+  SchedulerStats stats = tm.AggregatedStats();
+  EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kH)], 1u);
 
   ASSERT_TRUE(dyn->InsertEdge(tm, 0, 1, 5));  // Hub: demoted to O.
-  snap = tm.AggregatedTelemetry().Snapshot();
-  EXPECT_EQ(snap.commits[static_cast<int>(TxnClass::kH)], 1u);
-  EXPECT_EQ(snap.commits[static_cast<int>(TxnClass::kO)] +
-                snap.commits[static_cast<int>(TxnClass::kOPlus)] +
-                snap.commits[static_cast<int>(TxnClass::kO2L)],
+  stats = tm.AggregatedStats();
+  EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kH)], 1u);
+  EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kO)] +
+                stats.class_count[static_cast<int>(TxnClass::kOPlus)] +
+                stats.class_count[static_cast<int>(TxnClass::kO2L)],
             1u);
 
   ASSERT_TRUE(dyn->InsertEdge(tm, 0, 2, 5));  // Super-hub: straight to L.
-  snap = tm.AggregatedTelemetry().Snapshot();
-  EXPECT_EQ(snap.commits[static_cast<int>(TxnClass::kL)], 1u);
+  stats = tm.AggregatedStats();
+  EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kL)], 1u);
 }
 
 TEST(DynamicGraphTest, ApplyBatchTalliesEveryOutcomeClass) {

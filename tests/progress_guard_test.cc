@@ -6,6 +6,7 @@
 //     through TuFast under forced failpoints;
 //   * starvation escalation end to end (forced victim re-aborts);
 //   * O-mode retry pacing: capacity aborts skip the conflict backoff;
+//   * retry accounting on every HTM-first scheduler;
 //   * the starvation token pausing batch fusion;
 //   * exception safety: a transaction body that throws a foreign
 //     exception must release every lock it holds before propagating, in
@@ -19,6 +20,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,6 +34,7 @@
 #include "tm/progress_guard.h"
 #include "tm/scheduler_2pl.h"
 #include "tm/scheduler_hsync.h"
+#include "tm/scheduler_hto.h"
 #include "tm/scheduler_tinystm.h"
 #include "tm/stall_watchdog.h"
 #include "tm/tufast.h"
@@ -424,14 +427,13 @@ TEST(TuFastBreakerTest, ForcedTripRoundTripIsVisibleInTelemetry) {
   EXPECT_EQ(snap.breaker_trips, 1u);
   EXPECT_EQ(snap.breaker_half_opens, 1u);
   EXPECT_EQ(snap.breaker_closes, 1u);
-  EXPECT_EQ(snap.breaker_bypass,
-            uint64_t{ContentionMonitor::Config{}.breaker_open_txns});
   const SchedulerStats stats = tm.AggregatedStats();
-  EXPECT_EQ(stats.breaker_bypass, snap.breaker_bypass);
+  EXPECT_EQ(stats.breaker_bypass,
+            uint64_t{ContentionMonitor::Config{}.breaker_open_txns});
   EXPECT_EQ(stats.commits, kTxns) << "the breaker reroutes, never drops";
   // Bypassed transactions went to L; the rest stayed on the H path.
   EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kL)],
-            snap.breaker_bypass);
+            stats.breaker_bypass);
 }
 
 TEST(TuFastBreakerTest, DisabledBreakerIgnoresTheTripFailpoint) {
@@ -474,15 +476,15 @@ TEST(TuFastStarvationTest, ForcedVictimReabortsEscalateThenCommit) {
   });
   EXPECT_TRUE(outcome.committed);
   EXPECT_EQ(values[0], 1u);
-  const TelemetrySnapshot snap = tm.AggregatedTelemetry().Snapshot();
-  EXPECT_EQ(snap.starvation_escalations, 1u);
-  EXPECT_EQ(snap.max_txn_aborts,
+  const SchedulerStats stats = tm.AggregatedStats();
+  EXPECT_EQ(stats.starvation_escalations, 1u);
+  EXPECT_EQ(stats.max_txn_aborts,
             uint64_t{tm.config().starvation_priority_threshold})
       << "priority aging must make the slot immune to further injected "
          "victim aborts";
-  EXPECT_EQ(snap.backoff_events, snap.max_txn_aborts)
+  EXPECT_EQ(stats.backoff_events, stats.max_txn_aborts)
       << "one paced backoff per victim abort";
-  EXPECT_GT(snap.backoff_pauses, 0u);
+  EXPECT_GT(tm.AggregatedTelemetry().Snapshot().backoff_pauses, 0u);
   // The ladder cleans up after commit.
   EXPECT_FALSE(tm.progress_guard().signals().AnyStarved());
   EXPECT_FALSE(tm.progress_guard().signals().TokenHeld());
@@ -500,8 +502,6 @@ TEST(TuFastStarvationTest, ForcedTokenIsAcquiredAndReleased) {
     txn.Write(0, &values[0], txn.Read(0, &values[0]) + 1);
   });
   EXPECT_TRUE(outcome.committed);
-  const TelemetrySnapshot snap = tm.AggregatedTelemetry().Snapshot();
-  EXPECT_EQ(snap.starvation_tokens, 1u);
   EXPECT_FALSE(tm.progress_guard().signals().TokenHeld())
       << "OnTxnDone must release the token at commit";
   const SchedulerStats stats = tm.AggregatedStats();
@@ -529,13 +529,14 @@ TEST(TuFastStarvationTest, SameSeedReplaysIdenticalBackoffSequence) {
         txn.Write(v, &values[v], txn.ReadForUpdate(v, &values[v]) + 1);
       });
     }
-    return tm.AggregatedTelemetry().Snapshot();
+    return std::make_pair(tm.AggregatedStats(),
+                          tm.AggregatedTelemetry().Snapshot());
   };
-  const TelemetrySnapshot a = run_once();
-  const TelemetrySnapshot b = run_once();
+  const auto [a, a_snap] = run_once();
+  const auto [b, b_snap] = run_once();
   EXPECT_GT(a.backoff_events, 0u) << "the plan must provoke some retries";
   EXPECT_EQ(a.backoff_events, b.backoff_events);
-  EXPECT_EQ(a.backoff_pauses, b.backoff_pauses);
+  EXPECT_EQ(a_snap.backoff_pauses, b_snap.backoff_pauses);
   EXPECT_EQ(a.starvation_escalations, b.starvation_escalations);
   EXPECT_EQ(a.max_txn_aborts, b.max_txn_aborts);
 }
@@ -585,6 +586,41 @@ TEST(TuFastOModeBackoffTest, ConflictAbortStillPaysOneBackoff) {
 }
 
 // ---------------------------------------------------------------------
+// Retry accounting: a commit after a failed hardware attempt reaches
+// max_txn_aborts and the re-abort histogram on every HTM-first scheduler.
+
+/// One transaction whose first hardware commit is forced to a conflict
+/// abort; the retry commits in hardware.
+template <typename Scheduler>
+void ExpectOneRetryRecorded(const char* name) {
+  SCOPED_TRACE(name);
+  FaultyHtm htm;
+  Scheduler tm(htm, 64);
+  std::vector<TmWord> values(64, 0);
+  FailpointPlan plan(FailpointPlan::Config{});
+  plan.ForceAt(FailSite::kHtmCommit, /*slot=*/0, /*hit_index=*/0,
+               FailAction::kAbortConflict);
+  FailpointScope scope(plan);
+  const RunOutcome outcome = tm.Run(0, 2, [&](auto& txn) {
+    txn.Write(3, &values[3], txn.Read(3, &values[3]) + 1);
+  });
+  EXPECT_TRUE(outcome.committed);
+  EXPECT_EQ(outcome.cls, TxnClass::kH);
+  EXPECT_EQ(outcome.aborts, 1u);
+  const SchedulerStats stats = tm.AggregatedStats();
+  EXPECT_EQ(stats.conflict_aborts, 1u);
+  EXPECT_EQ(stats.max_txn_aborts, 1u);
+  EXPECT_EQ(tm.AggregatedTelemetry().Snapshot().txn_abort_hist.count(), 1u);
+}
+
+TEST(RetryAccountingTest, HtmFirstSchedulersRecordRetriedCommits) {
+  ExpectOneRetryRecorded<TuFastScheduler<FaultyHtm, EventTelemetry>>("tufast");
+  ExpectOneRetryRecorded<HsyncHybrid<FaultyHtm, EventTelemetry>>("hsync");
+  ExpectOneRetryRecorded<HtmTimestampOrdering<FaultyHtm, EventTelemetry>>(
+      "hto");
+}
+
+// ---------------------------------------------------------------------
 // The starvation token pauses batch fusion.
 
 TEST(TuFastStarvationTest, HeldTokenPausesFusion) {
@@ -603,8 +639,7 @@ TEST(TuFastStarvationTest, HeldTokenPausesFusion) {
           txn.Write(v, &values[v], txn.Read(v, &values[v]) + 1);
         });
     for (VertexId v = 0; v < kVertices; ++v) EXPECT_EQ(values[v], 1u);
-    const TelemetrySnapshot snap = tm.AggregatedTelemetry().Snapshot();
-    EXPECT_EQ(snap.fused_regions, 0u)
+    EXPECT_EQ(tm.AggregatedStats().fused_regions, 0u)
         << "fusion must pause while the starvation token is held";
     tm.progress_guard().signals().ReleaseToken(63);
   }
@@ -618,8 +653,7 @@ TEST(TuFastStarvationTest, HeldTokenPausesFusion) {
           txn.Write(v, &values[v], txn.Read(v, &values[v]) + 1);
         });
     for (VertexId v = 0; v < kVertices; ++v) EXPECT_EQ(values[v], 1u);
-    const TelemetrySnapshot snap = tm.AggregatedTelemetry().Snapshot();
-    EXPECT_GT(snap.fused_regions, 0u)
+    EXPECT_GT(tm.AggregatedStats().fused_regions, 0u)
         << "with the token free the same batch must fuse";
   }
 }

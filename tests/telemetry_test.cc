@@ -1,9 +1,8 @@
 // Tests for the pluggable scheduler telemetry layer (tm/telemetry.h +
-// tm/worker_runtime.h): event counts must agree exactly with the
-// SchedulerStats counters the schedulers have always kept (the two are
-// updated at the same call sites), Merge must behave like processing one
-// combined stream, and the JSON export must stay stable (golden check —
-// fig15's export format).
+// tm/worker_runtime.h): the matrices and histograms the sink keeps must
+// agree with the SchedulerStats counts they break down, Merge must behave
+// like processing one combined stream, and the JSON export must stay
+// stable (golden check — fig15's export format).
 
 #include <string>
 #include <thread>
@@ -60,19 +59,15 @@ void RunContendedWorkload(Scheduler& tm, std::vector<TmWord>& values,
   for (auto& th : threads) th.join();
 }
 
-/// The invariant the telemetry layer promises: every counter the sink
-/// aggregates is updated at the same call site as the matching
-/// SchedulerStats counter, so the two views can never drift.
+/// What stays duplicated by design between the sink and SchedulerStats
+/// (unfused runs): each reason's row of the abort matrix sums to its
+/// counter, the victim split sums to the deadlock aborts, and every
+/// commit adds one latency sample to its class.
 void ExpectTelemetryMatchesStats(const TelemetrySnapshot& snap,
                                  const SchedulerStats& stats) {
-  EXPECT_EQ(snap.begins, stats.commits + stats.user_aborts);
-  EXPECT_EQ(snap.user_aborts, stats.user_aborts);
-  EXPECT_EQ(snap.TotalCommits(), stats.commits);
-  EXPECT_EQ(snap.TotalCommittedOps(), stats.ops_committed);
   for (int c = 0; c < kNumTxnClasses; ++c) {
-    EXPECT_EQ(snap.commits[c], stats.class_count[c]) << "class " << c;
-    EXPECT_EQ(snap.commit_ops[c], stats.class_ops[c]) << "class " << c;
-    EXPECT_EQ(snap.commit_latency_ns[c].count(), stats.class_count[c]);
+    EXPECT_EQ(snap.commit_latency_ns[c].count(), stats.class_count[c])
+        << "class " << c;
   }
   EXPECT_EQ(snap.TotalAborts(AbortReason::kConflict), stats.conflict_aborts);
   EXPECT_EQ(snap.TotalAborts(AbortReason::kCapacity), stats.capacity_aborts);
@@ -99,9 +94,9 @@ TEST(TelemetryTest, TuFastEventCountsMatchSchedulerStats) {
   // The workload committed in more than one class, so mode transitions
   // and the O-mode period trace must be populated.
   EXPECT_GT(stats.commits, 0u);
-  EXPECT_GT(snap.commits[static_cast<int>(TxnClass::kH)], 0u);
-  EXPECT_GT(snap.commits[static_cast<int>(TxnClass::kO)] +
-                snap.commits[static_cast<int>(TxnClass::kOPlus)],
+  EXPECT_GT(stats.class_count[static_cast<int>(TxnClass::kH)], 0u);
+  EXPECT_GT(stats.class_count[static_cast<int>(TxnClass::kO)] +
+                stats.class_count[static_cast<int>(TxnClass::kOPlus)],
             0u);
   EXPECT_GT(snap.period_hist.count(), 0u);
   EXPECT_GT(snap.last_period, 0u);
@@ -118,12 +113,9 @@ TEST(TelemetryTest, TuFastDirectLockRouteMatchesStats) {
   // L mode, exercising the lock loop + deadlock-victim telemetry.
   RunContendedWorkload(tm, values, tm.config().o_hint_threshold + 1);
 
-  ExpectTelemetryMatchesStats(tm.AggregatedTelemetry().Snapshot(),
-                              tm.AggregatedStats());
-  EXPECT_GT(tm.AggregatedTelemetry()
-                .Snapshot()
-                .commits[static_cast<int>(TxnClass::kL)],
-            0u);
+  const SchedulerStats stats = tm.AggregatedStats();
+  ExpectTelemetryMatchesStats(tm.AggregatedTelemetry().Snapshot(), stats);
+  EXPECT_GT(stats.class_count[static_cast<int>(TxnClass::kL)], 0u);
 }
 
 TEST(TelemetryTest, SiloBaselineEventCountsMatchSchedulerStats) {
@@ -136,7 +128,7 @@ TEST(TelemetryTest, SiloBaselineEventCountsMatchSchedulerStats) {
   const TelemetrySnapshot& snap = tm.AggregatedTelemetry().Snapshot();
   ExpectTelemetryMatchesStats(snap, stats);
   // Silo commits everything as class O under the shared retry loop.
-  EXPECT_EQ(snap.commits[static_cast<int>(TxnClass::kO)], stats.commits);
+  EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kO)], stats.commits);
 }
 
 TEST(TelemetryTest, TwoPhaseLockingDeadlockVictimsAreCounted) {
@@ -177,7 +169,6 @@ struct TxnScript {
   int attempt_aborts;
   bool user_abort;
   TxnClass cls;
-  uint64_t ops;
   uint32_t period;  // 0 = no PeriodChange events.
   int deadlock_victims;
 };
@@ -198,19 +189,15 @@ void Replay(EventTelemetry& sink, const TxnScript& txn) {
   if (txn.user_abort) {
     sink.TxnUserAbort(txn.cls);
   } else {
-    sink.TxnCommit(txn.cls, txn.ops);
+    sink.TxnCommit(txn.cls);
   }
 }
 
 void ExpectDeterministicFieldsEqual(const TelemetrySnapshot& a,
                                     const TelemetrySnapshot& b) {
-  EXPECT_EQ(a.begins, b.begins);
-  EXPECT_EQ(a.user_aborts, b.user_aborts);
   EXPECT_EQ(a.deadlock_cycle_victims, b.deadlock_cycle_victims);
   EXPECT_EQ(a.deadlock_timeout_victims, b.deadlock_timeout_victims);
   for (int c = 0; c < kNumTxnClasses; ++c) {
-    EXPECT_EQ(a.commits[c], b.commits[c]);
-    EXPECT_EQ(a.commit_ops[c], b.commit_ops[c]);
     EXPECT_EQ(a.commit_latency_ns[c].count(), b.commit_latency_ns[c].count());
   }
   for (int m = 0; m < kNumSchedModes; ++m) {
@@ -236,7 +223,6 @@ TEST(TelemetryTest, MergeEqualsSingleStreamForRandomScripts) {
     txn.attempt_aborts = static_cast<int>(rng.NextBounded(5));
     txn.user_abort = rng.NextBounded(10) == 0;
     txn.cls = static_cast<TxnClass>(rng.NextBounded(kNumTxnClasses));
-    txn.ops = rng.NextBounded(100);
     txn.period = rng.NextBounded(3) == 0
                      ? static_cast<uint32_t>(100 + rng.NextBounded(1900))
                      : 0;
@@ -268,10 +254,10 @@ TEST(TelemetryTest, MergeKeepsLastPeriodFromLaterNonZero) {
   a.TxnBegin();
   a.EnterMode(SchedMode::kOptimistic);
   a.PeriodChange(512);
-  a.TxnCommit(TxnClass::kO, 1);
+  a.TxnCommit(TxnClass::kO);
   b.TxnBegin();
   b.EnterMode(SchedMode::kHardware);
-  b.TxnCommit(TxnClass::kH, 1);
+  b.TxnCommit(TxnClass::kH);
 
   EventTelemetry merged;
   merged.Merge(a);
@@ -280,17 +266,29 @@ TEST(TelemetryTest, MergeKeepsLastPeriodFromLaterNonZero) {
 }
 
 // ---------------------------------------------------------------------
-// JSON golden check (the fig15 --json-out format). The snapshot is
-// constructed directly so every field, including the histogram
-// summaries, is deterministic.
+// JSON golden check (the fig15 --json-out format). The stats and the
+// snapshot are constructed directly so every field, including the
+// histogram summaries, is deterministic.
 
 TEST(TelemetryJsonTest, SnapshotSerializationGolden) {
+  SchedulerStats stats;
+  stats.user_aborts = 1;
+  stats.class_count[static_cast<int>(TxnClass::kH)] = 5;
+  stats.class_ops[static_cast<int>(TxnClass::kH)] = 50;
+  stats.fused_regions = 3;
+  stats.fused_items = 12;
+  stats.fusion_aborts = 2;
+  stats.backoff_events = 7;
+  stats.starvation_escalations = 2;
+  stats.starvation_tokens = 1;
+  stats.breaker_bypass = 128;
+  stats.max_txn_aborts = 4;
+  stats.serve_requests = 6;
+  stats.serve_queue_delay_ns = 4000;
+  stats.serve_max_queue_delay_ns = 2000;
+
   TelemetrySnapshot snap;
-  snap.begins = 10;
-  snap.user_aborts = 1;
   snap.deadlock_cycle_victims = 2;
-  snap.commits[static_cast<int>(TxnClass::kH)] = 5;
-  snap.commit_ops[static_cast<int>(TxnClass::kH)] = 50;
   snap.time_in_mode_ns[0] = 1000;
   snap.time_in_mode_ns[1] = 2000;
   snap.time_in_mode_ns[2] = 3000;
@@ -300,28 +298,17 @@ TEST(TelemetryJsonTest, SnapshotSerializationGolden) {
   snap.transitions[1][2] = 1;
   snap.period_hist.Add(1000, 4);
   snap.last_period = 500;
-  snap.fused_regions = 3;
-  snap.fused_items = 12;
-  snap.fusion_aborts = 2;
   snap.fusion_width_hist.Add(4, 3);
-  snap.backoff_events = 7;
   snap.backoff_pauses = 90;
-  snap.starvation_escalations = 2;
-  snap.starvation_tokens = 1;
   snap.breaker_trips = 1;
   snap.breaker_half_opens = 1;
   snap.breaker_closes = 1;
-  snap.breaker_bypass = 128;
   snap.txn_abort_hist.Add(4, 2);
-  snap.max_txn_aborts = 4;
-  snap.serve_requests = 6;
-  snap.serve_queue_delay_ns = 4000;
-  snap.serve_max_queue_delay_ns = 2000;
 
   const std::string empty_hist =
       "{\"count\":0,\"sum\":0,\"min\":0,\"max\":0,\"p50\":0,\"p99\":0}";
   const std::string expected =
-      "{\"begins\":10,\"user_aborts\":1,\"deadlock_cycle_victims\":2,"
+      "{\"user_aborts\":1,\"deadlock_cycle_victims\":2,"
       "\"deadlock_timeout_victims\":0,"
       "\"commits\":{"
       "\"H\":{\"count\":5,\"ops\":50,\"latency_ns\":" + empty_hist + "},"
@@ -356,7 +343,7 @@ TEST(TelemetryJsonTest, SnapshotSerializationGolden) {
       "\"serve\":{\"requests\":6,\"queue_delay_ns\":4000,"
       "\"max_queue_delay_ns\":2000,"
       "\"queue_delay\":" + empty_hist + "}}";
-  EXPECT_EQ(TelemetrySnapshotToJson(snap), expected);
+  EXPECT_EQ(TelemetryToJson(stats, snap), expected);
 }
 
 TEST(TelemetryJsonTest, EscapeHandlesSpecialCharacters) {
@@ -371,9 +358,9 @@ TEST(TelemetryJsonTest, LiveSnapshotSerializesWithoutError) {
   TuFastInstrumented tm(htm, kVertices);
   std::vector<TmWord> values(kVertices, 0);
   RunContendedWorkload(tm, values, tm.h_hint_threshold() + 1);
-  const std::string json =
-      TelemetrySnapshotToJson(tm.AggregatedTelemetry().Snapshot());
-  EXPECT_NE(json.find("\"begins\":"), std::string::npos);
+  const std::string json = TelemetryToJson(
+      tm.AggregatedStats(), tm.AggregatedTelemetry().Snapshot());
+  EXPECT_NE(json.find("\"user_aborts\":"), std::string::npos);
   EXPECT_NE(json.find("\"transitions\":{"), std::string::npos);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
