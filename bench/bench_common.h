@@ -60,8 +60,8 @@ namespace tufast {
 ///                   crash failpoints (torn write, short write, crash
 ///                   before fsync, partial checkpoint), kill the log
 ///                   mid-record, RecoverFromWal, and verify
-///                   bank-conservation + exactly-once invariants across
-///                   schedulers and deadlock policies
+///                   bank-conservation + exactly-once invariants on
+///                   TuFast, with MVCC off and on
 /// Malformed values (non-numeric, trailing junk, out of range) and
 /// unknown flags are hard errors: a bench silently running with scale 0
 /// measures nothing, and a typo'd switch would silently run the default

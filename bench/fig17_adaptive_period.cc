@@ -5,9 +5,14 @@
 //
 // Reported per iteration: throughput with the static parameter (1000),
 // throughput with adaptive selection, and the adaptive period itself.
-// Expected shape: adaptive >= static overall, with the adaptive period
-// visibly moving as the active set concentrates.
+// The paper's two claims — adaptive >= static overall, and an adaptive
+// period that moves as the active set concentrates — are printed with
+// `holds` or `differs` and the measured values; they are recorded, not
+// gated. On the default 64 x 8 cache the second cannot hold: max_period
+// defaults to max(min_period, CapacityOptimalOps) = max(100, 89) = 100 =
+// min_period, so the adaptive period is pinned at 100.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "algorithms/pagerank.h"
@@ -100,6 +105,10 @@ int Main(int argc, char** argv) {
 
   ReportTable table({"iteration", "static txn/s", "adaptive txn/s",
                      "adaptive period", "active vertices"});
+  IterationStats static_total, adaptive_total;
+  int iterations_run = 0, adaptive_wins = 0;
+  // Range of the periods O mode attempted (0 = none yet).
+  uint64_t min_seen = 0, max_seen = 0;
   for (int iter = 0; iter < iterations; ++iter) {
     const IterationStats s =
         RunIteration(static_tm, pool, graph, reversed, static_rank,
@@ -108,12 +117,22 @@ int Main(int argc, char** argv) {
         RunIteration(adaptive_tm, pool, graph, reversed, adaptive_rank,
                      inv_out_degree, adaptive_active, threshold);
     const EventTelemetry* telemetry = adaptive_tm.TelemetryForWorker(0);
-    table.AddRow(
-        {ReportTable::Int(iter + 1),
-         ReportTable::Num(s.millis > 0 ? s.txns / (s.millis / 1e3) : 0),
-         ReportTable::Num(a.millis > 0 ? a.txns / (a.millis / 1e3) : 0),
-         ReportTable::Int(telemetry ? telemetry->Snapshot().last_period : 0),
-         ReportTable::Int(a.active_after)});
+    const double static_rate = s.millis > 0 ? s.txns / (s.millis / 1e3) : 0;
+    const double adaptive_rate = a.millis > 0 ? a.txns / (a.millis / 1e3) : 0;
+    const uint64_t period = telemetry ? telemetry->Snapshot().last_period : 0;
+    table.AddRow({ReportTable::Int(iter + 1), ReportTable::Num(static_rate),
+                  ReportTable::Num(adaptive_rate), ReportTable::Int(period),
+                  ReportTable::Int(a.active_after)});
+    static_total.millis += s.millis;
+    static_total.txns += s.txns;
+    adaptive_total.millis += a.millis;
+    adaptive_total.txns += a.txns;
+    ++iterations_run;
+    if (adaptive_rate >= static_rate) ++adaptive_wins;
+    if (period != 0) {
+      min_seen = min_seen == 0 ? period : std::min(min_seen, period);
+      max_seen = std::max(max_seen, period);
+    }
     if (a.active_after == 0 && s.active_after == 0) break;
   }
   JsonReport::AddTelemetry("fig17 adaptive run",
@@ -122,10 +141,29 @@ int Main(int argc, char** argv) {
   table.Print(
       "Fig. 17 — static (period=1000) vs adaptive period, PageRank on " +
       spec.name);
+  // Recorded, not gated: a paper claim this host does not reproduce
+  // prints `differs`, and the run still succeeds.
+  const double static_rate =
+      static_total.millis > 0 ? static_total.txns / static_total.millis : 0;
+  const double adaptive_rate =
+      adaptive_total.millis > 0 ? adaptive_total.txns / adaptive_total.millis
+                                : 0;
+  const double ratio = static_rate > 0 ? adaptive_rate / static_rate : 0;
   std::printf(
-      "expected shape: adaptive throughput >= static as the active set "
-      "concentrates on the dense core; the adaptive period departs from "
-      "its initial value over time.\n");
+      "claim: adaptive throughput >= static overall: %s (adaptive / static "
+      "= %.3f over %d iterations; adaptive won %d of them)\n",
+      ratio >= 1.0 ? "holds" : "differs", ratio, iterations_run,
+      adaptive_wins);
+  const ContentionMonitor* monitor = adaptive_tm.MonitorForWorker(0);
+  std::printf(
+      "claim: the adaptive period departs from its initial value: %s "
+      "(adaptive period in [%llu, %llu] over %d iterations; min_period %u, "
+      "max_period %u)\n",
+      min_seen != max_seen ? "holds" : "differs",
+      static_cast<unsigned long long>(min_seen),
+      static_cast<unsigned long long>(max_seen), iterations_run,
+      adaptive_tm.config().min_period,
+      monitor != nullptr ? monitor->config().max_period : 0);
   return 0;
 }
 

@@ -1,11 +1,15 @@
 // Standalone schedule/fault fuzzer: sweeps seeds over the invariant
-// stress workloads for every scheduler x applicable deadlock policy,
-// under probabilistic fault injection and schedule perturbation. Exits
-// non-zero on the first invariant violation, printing the failing
-// (scheduler, policy, seed) triple; rerun with --seed=<that seed> and
-// --failpoint-trace=<path> to replay it deterministically and capture
-// the exact injection sequence. The MVCC, serving and crash modes run
-// TuFast only: it is the one scheduler with a version store and a WAL.
+// stress workloads for each of the seven schedulers, under probabilistic
+// fault injection and schedule perturbation. Odd seeds run the bodies
+// with ordered ReadForUpdate acquisition, even seeds with read-then-
+// upgrade, so every scheduler's ReadForUpdate path runs. The forced
+// router skips, breaker trips and victim re-aborts drive TuFast through
+// all four paths into its L gate. Exits non-zero on the first invariant
+// violation, printing the failing (scheduler, seed) pair; rerun with
+// --seed=<that seed> and --failpoint-trace=<path> to replay it
+// deterministically and capture the exact injection sequence. The MVCC,
+// serving and crash modes run TuFast only: it is the one scheduler with
+// a version store and a WAL.
 //
 //   ./stress_fuzz --seed=1 --scale=4 --threads=3
 //   ./stress_fuzz --quick                       # smoke-sized sweep
@@ -35,15 +39,6 @@
 
 namespace tufast {
 namespace {
-
-const char* PolicyName(DeadlockPolicy p) {
-  switch (p) {
-    case DeadlockPolicy::kDetection: return "detection";
-    case DeadlockPolicy::kPrevention: return "prevention";
-    case DeadlockPolicy::kTimeout: return "timeout";
-  }
-  return "?";
-}
 
 FailpointPlan::Config ChaosConfig(uint64_t seed, bool progress_chaos,
                                   bool mvcc_chaos) {
@@ -97,8 +92,8 @@ FailpointPlan::Config ServeChaosConfig(uint64_t seed) {
 struct FuzzTotals {
   uint64_t runs = 0;
   uint64_t injections = 0;
-  // Scheduler counts merged over every (scheduler, policy, seed) run;
-  // the progress-guard rows read them.
+  // Scheduler counts merged over every (scheduler, seed) run; the
+  // progress-guard rows read them.
   SchedulerStats stats;
   // MVCC version-store traffic, summed over the --mvcc-chaos sweep.
   uint64_t mvcc_installed = 0;
@@ -162,62 +157,52 @@ std::optional<std::string> CheckMvccFlushBalance(Store& store) {
 template <typename Scheduler, bool kMvcc = false>
 bool FuzzScheduler(const char* name, const BenchFlags& flags, uint64_t seeds,
                    FuzzTotals& totals) {
-  std::vector<DeadlockPolicy> policies;
-  if constexpr (kSchedulerUsesPolicy<Scheduler, FaultyHtm>) {
-    policies = {DeadlockPolicy::kDetection, DeadlockPolicy::kPrevention,
-                DeadlockPolicy::kTimeout};
-  } else {
-    policies = {DeadlockPolicy::kDetection};
-  }
-  for (DeadlockPolicy policy : policies) {
-    for (uint64_t i = 0; i < seeds; ++i) {
-      const uint64_t seed = flags.seed + i;
-      FaultyHtm htm;
-      auto tm = [&] {
-        if constexpr (kMvcc) {
-          return MakeMvccSchedulerFor<Scheduler>(htm, /*vertices=*/48, policy);
-        } else {
-          return MakeSchedulerFor<Scheduler>(htm, /*vertices=*/48, policy);
-        }
-      }();
-      FailpointPlan plan(ChaosConfig(seed, flags.progress_chaos, kMvcc));
-      FailpointScope scope(plan);
-      StressConfig cfg;
-      cfg.threads = flags.threads;
-      cfg.txns_per_thread = flags.quick ? 50 : 150;
-      cfg.vertices = 48;
-      cfg.seed = seed;
-      cfg.ordered_for_update = policy == DeadlockPolicy::kPrevention;
-      auto err = RunInvariantSuite(*tm, cfg);
+  for (uint64_t i = 0; i < seeds; ++i) {
+    const uint64_t seed = flags.seed + i;
+    FaultyHtm htm;
+    auto tm = [&] {
       if constexpr (kMvcc) {
-        if (!err) err = RunMvccSnapshotSuite(*tm, cfg);
+        return MakeMvccSchedulerFor<Scheduler>(htm, /*vertices=*/48);
+      } else {
+        return std::make_unique<Scheduler>(htm, /*vertices=*/48);
       }
-      ++totals.runs;
-      totals.injections += plan.InjectionCount();
-      totals.stats.Merge(tm->AggregatedStats());
-      if constexpr (kMvcc) {
-        auto* store = tm->mvcc_store();
-        if (!err) err = CheckMvccFlushBalance(*store);
-        const MvccCounters c = store->Counters();
-        totals.mvcc_installed += c.installed_nodes;
-        totals.mvcc_freed += c.freed_nodes;
-        totals.mvcc_snapshots += c.snapshots;
-        totals.mvcc_snapshot_reads += c.snapshot_reads;
-        totals.mvcc_reclaim_passes += c.reclaim_passes;
-        if (c.max_chain_walk > totals.mvcc_max_chain_walk) {
-          totals.mvcc_max_chain_walk = c.max_chain_walk;
-        }
+    }();
+    FailpointPlan plan(ChaosConfig(seed, flags.progress_chaos, kMvcc));
+    FailpointScope scope(plan);
+    StressConfig cfg;
+    cfg.threads = flags.threads;
+    cfg.txns_per_thread = flags.quick ? 50 : 150;
+    cfg.vertices = 48;
+    cfg.seed = seed;
+    cfg.ordered_for_update = seed % 2 == 1;
+    auto err = RunInvariantSuite(*tm, cfg);
+    if constexpr (kMvcc) {
+      if (!err) err = RunMvccSnapshotSuite(*tm, cfg);
+    }
+    ++totals.runs;
+    totals.injections += plan.InjectionCount();
+    totals.stats.Merge(tm->AggregatedStats());
+    if constexpr (kMvcc) {
+      auto* store = tm->mvcc_store();
+      if (!err) err = CheckMvccFlushBalance(*store);
+      const MvccCounters c = store->Counters();
+      totals.mvcc_installed += c.installed_nodes;
+      totals.mvcc_freed += c.freed_nodes;
+      totals.mvcc_snapshots += c.snapshots;
+      totals.mvcc_snapshot_reads += c.snapshot_reads;
+      totals.mvcc_reclaim_passes += c.reclaim_passes;
+      if (c.max_chain_walk > totals.mvcc_max_chain_walk) {
+        totals.mvcc_max_chain_walk = c.max_chain_walk;
       }
-      if (err) {
-        std::fprintf(stderr,
-                     "FAIL %s policy=%s seed=%llu: %s\n"
-                     "replay: --seed=%llu --threads=%d\n",
-                     name, PolicyName(policy),
-                     static_cast<unsigned long long>(seed), err->c_str(),
-                     static_cast<unsigned long long>(seed), flags.threads);
-        DumpTraceTo(plan, flags.failpoint_trace);
-        return false;
-      }
+    }
+    if (err) {
+      std::fprintf(stderr,
+                   "FAIL %s seed=%llu: %s\n"
+                   "replay: --seed=%llu --threads=%d\n",
+                   name, static_cast<unsigned long long>(seed), err->c_str(),
+                   static_cast<unsigned long long>(seed), flags.threads);
+      DumpTraceTo(plan, flags.failpoint_trace);
+      return false;
     }
   }
   return true;
@@ -238,9 +223,9 @@ struct ServeChaosTotals {
 /// Serving-engine disposition fuzz: drive the open-loop engine as fast
 /// as the generator can offer (no pacing — backlog is the point) with
 /// tiny run/defer queues, forced queue bounces, forced breaker trips,
-/// and the usual transaction-layer faults underneath, across all three
-/// deadlock policies with MVCC alternating on/off by seed. After every
-/// run the disposition conservation invariants must hold exactly:
+/// and the usual transaction-layer faults underneath, with MVCC
+/// alternating on/off by seed. After every run the disposition
+/// conservation invariants must hold exactly:
 ///   offered == admitted + shed + deferred
 ///   executed == admitted == scheduler serve_requests == histogram count
 /// A deferred request that was re-admitted must appear once (admitted),
@@ -250,109 +235,103 @@ bool RunServeChaos(const BenchFlags& flags, uint64_t seeds,
   using Scheduler = TuFastScheduler<FaultyHtm>;
   using Engine = serving::ServeEngine<Scheduler>;
   const uint64_t requests = flags.quick ? 2000 : 8000;
-  for (DeadlockPolicy policy :
-       {DeadlockPolicy::kDetection, DeadlockPolicy::kPrevention,
-        DeadlockPolicy::kTimeout}) {
-    for (uint64_t i = 0; i < seeds; ++i) {
-      const uint64_t seed = flags.seed + i;
-      FaultyHtm htm;
-      auto dyn = std::make_unique<DynamicGraph>(VertexId{64});
-      Scheduler::Config cfg;
-      cfg.deadlock_policy = policy;
-      cfg.enable_mvcc = (i % 2) == 1;
-      Scheduler tm(htm, dyn->capacity(), cfg);
-      // Materialize the vertices and seed a ring so reads see structure;
-      // all before chaos is armed.
-      for (VertexId u = 0; u < 64; ++u) dyn->AddVertex(tm, 0);
-      for (VertexId u = 0; u < 64; ++u) {
-        dyn->InsertEdge(tm, 0, u, (u + 1) % 64, static_cast<uint32_t>(u));
-      }
+  for (uint64_t i = 0; i < seeds; ++i) {
+    const uint64_t seed = flags.seed + i;
+    FaultyHtm htm;
+    auto dyn = std::make_unique<DynamicGraph>(VertexId{64});
+    Scheduler::Config cfg;
+    cfg.enable_mvcc = (i % 2) == 1;
+    Scheduler tm(htm, dyn->capacity(), cfg);
+    // Materialize the vertices and seed a ring so reads see structure;
+    // all before chaos is armed.
+    for (VertexId u = 0; u < 64; ++u) dyn->AddVertex(tm, 0);
+    for (VertexId u = 0; u < 64; ++u) {
+      dyn->InsertEdge(tm, 0, u, (u + 1) % 64, static_cast<uint32_t>(u));
+    }
 
-      FailpointPlan plan(ServeChaosConfig(seed));
-      FailpointScope scope(plan);
+    FailpointPlan plan(ServeChaosConfig(seed));
+    FailpointScope scope(plan);
 
-      serving::LoadConfig lc;
-      lc.rate = 1e6;  // irrelevant: the driver never paces
-      lc.zipf_alpha = 0.99;
-      lc.num_keys = 64;
-      lc.interactive_percent = 70;
-      serving::LoadGenerator gen(lc, seed);
+    serving::LoadConfig lc;
+    lc.rate = 1e6;  // irrelevant: the driver never paces
+    lc.zipf_alpha = 0.99;
+    lc.num_keys = 64;
+    lc.interactive_percent = 70;
+    serving::LoadGenerator gen(lc, seed);
 
-      Engine::Config ec;
-      ec.num_workers = flags.threads;
-      ec.queue_capacity = 64;   // tiny: natural queue-full on top of forced
-      ec.defer_capacity = 64;
-      ec.admission.enabled = true;
-      // Alternate a tight SLO (controller sheds hard, defer queue fills)
-      // with a loose one (controller recovers, TryReadmit drains the
-      // deferrals built up by the forced queue-full bounces) so both
-      // halves of the defer/readmit path run under fault injection.
-      ec.admission.slo_p99_ns = (i % 2) == 0 ? 50'000 : 50'000'000;
-      ec.admission.window = 64;
-      Engine engine(tm, *dyn, ec);
-      engine.Start();
-      for (uint64_t r = 0; r < requests; ++r) {
-        engine.Offer(gen.NextRequest());
-        if ((r & 0xf) == 0) engine.TryReadmit(4);
-      }
-      engine.Drain();
+    Engine::Config ec;
+    ec.num_workers = flags.threads;
+    ec.queue_capacity = 64;   // tiny: natural queue-full on top of forced
+    ec.defer_capacity = 64;
+    ec.admission.enabled = true;
+    // Alternate a tight SLO (controller sheds hard, defer queue fills)
+    // with a loose one (controller recovers, TryReadmit drains the
+    // deferrals built up by the forced queue-full bounces) so both
+    // halves of the defer/readmit path run under fault injection.
+    ec.admission.slo_p99_ns = (i % 2) == 0 ? 50'000 : 50'000'000;
+    ec.admission.window = 64;
+    Engine engine(tm, *dyn, ec);
+    engine.Start();
+    for (uint64_t r = 0; r < requests; ++r) {
+      engine.Offer(gen.NextRequest());
+      if ((r & 0xf) == 0) engine.TryReadmit(4);
+    }
+    engine.Drain();
 
-      ++totals.runs;
-      totals.injections += plan.InjectionCount();
-      const serving::AdmissionController& ac = engine.admission();
-      uint64_t offered = 0, admitted = 0, shed = 0, deferred = 0,
-               readmitted = 0, hist_count = 0;
-      for (int t = 0; t < serving::kNumTenants; ++t) {
-        const serving::Tenant tenant = static_cast<serving::Tenant>(t);
-        offered += ac.Offered(tenant);
-        admitted += ac.Admitted(tenant);
-        shed += ac.Shed(tenant);
-        deferred += ac.Deferred(tenant);
-        readmitted += ac.Readmitted(tenant);
-        for (int op = 0; op < serving::kNumOps; ++op) {
-          hist_count +=
-              engine.Latency(tenant, static_cast<serving::Op>(op)).Count();
-        }
+    ++totals.runs;
+    totals.injections += plan.InjectionCount();
+    const serving::AdmissionController& ac = engine.admission();
+    uint64_t offered = 0, admitted = 0, shed = 0, deferred = 0,
+             readmitted = 0, hist_count = 0;
+    for (int t = 0; t < serving::kNumTenants; ++t) {
+      const serving::Tenant tenant = static_cast<serving::Tenant>(t);
+      offered += ac.Offered(tenant);
+      admitted += ac.Admitted(tenant);
+      shed += ac.Shed(tenant);
+      deferred += ac.Deferred(tenant);
+      readmitted += ac.Readmitted(tenant);
+      for (int op = 0; op < serving::kNumOps; ++op) {
+        hist_count +=
+            engine.Latency(tenant, static_cast<serving::Op>(op)).Count();
       }
-      totals.offered += offered;
-      totals.admitted += admitted;
-      totals.shed += shed;
-      totals.deferred += deferred;
-      totals.readmitted += readmitted;
-      totals.controller_trips += ac.trips();
-      totals.breaker_trips += ac.breaker_trips();
+    }
+    totals.offered += offered;
+    totals.admitted += admitted;
+    totals.shed += shed;
+    totals.deferred += deferred;
+    totals.readmitted += readmitted;
+    totals.controller_trips += ac.trips();
+    totals.breaker_trips += ac.breaker_trips();
 
-      const SchedulerStats stats = tm.AggregatedStats();
-      std::optional<std::string> err;
-      if (offered != requests) {
-        err = "offered drift: counted " + std::to_string(offered) +
-              " != generated " + std::to_string(requests);
-      } else if (!ac.Conserved()) {
-        err = "disposition conservation: offered " + std::to_string(offered) +
-              " != admitted " + std::to_string(admitted) + " + shed " +
-              std::to_string(shed) + " + deferred " + std::to_string(deferred);
-      } else if (engine.ExecutedTotal() != admitted) {
-        err = "executed " + std::to_string(engine.ExecutedTotal()) +
-              " != admitted " + std::to_string(admitted);
-      } else if (stats.serve_requests != engine.ExecutedTotal()) {
-        err = "queue-delay plumbing: serve_requests " +
-              std::to_string(stats.serve_requests) + " != executed " +
-              std::to_string(engine.ExecutedTotal());
-      } else if (hist_count != engine.ExecutedTotal()) {
-        err = "latency histogram count " + std::to_string(hist_count) +
-              " != executed " + std::to_string(engine.ExecutedTotal());
-      }
-      if (err) {
-        std::fprintf(stderr,
-                     "FAIL serve policy=%s seed=%llu mvcc=%d: %s\n"
-                     "replay: --serve-chaos --seed=%llu --threads=%d\n",
-                     PolicyName(policy),
-                     static_cast<unsigned long long>(seed),
-                     cfg.enable_mvcc ? 1 : 0, err->c_str(),
-                     static_cast<unsigned long long>(seed), flags.threads);
-        DumpTraceTo(plan, flags.failpoint_trace);
-        return false;
-      }
+    const SchedulerStats stats = tm.AggregatedStats();
+    std::optional<std::string> err;
+    if (offered != requests) {
+      err = "offered drift: counted " + std::to_string(offered) +
+            " != generated " + std::to_string(requests);
+    } else if (!ac.Conserved()) {
+      err = "disposition conservation: offered " + std::to_string(offered) +
+            " != admitted " + std::to_string(admitted) + " + shed " +
+            std::to_string(shed) + " + deferred " + std::to_string(deferred);
+    } else if (engine.ExecutedTotal() != admitted) {
+      err = "executed " + std::to_string(engine.ExecutedTotal()) +
+            " != admitted " + std::to_string(admitted);
+    } else if (stats.serve_requests != engine.ExecutedTotal()) {
+      err = "queue-delay plumbing: serve_requests " +
+            std::to_string(stats.serve_requests) + " != executed " +
+            std::to_string(engine.ExecutedTotal());
+    } else if (hist_count != engine.ExecutedTotal()) {
+      err = "latency histogram count " + std::to_string(hist_count) +
+            " != executed " + std::to_string(engine.ExecutedTotal());
+    }
+    if (err) {
+      std::fprintf(stderr,
+                   "FAIL serve seed=%llu mvcc=%d: %s\n"
+                   "replay: --serve-chaos --seed=%llu --threads=%d\n",
+                   static_cast<unsigned long long>(seed),
+                   cfg.enable_mvcc ? 1 : 0, err->c_str(),
+                   static_cast<unsigned long long>(seed), flags.threads);
+      DumpTraceTo(plan, flags.failpoint_trace);
+      return false;
     }
   }
   return true;
@@ -360,12 +339,11 @@ bool RunServeChaos(const BenchFlags& flags, uint64_t seeds,
 
 // ---------------------------------------------------------------------
 // --crash-chaos: durability sweep over TuFast, the one scheduler with a
-// WAL. Every (deadlock policy, crash site) combination runs a
-// bank-conservation workload with the WAL enabled — and MVCC too in
-// alternate runs, so version installs and log publishes share the
-// commit windows — forces a crash mid-flush (torn write, short write,
-// or power loss before fsync), recovers a fresh graph from the log, and
-// checks that
+// WAL. Every crash site runs a bank-conservation workload with the WAL
+// enabled, once with MVCC off and once with it on (so version installs
+// and log publishes share the commit windows), forces a crash
+// mid-flush (torn write, short write, or power loss before fsync),
+// recovers a fresh graph from the log, and checks that
 //   - no acknowledged commit was lost (recovered seq >= durable seq),
 //   - no partial transaction is visible (every conservation pair is
 //     both-or-neither and sums to the constant),
@@ -391,9 +369,8 @@ struct CrashChaosTotals {
 
 using CrashScheduler = TuFastScheduler<FaultyHtm>;
 
-CrashScheduler::Config CrashConfig(DeadlockPolicy policy, bool mvcc) {
+CrashScheduler::Config CrashConfig(bool mvcc) {
   CrashScheduler::Config cfg;
-  cfg.deadlock_policy = policy;
   cfg.enable_mvcc = mvcc;
   return cfg;
 }
@@ -420,10 +397,10 @@ VertexId CrashSrc(uint64_t t) {
   return 2 + static_cast<VertexId>(t % kCrashSources);
 }
 
-std::string CrashTempPath(const char* name, const char* kind, int policy,
+std::string CrashTempPath(const char* name, const char* kind, int round,
                           int site) {
   return "/tmp/tufast_crash_" + std::to_string(getpid()) + "_" + name + "_" +
-         std::to_string(policy) + "_" + std::to_string(site) + "." + kind;
+         std::to_string(round) + "_" + std::to_string(site) + "." + kind;
 }
 
 /// Transaction t: both halves of one conservation pair (weights summing
@@ -519,8 +496,7 @@ std::optional<std::string> CrashCheckpointCase(const BenchFlags& flags,
   DynamicGraph live(kCrashCapacity, {.weighted = true});
   live.EnsureVerticesQuiesced(kCrashCapacity);
   FaultyHtm htm;
-  CrashScheduler tm(htm, kCrashCapacity,
-                    CrashConfig(DeadlockPolicy::kDetection, /*mvcc=*/false));
+  CrashScheduler tm(htm, kCrashCapacity, CrashConfig(/*mvcc=*/false));
   BasicWalWriter<StressFailpoints> writer(wal_path);
   if (!writer.ok()) return "cannot open wal at " + wal_path;
   tm.EnableWal(&writer);
@@ -589,22 +565,18 @@ std::optional<std::string> CrashCheckpointCase(const BenchFlags& flags,
 }
 
 bool RunCrashChaos(const BenchFlags& flags, CrashChaosTotals& totals) {
-  const DeadlockPolicy policies[] = {DeadlockPolicy::kDetection,
-                                     DeadlockPolicy::kPrevention,
-                                     DeadlockPolicy::kTimeout};
   const FailSite sites[] = {FailSite::kWalTornWrite, FailSite::kWalShortWrite,
                             FailSite::kCrashBeforeFsync};
-  int policy_idx = 0;
-  for (DeadlockPolicy policy : policies) {
+  for (int round = 0; round < 2; ++round) {
     int site_idx = 0;
     for (FailSite site : sites) {
-      const uint64_t seed = flags.seed + site_idx + 3 * policy_idx;
-      // MVCC and the WAL together in every other run.
-      const bool mvcc = (policy_idx + site_idx) % 2 == 1;
+      const uint64_t seed = flags.seed + site_idx + 3 * round;
+      // MVCC and the WAL together in the second round.
+      const bool mvcc = round == 1;
       const std::string wal_path =
-          CrashTempPath("tufast", "wal", policy_idx, site_idx);
+          CrashTempPath("tufast", "wal", round, site_idx);
       const std::string wal2_path =
-          CrashTempPath("tufast", "wal2", policy_idx, site_idx);
+          CrashTempPath("tufast", "wal2", round, site_idx);
       const uint64_t phase1 = flags.quick ? 60 : 120;
       std::optional<std::string> err;
 
@@ -614,7 +586,7 @@ bool RunCrashChaos(const BenchFlags& flags, CrashChaosTotals& totals) {
       uint64_t durable = 0;
       {
         FaultyHtm htm;
-        CrashScheduler tm(htm, kCrashCapacity, CrashConfig(policy, mvcc));
+        CrashScheduler tm(htm, kCrashCapacity, CrashConfig(mvcc));
         BasicWalWriter<StressFailpoints> writer(wal_path);
         if (!writer.ok()) {
           err = "cannot open wal at " + wal_path;
@@ -682,7 +654,7 @@ bool RunCrashChaos(const BenchFlags& flags, CrashChaosTotals& totals) {
       // a fresh log — as if nothing happened.
       if (!err) {
         FaultyHtm htm2;
-        CrashScheduler tm2(htm2, kCrashCapacity, CrashConfig(policy, mvcc));
+        CrashScheduler tm2(htm2, kCrashCapacity, CrashConfig(mvcc));
         BasicWalWriter<StressFailpoints> writer2(wal2_path);
         if (!writer2.ok()) {
           err = "cannot open wal at " + wal2_path;
@@ -704,9 +676,9 @@ bool RunCrashChaos(const BenchFlags& flags, CrashChaosTotals& totals) {
       }
       if (err) {
         std::fprintf(stderr,
-                     "FAIL tufast policy=%s site=%s mvcc=%d: %s\n"
+                     "FAIL tufast site=%s mvcc=%d: %s\n"
                      "replay: --crash-chaos --seed=%llu --threads=%d\n",
-                     PolicyName(policy), FailSiteName(site), mvcc ? 1 : 0,
+                     FailSiteName(site), mvcc ? 1 : 0,
                      err->c_str(), static_cast<unsigned long long>(flags.seed),
                      flags.threads);
         return false;
@@ -715,7 +687,6 @@ bool RunCrashChaos(const BenchFlags& flags, CrashChaosTotals& totals) {
       std::remove(wal2_path.c_str());
       ++site_idx;
     }
-    ++policy_idx;
   }
   if (auto err = CrashCheckpointCase(flags, totals)) {
     std::fprintf(stderr,
@@ -746,8 +717,7 @@ bool RunServeCrash(const BenchFlags& flags, CrashChaosTotals& totals) {
 
   FaultyHtm htm;
   auto dyn = std::make_unique<DynamicGraph>(VertexId{64});
-  const Scheduler::Config cfg =
-      CrashConfig(DeadlockPolicy::kDetection, /*mvcc=*/true);
+  const Scheduler::Config cfg = CrashConfig(/*mvcc=*/true);
   Scheduler tm(htm, dyn->capacity(), cfg);
   BasicWalWriter<StressFailpoints> writer(wal_path);
   if (!writer.ok()) {
@@ -948,7 +918,7 @@ int Main(int argc, char** argv) {
 
   ReportTable table({"metric", "value"});
   table.AddRow({"suite runs", ReportTable::Int(totals.runs)});
-  table.AddRow({"seeds per combo", ReportTable::Int(seeds)});
+  table.AddRow({"seeds per scheduler", ReportTable::Int(seeds)});
   table.AddRow({"fault injections", ReportTable::Int(totals.injections)});
   if (flags.progress_chaos) {
     const SchedulerStats& stats = totals.stats;

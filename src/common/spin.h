@@ -85,6 +85,40 @@ class SpinLockGuard {
   SpinLock& lock_;
 };
 
+/// FIFO ticket gate admitting one holder at a time: Enter() draws the
+/// next ticket and waits for its turn, Leave() serves the next ticket.
+/// TuFast puts every L-mode transaction behind one (DESIGN.md "L mode").
+/// Waiters are served in arrival order, so none starves; the holder's
+/// Leave() is a plain store, since only the holder advances `serving_`.
+class TicketGate {
+ public:
+  TicketGate() = default;
+  TUFAST_DISALLOW_COPY_AND_MOVE(TicketGate);
+
+  void Enter() {
+    const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
+    Backoff backoff;
+    while (serving_.load(std::memory_order_acquire) != ticket) {
+      backoff.Pause();
+    }
+  }
+
+  void Leave() {
+    serving_.store(serving_.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_release);
+  }
+
+  /// True while a holder is inside or a waiter is queued (tests).
+  bool Busy() const {
+    return next_.load(std::memory_order_acquire) !=
+           serving_.load(std::memory_order_acquire);
+  }
+
+ private:
+  alignas(64) std::atomic<uint64_t> next_{0};
+  alignas(64) std::atomic<uint64_t> serving_{0};
+};
+
 }  // namespace tufast
 
 #endif  // TUFAST_COMMON_SPIN_H_

@@ -47,9 +47,9 @@ struct VertexSnapshot {
 /// of its chain) are guarded by u's lock in the shared per-vertex
 /// LockTable, i.e. every transactional access passes `u` as the lock
 /// vertex. A mutation therefore locks exactly one vertex, declares write
-/// intent up front (ReadForUpdate), and can never deadlock — safe under
-/// all three deadlock policies, including kPrevention's no-upgrade
-/// contract. Read-only snapshots take shared mode only.
+/// intent up front (ReadForUpdate), and can never deadlock: no
+/// shared->exclusive upgrade, no second lock. Read-only snapshots take
+/// shared mode only.
 ///
 /// The live degree counter doubles as the `size_hint` source for
 /// TuFast::Run() (SizeHintFor): low-degree vertices route to H, hubs to

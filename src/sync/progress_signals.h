@@ -20,10 +20,7 @@ namespace tufast {
 ///
 ///  * starved bit — the slot's current transaction crossed the first
 ///    escalation threshold. A starved slot is never picked as a forced
-///    (injected) victim, and the single highest-priority starved slot
-///    (see HasCyclePriority) does not self-victimize on cycle closure —
-///    wound-wait-style aging: the other parties of its cycle break it
-///    via their own wait bounds or closure checks.
+///    (injected) victim: wound-wait-style aging.
 ///  * starvation token — a single global slot id past the second
 ///    threshold. The holder is guaranteed to commit: every other waiter
 ///    gets a short deferral wait bound (abort early, release, back off),
@@ -78,23 +75,6 @@ class ProgressSignals {
   /// victim failpoints.
   bool IsProtected(int slot) const {
     return IsStarved(slot) || TokenHolder() == slot;
-  }
-
-  /// Cycle-closure immunity is stronger than injection immunity and must
-  /// form a total order: if two starved slots could both out-wait the
-  /// same cycle, each would roll back its wait edge, spin out a full
-  /// wait bound, get victimized by timeout, retry, and re-collide — a
-  /// lockstep livelock with no unprotected party left to break the
-  /// cycle. So at most ONE slot holds cycle priority at any instant:
-  /// the token holder if there is one, else the lowest-id starved slot.
-  /// Every other slot — starved or not — self-victimizes when its wait
-  /// would close a cycle, which keeps deadlock resolution prompt.
-  bool HasCyclePriority(int slot) const {
-    const int holder = TokenHolder();
-    if (holder != kNoHolder) return holder == slot;
-    const uint64_t mask = starved_mask_.load(std::memory_order_acquire);
-    const uint64_t bit = Bit(slot);
-    return (mask & bit) != 0 && (mask & (bit - 1)) == 0;
   }
 
  private:

@@ -20,11 +20,10 @@ namespace tufast {
 /// mirroring stress_workloads.h: run against any scheduler under any
 /// failpoint plan, return std::nullopt when the invariant held and a
 /// human-readable violation otherwise. The caller owns printing the
-/// failing (seed, scheduler, policy) triple for replay.
+/// failing (scheduler, seed) pair for replay.
 ///
 /// All DynamicGraph mutations lock exactly one vertex and declare write
-/// intent up front, so every workload here is safe under all three
-/// deadlock policies, including kPrevention.
+/// intent up front, so no workload here can deadlock on any scheduler.
 struct DynamicStressConfig {
   int threads = 3;
   int batches_per_thread = 50;

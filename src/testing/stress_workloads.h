@@ -5,7 +5,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -25,7 +24,7 @@ namespace tufast {
 /// Invariant-checking stress workloads, run against any scheduler under
 /// any failpoint plan. Each returns std::nullopt when the invariant held
 /// and a human-readable violation description otherwise; the caller owns
-/// printing the failing (seed, scheduler, policy) triple for replay.
+/// printing the failing (scheduler, seed) pair for replay.
 ///
 /// All arithmetic is on unsigned TmWord, so the conservation invariants
 /// hold modulo 2^64 and balances may freely "go negative" (wrap) without
@@ -35,10 +34,10 @@ struct StressConfig {
   int txns_per_thread = 150;
   VertexId vertices = 48;
   uint64_t seed = 1;
-  /// Honor the kPrevention contract: acquire vertices in ascending id
-  /// order and declare write intent up front (ReadForUpdate), so no
-  /// shared->exclusive upgrade can deadlock. Leave false for kDetection /
-  /// kTimeout runs, where upgrade contention is exactly what we stress.
+  /// Acquire vertices in ascending id order and declare write intent up
+  /// front (ReadForUpdate), so no shared->exclusive upgrade is needed.
+  /// The stress drivers alternate it by seed: on, every scheduler's
+  /// ReadForUpdate path runs; off, upgrade contention is what we stress.
   bool ordered_for_update = false;
   /// Draw per-transaction size hints from a mix that routes through all
   /// of H, O and L on TuFast (other schedulers ignore the hint).
@@ -131,9 +130,8 @@ std::optional<std::string> RunLostUpdateDetector(Scheduler& tm,
         const uint64_t hint = DrawSizeHint(rng, cfg);
         const RunOutcome outcome = tm.Run(t, hint, [&](auto& txn) {
           // Ordered mode declares write intent up front so a single-vertex
-          // RMW never needs a shared->exclusive upgrade (which two
-          // concurrent upgraders turn into a genuine deadlock that the
-          // kPrevention policy, by contract, is never asked to resolve).
+          // RMW never needs a shared->exclusive upgrade; otherwise two
+          // concurrent 2PL upgraders deadlock until one times out.
           const TmWord old = cfg.ordered_for_update
                                  ? txn.ReadForUpdate(v, &counters[v])
                                  : txn.Read(v, &counters[v]);
@@ -427,51 +425,12 @@ std::optional<std::string> RunInvariantSuite(Scheduler& tm,
   return std::nullopt;
 }
 
-/// Detects a scheduler Config with a deadlock_policy knob (TuFast). The
-/// Hsync/HTO Configs exist but carry no policy, so keying on the member —
-/// not the typedef — is what matters.
-template <typename S, typename = void>
-struct SchedulerConfigHasPolicy : std::false_type {};
-template <typename S>
-struct SchedulerConfigHasPolicy<
-    S, std::void_t<decltype(std::declval<typename S::Config&>()
-                                .deadlock_policy)>> : std::true_type {};
-
-/// Whether a scheduler's behavior depends on the deadlock policy at all:
-/// TuFast (Config knob) and 2PL (constructor parameter). Used to skip
-/// redundant policy sweeps for the five fixed baselines.
+/// An MVCC-enabled TuFast, the one scheduler with a version store
+/// (Config::enable_mvcc): the returned scheduler installs versions on
+/// every commit and serves RunReadOnly() from snapshots.
 template <typename Scheduler, typename Htm>
-constexpr bool kSchedulerUsesPolicy =
-    std::is_constructible_v<Scheduler, Htm&, VertexId, DeadlockPolicy> ||
-    SchedulerConfigHasPolicy<Scheduler>::value;
-
-/// Uniform construction across all seven schedulers; lets stress drivers
-/// iterate scheduler x policy generically.
-template <typename Scheduler, typename Htm>
-std::unique_ptr<Scheduler> MakeSchedulerFor(Htm& htm, VertexId vertices,
-                                            DeadlockPolicy policy) {
-  if constexpr (std::is_constructible_v<Scheduler, Htm&, VertexId,
-                                        DeadlockPolicy>) {
-    return std::make_unique<Scheduler>(htm, vertices, policy);
-  } else if constexpr (SchedulerConfigHasPolicy<Scheduler>::value) {
-    typename Scheduler::Config config;
-    config.deadlock_policy = policy;
-    return std::make_unique<Scheduler>(htm, vertices, config);
-  } else {
-    (void)policy;
-    return std::make_unique<Scheduler>(htm, vertices);
-  }
-}
-
-/// MVCC-enabled counterpart of MakeSchedulerFor for TuFast, the one
-/// scheduler with a version store (Config::enable_mvcc): the returned
-/// scheduler installs versions on every commit and serves RunReadOnly()
-/// from snapshots.
-template <typename Scheduler, typename Htm>
-std::unique_ptr<Scheduler> MakeMvccSchedulerFor(Htm& htm, VertexId vertices,
-                                                DeadlockPolicy policy) {
+std::unique_ptr<Scheduler> MakeMvccSchedulerFor(Htm& htm, VertexId vertices) {
   typename Scheduler::Config config;
-  config.deadlock_policy = policy;
   config.enable_mvcc = true;
   return std::make_unique<Scheduler>(htm, vertices, config);
 }

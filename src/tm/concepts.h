@@ -35,14 +35,14 @@ concept TransactionContext =
 template <typename T>
 concept TelemetrySink =
     requires(T& sink, const T& csink, TxnClass cls, SchedMode mode,
-             AbortReason reason, uint32_t period, bool cycle, uint32_t width,
+             AbortReason reason, uint32_t period, uint32_t width,
              uint32_t depth) {
       { T::kEnabled } -> std::convertible_to<bool>;
       sink.TxnBegin();
       sink.EnterMode(mode);
       sink.AttemptAbort(reason);
       sink.PeriodChange(period);
-      sink.DeadlockVictim(cycle);
+      sink.DeadlockVictim();
       sink.TxnCommit(cls);
       sink.TxnUserAbort(cls);
       sink.FusedCommit(width, depth);

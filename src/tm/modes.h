@@ -419,9 +419,9 @@ class LTxn {
   void ReleaseAll() {
     for (const Held& h : held_) {
       if (h.exclusive) {
-        manager_.ReleaseExclusive(slot_, h.vertex);
+        manager_.ReleaseExclusive(h.vertex);
       } else {
-        manager_.ReleaseShared(slot_, h.vertex);
+        manager_.ReleaseShared(h.vertex);
       }
     }
     held_.clear();

@@ -15,8 +15,7 @@ namespace tufast {
 ///
 ///   aborts < priority_threshold   plain randomized exponential backoff;
 ///   aborts >= priority_threshold  the slot's starved bit ages its
-///                                 priority: never an injected victim,
-///                                 never a cycle-closure victim
+///                                 priority: never an injected victim
 ///                                 (wound-wait-style, sync/lock_manager.h);
 ///   aborts >= token_threshold     the slot takes the global starvation
 ///                                 token: other waiters defer (short
@@ -129,6 +128,10 @@ struct ProgressContext {
   /// Failed attempts the transaction already accumulated in earlier
   /// modes (H/O), so the escalation ladder sees the whole transaction.
   uint32_t prior_aborts = 0;
+  /// TuFast's L gate (DESIGN.md "L mode"): the loop holds it from before
+  /// its first attempt until the commit released its locks, so one L
+  /// transaction runs at a time. Null (2PL) runs ungated.
+  TicketGate* gate = nullptr;
 };
 
 }  // namespace tufast

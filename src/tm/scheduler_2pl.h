@@ -14,25 +14,23 @@ namespace tufast {
 
 /// Baseline scheduler: plain two-phase locking — TuFast's L mode applied
 /// to *every* transaction regardless of size (paper Fig. 7 / Fig. 13 /
-/// Fig. 14 comparison point "2PL"). Defaults to timeout-based deadlock
-/// recovery: with millions of tiny transactions, per-acquire waits-for
-/// bookkeeping would dominate the measurement (TuFast's own L mode keeps
-/// full detection — its lock-mode transactions are rare and huge).
+/// Fig. 14 comparison point "2PL"), without TuFast's L gate: concurrent
+/// lock transactions may deadlock, and the lock manager's wait bound
+/// breaks the cycle by making a waiter a timeout victim.
 template <typename Htm, typename Telemetry = NullTelemetry>
 class TwoPhaseLocking {
  public:
-  TwoPhaseLocking(Htm& htm, VertexId num_vertices,
-                  DeadlockPolicy policy = DeadlockPolicy::kTimeout)
+  TwoPhaseLocking(Htm& htm, VertexId num_vertices)
       : htm_(htm),
         lock_table_(htm, num_vertices),
-        lock_manager_(lock_table_, policy), runtime_(0x2b1u) {
+        lock_manager_(lock_table_), runtime_(0x2b1u) {
     lock_manager_.SetProgressSignals(&progress_guard_.signals());
     if constexpr (Telemetry::kEnabled) {
       lock_manager_.SetVictimCallback(
-          [](void* ctx, int slot, VertexId /*v*/, bool cycle) {
+          [](void* ctx, int slot, VertexId /*v*/) {
             auto* self = static_cast<TwoPhaseLocking*>(ctx);
             if (auto* w = self->runtime_.worker(slot)) {
-              w->telemetry.DeadlockVictim(cycle);
+              w->telemetry.DeadlockVictim();
             }
           },
           this);

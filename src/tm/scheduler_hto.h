@@ -109,7 +109,7 @@ class HtmTimestampOrdering {
   };
 
   template <typename Fn>
-  RunOutcome Run(int worker_id, uint64_t size_hint, Fn&& fn) {
+  RunOutcome Run(int worker_id, uint64_t /*size_hint*/, Fn&& fn) {
     Worker& w = runtime_.GetWorker(worker_id, *this);
     w.telemetry.TxnBegin();
     w.telemetry.EnterMode(SchedMode::kHardware);
@@ -130,11 +130,11 @@ class HtmTimestampOrdering {
     }
     // Hand off to the software path. The fallback scheduler begins its
     // own telemetry transaction, so commit latency for fallen-back txns
-    // is measured from the hand-off.
+    // is measured from the hand-off; the failed hardware attempts enter
+    // its retry loop as prior aborts, so the transaction's one retry
+    // sample counts them.
     w.telemetry.EnterMode(SchedMode::kOptimistic);
-    RunOutcome out = fallback_.Run(worker_id, size_hint, fn);
-    out.aborts += txn_aborts;  // The failed hardware attempts count too.
-    return out;
+    return fallback_.RunAfterAborts(worker_id, fn, txn_aborts);
   }
 
   SchedulerStats AggregatedStats() const {

@@ -128,11 +128,19 @@ class TimestampOrdering {
 
   template <typename Fn>
   RunOutcome Run(int worker_id, uint64_t /*size_hint*/, Fn&& fn) {
+    return RunAfterAborts(worker_id, fn, 0);
+  }
+
+  /// Run() for a transaction that already failed `prior_aborts` attempts
+  /// on the H-TO hardware path: the retry accounting counts them too.
+  template <typename Fn>
+  RunOutcome RunAfterAborts(int worker_id, Fn& fn, uint32_t prior_aborts) {
     Worker& w = runtime_.GetWorker(worker_id, *this);
     w.telemetry.TxnBegin();
     return RunOptimisticRetryLoop<ToAbortSignal>(
         w, w.state.txn, fn, [this](Txn& txn) { txn.Reset(NextTs()); },
-        [this](Txn& txn) { return TryCommit(txn); }, [](Txn&) {});
+        [this](Txn& txn) { return TryCommit(txn); }, [](Txn&) {},
+        prior_aborts);
   }
 
   SchedulerStats AggregatedStats() const { return runtime_.AggregatedStats(); }

@@ -23,7 +23,7 @@ namespace tufast {
 ///   AttemptAbort        one execution attempt failed, with the reason;
 ///   PeriodChange        O mode is about to attempt with this `period`;
 ///   DeadlockVictim      the lock manager picked this worker as victim
-///                       (cycle detection or wait-bound expiry);
+///                       (wait-bound expiry or a forced failpoint);
 ///   TxnCommit           the txn committed in class `cls`;
 ///   TxnUserAbort        the body called txn.Abort() (final, no retry).
 ///
@@ -97,7 +97,7 @@ struct NullTelemetry {
   void EnterMode(SchedMode) {}
   void AttemptAbort(AbortReason) {}
   void PeriodChange(uint32_t) {}
-  void DeadlockVictim(bool /*cycle*/) {}
+  void DeadlockVictim() {}
   void TxnCommit(TxnClass) {}
   void TxnUserAbort(TxnClass) {}
   void FusedCommit(uint32_t /*width*/, uint32_t /*depth*/) {}
@@ -116,7 +116,10 @@ struct NullTelemetry {
 /// without depending on the sink internals.
 struct TelemetrySnapshot {
   /// Deadlock victims split by how the lock manager picked them; the two
-  /// sum to SchedulerStats::deadlock_aborts.
+  /// sum to SchedulerStats::deadlock_aborts. Cycle victims are always 0:
+  /// the lock manager keeps no waits-for graph (TuFast's L gate rules
+  /// deadlocks out). The field stays because the JSON report and the
+  /// repository benchmark's `sync.cycle_victims` read its key.
   uint64_t deadlock_cycle_victims = 0;
   uint64_t deadlock_timeout_victims = 0;
 
@@ -203,13 +206,7 @@ class EventTelemetry {
     snap_.last_period = period;
   }
 
-  void DeadlockVictim(bool cycle) {
-    if (cycle) {
-      ++snap_.deadlock_cycle_victims;
-    } else {
-      ++snap_.deadlock_timeout_victims;
-    }
-  }
+  void DeadlockVictim() { ++snap_.deadlock_timeout_victims; }
 
   void TxnCommit(TxnClass cls) {
     const uint64_t now = Now();

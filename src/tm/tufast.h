@@ -42,7 +42,9 @@ namespace tufast {
 /// non-capacity aborts); when `period` sinks below min_period, L mode
 /// finishes the job under locks. `period` starts at the contention
 /// monitor's analytic optimum (§IV-D), capped by the same capacity
-/// budget, unless adaptive_period is off.
+/// budget, unless adaptive_period is off. Every path into L passes one
+/// FIFO gate that admits one L transaction at a time (DESIGN.md "L
+/// mode"), so L never deadlocks and needs no waits-for graph.
 ///
 /// Per-worker state (mode contexts, contention monitor, stats, RNG) and
 /// the `Telemetry` sink live in the shared WorkerRuntime; `Telemetry` is
@@ -86,7 +88,6 @@ class TuFastScheduler {
     uint32_t max_period = 0;
     bool adaptive_period = true;
     uint32_t static_period = 1000;  // Used when adaptive_period is false.
-    DeadlockPolicy deadlock_policy = DeadlockPolicy::kDetection;
     /// Ablation switches (bench/ablation_modes.cc): disabling a mode
     /// routes its transactions to the next one in the Fig. 10 pipeline.
     bool enable_h_mode = true;
@@ -141,7 +142,7 @@ class TuFastScheduler {
       : htm_(htm),
         config_(config),
         lock_table_(htm, num_vertices),
-        lock_manager_(lock_table_, config.deadlock_policy),
+        lock_manager_(lock_table_),
         h_hint_threshold_(config.h_hint_threshold != 0
                               ? config.h_hint_threshold
                               : CapacityOptimalOps(htm.config())),
@@ -176,10 +177,10 @@ class TuFastScheduler {
     lock_manager_.SetProgressSignals(&progress_guard_.signals());
     if constexpr (Telemetry::kEnabled) {
       lock_manager_.SetVictimCallback(
-          [](void* ctx, int slot, VertexId /*v*/, bool cycle) {
+          [](void* ctx, int slot, VertexId /*v*/) {
             auto* self = static_cast<TuFastScheduler*>(ctx);
             if (auto* w = self->runtime_.worker(slot)) {
-              w->telemetry.DeadlockVictim(cycle);
+              w->telemetry.DeadlockVictim();
             }
           },
           this);
@@ -411,10 +412,12 @@ class TuFastScheduler {
     return wal_sink_ != nullptr ? &w.state.wal_recorder : nullptr;
   }
 
-  /// Progress-guard context for this worker's lock-mode retry loop.
+  /// Progress-guard context for this worker's lock-mode retry loop; it
+  /// carries the L gate, so all four paths into L pass it.
   ProgressContext MakeProgressContext(int worker_id,
                                       uint32_t prior_aborts) {
-    return ProgressContext{&progress_guard_, worker_id, prior_aborts};
+    return ProgressContext{&progress_guard_, worker_id, prior_aborts,
+                           &l_gate_};
   }
 
   /// The Fig. 10 router shared by Run() and the batch executor's
@@ -579,6 +582,9 @@ class TuFastScheduler {
   /// stage token-held / starved scenarios deterministically).
   ProgressGuard& progress_guard() { return progress_guard_; }
 
+  /// L-gate introspection (tests check that every exit path leaves it).
+  const TicketGate& l_gate() const { return l_gate_; }
+
   /// Summed per-worker heartbeat counters for the stall watchdog. Only
   /// meaningful after every worker slot has run at least one warmup
   /// transaction (see WorkerRuntime::Heartbeats).
@@ -653,6 +659,8 @@ class TuFastScheduler {
   const uint64_t h_hint_threshold_;
   const uint32_t max_period_;
   ProgressGuard progress_guard_;
+  /// Admits one L transaction at a time (ProgressContext::gate).
+  TicketGate l_gate_;
   std::unique_ptr<Mvcc> mvcc_;
   std::unique_ptr<BasicWalWriter<Failpoints>> owned_wal_;
   WalSink* wal_sink_ = nullptr;

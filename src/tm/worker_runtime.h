@@ -366,6 +366,25 @@ class ProgressDoneGuard {
   const int slot_;
 };
 
+/// Holds a TicketGate from construction until Release() or scope exit
+/// (null gate: no-op), so a user abort or a foreign exception unwinding
+/// out of the L retry loop cannot leak it.
+class GateHold {
+ public:
+  explicit GateHold(TicketGate* gate) : gate_(gate) {
+    if (gate_ != nullptr) gate_->Enter();
+  }
+  TUFAST_DISALLOW_COPY_AND_MOVE(GateHold);
+  ~GateHold() { Release(); }
+  void Release() {
+    if (gate_ != nullptr) gate_->Leave();
+    gate_ = nullptr;
+  }
+
+ private:
+  TicketGate* gate_;
+};
+
 /// One victim abort in the L retry loop: escalate through the progress
 /// guard's ladder (recording what happened) and pay the retry backoff.
 /// Must run after the victim released its lock set.
@@ -399,11 +418,14 @@ inline void AccountWalCommit(Worker& w, WalRecorder* wal) {
 /// baseline: run the body on `ltxn`, commit-and-release, restart with
 /// randomized exponential backoff when picked as a deadlock victim,
 /// escalating through the progress guard (ctx.guard) so every
-/// transaction keeps a bounded path to commit.
+/// transaction keeps a bounded path to commit. With ctx.gate (TuFast)
+/// the loop first waits its turn at the gate, holding no locks, and
+/// keeps it across victim retries; the wait counts as L time.
 ///
 /// Exception safety: ANY exception leaving the body — not just the TM
-/// control signals — releases the whole lock set (LockReleaseGuard) and
-/// drops escalation state (ProgressDoneGuard) before propagating.
+/// control signals — releases the whole lock set (LockReleaseGuard),
+/// drops escalation state (ProgressDoneGuard) and then leaves the gate
+/// (GateHold) before propagating.
 ///
 /// `FailpointsT` threads the fault-injection policy in for the forced
 /// re-victimization site (kVictimReabort); pass the scheduler's policy
@@ -414,6 +436,7 @@ template <typename FailpointsT = NullFailpoints, typename Worker,
 RunOutcome RunLockTxnLoop(Worker& w, LockTxn& ltxn, Fn& fn, TxnClass cls,
                           ProgressContext ctx = {}) {
   w.telemetry.EnterMode(SchedMode::kLock);
+  GateHold gate(ctx.gate);
   uint32_t aborts = ctx.prior_aborts;
   ProgressDoneGuard done(ctx.guard, ctx.slot);
   while (true) {
@@ -441,6 +464,9 @@ RunOutcome RunLockTxnLoop(Worker& w, LockTxn& ltxn, Fn& fn, TxnClass cls,
       fn(ltxn);
       ltxn.CommitApplyAndRelease();
       release.Dismiss();  // Commit already released everything.
+      // Leave the gate before the durability wait, so the next L
+      // transaction's commit can share this one's fsync.
+      gate.Release();
       // Ack barrier: no locks held. A null recorder (WAL off, and always
       // on 2PL) returns at once.
       AccountWalCommit(w, ltxn.wal_recorder());
@@ -559,13 +585,16 @@ RunOutcome RunSnapshotReadOnly(Store& store, Worker& w, int slot, Fn& fn) {
 /// `AbortSignal` is the scheduler's internal conflict exception.
 /// `reset(txn)` prepares one attempt (e.g. draws a fresh timestamp);
 /// `try_commit(txn)` returns commit success; `rollback(txn)` undoes
-/// encounter-time side effects (no-op for most).
+/// encounter-time side effects (no-op for most). `prior_aborts` counts
+/// attempts the transaction already failed on another path (H-TO's
+/// hardware attempts), so its one retry sample covers them.
 template <typename AbortSignal, typename Worker, typename Txn, typename Fn,
           typename ResetFn, typename CommitFn, typename RollbackFn>
 RunOutcome RunOptimisticRetryLoop(Worker& w, Txn& txn, Fn& fn, ResetFn reset,
-                                  CommitFn try_commit, RollbackFn rollback) {
+                                  CommitFn try_commit, RollbackFn rollback,
+                                  uint32_t prior_aborts = 0) {
   w.telemetry.EnterMode(SchedMode::kOptimistic);
-  uint32_t aborts = 0;
+  uint32_t aborts = prior_aborts;
   while (true) {
     BeatAttempt(w);
     reset(txn);

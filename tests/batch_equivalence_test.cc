@@ -125,7 +125,7 @@ TYPED_TEST(BatchEquivalenceTest, BitIdenticalUnderForcedCapacityAborts) {
   ThreadPool pool(1);
 
   FaultyHtm htm;
-  auto tm = MakeSchedulerFor<Scheduler>(htm, n, DeadlockPolicy::kDetection);
+  auto tm = std::make_unique<Scheduler>(htm, n);
   FailpointPlan plan(CapacityChaos(/*seed=*/5));
   FailpointScope scope(plan);
   ExpectBitIdentical(RunConvertedAlgorithms(*tm, pool), "default config");

@@ -383,8 +383,7 @@ TEST(DurabilitySchedulerTest, TuFastLogsReplayably) {
   DynamicGraph live(kCap, {.weighted = true});
   live.EnsureVerticesQuiesced(kCap);
   EmulatedHtm htm;
-  auto tm = MakeSchedulerFor<TuFastScheduler<EmulatedHtm>>(
-      htm, kCap, DeadlockPolicy::kDetection);
+  auto tm = std::make_unique<TuFastScheduler<EmulatedHtm>>(htm, kCap);
   WalWriter writer(wal.path);
   ASSERT_TRUE(writer.ok());
   tm->EnableWal(&writer);

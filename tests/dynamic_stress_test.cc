@@ -1,8 +1,8 @@
 // Dynamic-graph invariants under fault injection: the three workloads of
-// testing/dynamic_invariants.h swept across all seven schedulers and all
-// deadlock policies with probabilistic HTM aborts, lock failures, router
-// demotions and schedule perturbation (the PR-2 chaos plan). Part of the
-// `stress` ctest label; failures print the exact replay triple:
+// testing/dynamic_invariants.h swept across all seven schedulers with
+// probabilistic HTM aborts, lock failures, router demotions and schedule
+// perturbation (the PR-2 chaos plan). Part of the `stress` ctest label;
+// failures print the exact replay seed:
 //
 //   TUFAST_STRESS_SEED=<seed> TUFAST_STRESS_ITERS=1 \
 //     ./tufast_tests --gtest_filter='DynamicInvariantStress*'
@@ -26,15 +26,6 @@ uint64_t EnvU64(const char* name, uint64_t def) {
 
 uint64_t StressIters() { return EnvU64("TUFAST_STRESS_ITERS", 2); }
 uint64_t StressBaseSeed() { return EnvU64("TUFAST_STRESS_SEED", 1); }
-
-const char* PolicyName(DeadlockPolicy p) {
-  switch (p) {
-    case DeadlockPolicy::kDetection: return "detection";
-    case DeadlockPolicy::kPrevention: return "prevention";
-    case DeadlockPolicy::kTimeout: return "timeout";
-  }
-  return "?";
-}
 
 FailpointPlan::Config ChaosConfig(uint64_t seed) {
   FailpointPlan::Config config;
@@ -63,38 +54,27 @@ using StressSchedulers = ::testing::Types<
 TYPED_TEST_SUITE(DynamicInvariantStressTest, StressSchedulers);
 
 // Every DynamicGraph mutation locks exactly one vertex with write intent
-// declared up front, so — unlike the generic workloads — the same
-// transaction shape satisfies the kPrevention contract on every policy.
+// declared up front.
 TYPED_TEST(DynamicInvariantStressTest, HoldsUnderChaos) {
   using Scheduler = TypeParam;
-  std::vector<DeadlockPolicy> policies;
-  if constexpr (kSchedulerUsesPolicy<Scheduler, FaultyHtm>) {
-    policies = {DeadlockPolicy::kDetection, DeadlockPolicy::kPrevention,
-                DeadlockPolicy::kTimeout};
-  } else {
-    policies = {DeadlockPolicy::kDetection};  // Policy-free baselines.
-  }
   const uint64_t iters = StressIters();
-  for (DeadlockPolicy policy : policies) {
-    for (uint64_t it = 0; it < iters; ++it) {
-      const uint64_t seed = StressBaseSeed() + it;
-      DynamicStressConfig cfg;
-      cfg.threads = 3;
-      cfg.batches_per_thread = 30;
-      cfg.batch_size = 4;
-      cfg.vertices = 32;
-      cfg.seed = seed;
-      FaultyHtm htm;
-      auto tm = MakeSchedulerFor<Scheduler>(htm, cfg.Capacity(), policy);
-      FailpointPlan plan(ChaosConfig(seed));
-      FailpointScope scope(plan);
-      if (auto err = RunDynamicInvariantSuite(*tm, cfg)) {
-        ADD_FAILURE() << *err << " [policy=" << PolicyName(policy)
-                      << " seed=" << seed
-                      << "; replay: TUFAST_STRESS_SEED=" << seed
-                      << " TUFAST_STRESS_ITERS=1]";
-        return;
-      }
+  for (uint64_t it = 0; it < iters; ++it) {
+    const uint64_t seed = StressBaseSeed() + it;
+    DynamicStressConfig cfg;
+    cfg.threads = 3;
+    cfg.batches_per_thread = 30;
+    cfg.batch_size = 4;
+    cfg.vertices = 32;
+    cfg.seed = seed;
+    FaultyHtm htm;
+    Scheduler tm(htm, cfg.Capacity());
+    FailpointPlan plan(ChaosConfig(seed));
+    FailpointScope scope(plan);
+    if (auto err = RunDynamicInvariantSuite(tm, cfg)) {
+      ADD_FAILURE() << *err << " [seed=" << seed
+                    << "; replay: TUFAST_STRESS_SEED=" << seed
+                    << " TUFAST_STRESS_ITERS=1]";
+      return;
     }
   }
 }

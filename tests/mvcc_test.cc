@@ -230,8 +230,7 @@ TYPED_TEST(MvccSchedulerTest, SnapshotReadsAreAbortFreeAndConsistent) {
   cfg.vertices = 32;
   cfg.seed = 11;
   EmulatedHtm htm;
-  auto tm = MakeMvccSchedulerFor<Scheduler>(htm, cfg.vertices,
-                                            DeadlockPolicy::kDetection);
+  auto tm = MakeMvccSchedulerFor<Scheduler>(htm, cfg.vertices);
   if (auto err = RunMvccSnapshotSuite(*tm, cfg)) ADD_FAILURE() << *err;
 }
 
@@ -243,10 +242,8 @@ TYPED_TEST(MvccSchedulerTest, MvccOnLeavesCommittedStateBitIdentical) {
   constexpr VertexId kVertices = 24;
   auto run = [](bool mvcc) {
     EmulatedHtm htm;
-    auto tm = mvcc ? MakeMvccSchedulerFor<Scheduler>(
-                         htm, kVertices, DeadlockPolicy::kDetection)
-                   : MakeSchedulerFor<Scheduler>(htm, kVertices,
-                                                 DeadlockPolicy::kDetection);
+    auto tm = mvcc ? MakeMvccSchedulerFor<Scheduler>(htm, kVertices)
+                   : std::make_unique<Scheduler>(htm, VertexId{kVertices});
     std::vector<TmWord> data(kVertices, 0);
     Rng rng(42);
     for (int i = 0; i < 400; ++i) {
@@ -429,8 +426,7 @@ TYPED_TEST(MvccCompactionStressTest, CompactionPreservesViewAfterChurn) {
     const uint64_t seed = base_seed + it;
     auto dyn = MakeEmptyDynamicGraph(kVertices);
     FaultyHtm htm;
-    auto tm = MakeMvccSchedulerFor<Scheduler>(htm, dyn->capacity(),
-                                              DeadlockPolicy::kDetection);
+    auto tm = MakeMvccSchedulerFor<Scheduler>(htm, dyn->capacity());
     FailpointPlan plan(MvccChaosConfig(seed));
     FailpointScope scope(plan);
 

@@ -1,6 +1,7 @@
 // Progress-guard layer tests (DESIGN.md "Progress guard"):
 //   * ConflictBackoff determinism under a fixed seed and window growth;
-//   * ProgressSignals bit/token semantics;
+//   * ProgressSignals bit/token semantics, and starved slots in a
+//     lock-manager deadlock still timing out;
 //   * ProgressGuard escalation ladder (priority aging -> global token);
 //   * abort-storm circuit breaker state machine, unit-level and routed
 //     through TuFast under forced failpoints;
@@ -9,15 +10,15 @@
 //   * retry accounting on every HTM-first scheduler;
 //   * the starvation token pausing batch fusion;
 //   * exception safety: a transaction body that throws a foreign
-//     exception must release every lock it holds before propagating, in
-//     TuFast's L and O paths, the 2PL baseline, the HSync global-lock
-//     fallback, and TinySTM's encounter-time write locks;
+//     exception must release every lock it holds (and TuFast's L gate)
+//     before propagating, in TuFast's L and O paths, the 2PL baseline,
+//     the HSync global-lock fallback, and TinySTM's encounter-time write
+//     locks;
 //   * the cooperative stall watchdog and the worker heartbeat counters.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -104,36 +105,14 @@ TEST(ProgressSignalsTest, TokenHasAtMostOneHolder) {
   EXPECT_TRUE(signals.TryAcquireToken(5));
 }
 
-TEST(ProgressSignalsTest, CyclePriorityIsATotalOrder) {
-  ProgressSignals signals;
-  // Nobody starved, no token: nobody may out-wait a cycle.
-  EXPECT_FALSE(signals.HasCyclePriority(0));
-  // Among starved slots, exactly the lowest id wins the tie-break.
-  signals.SetStarved(5);
-  EXPECT_TRUE(signals.HasCyclePriority(5));
-  signals.SetStarved(2);
-  EXPECT_TRUE(signals.HasCyclePriority(2));
-  EXPECT_FALSE(signals.HasCyclePriority(5));
-  EXPECT_TRUE(signals.IsProtected(5));  // Injection immunity is broader.
-  // A token holder outranks every starved slot, even lower-id ones.
-  ASSERT_TRUE(signals.TryAcquireToken(7));
-  EXPECT_TRUE(signals.HasCyclePriority(7));
-  EXPECT_FALSE(signals.HasCyclePriority(2));
-  signals.ReleaseToken(7);
-  EXPECT_TRUE(signals.HasCyclePriority(2));
-  signals.ClearStarved(2);
-  EXPECT_TRUE(signals.HasCyclePriority(5));
-}
-
-// Regression for the mutual-starvation livelock: two starved slots in a
-// genuine deadlock must resolve via the cycle-priority tie-break — the
-// slot without priority self-victimizes at cycle closure — instead of
-// both rolling back their wait edges (leaving no visible cycle and no
-// victim) and re-colliding after full wait bounds in lockstep forever.
+// Two starved slots in a genuine deadlock must still resolve: the starved
+// bit only shields a slot from injected victims, it does not extend its
+// wait bound, so at least one of them leaves as a timeout victim instead
+// of both waiting forever.
 TEST(LockManagerProgressTest, MutuallyStarvedDeadlockResolvesPromptly) {
   EmulatedHtm htm;
   LockTable<EmulatedHtm> table(htm, /*num_vertices=*/4);
-  LockManager<EmulatedHtm> mgr(table, DeadlockPolicy::kDetection);
+  LockManager<EmulatedHtm> mgr(table);
   ProgressSignals signals;
   signals.SetStarved(0);
   signals.SetStarved(1);
@@ -141,123 +120,24 @@ TEST(LockManagerProgressTest, MutuallyStarvedDeadlockResolvesPromptly) {
 
   ASSERT_TRUE(mgr.AcquireExclusive(0, 0));  // slot 0 holds vertex 0
   ASSERT_TRUE(mgr.AcquireExclusive(1, 1));  // slot 1 holds vertex 1
-
-  std::atomic<int> priority_result{-1};
-  std::thread waiter([&] {
-    // Slot 0 (lowest starved id -> cycle priority) waits for vertex 1.
-    priority_result.store(mgr.AcquireExclusive(0, 1) ? 1 : 0);
-  });
-  // Let slot 0 publish its wait edge so slot 1's acquire below is the
-  // one that closes the cycle. (If the race goes the other way the test
-  // still passes — it becomes the reverse-order case below.)
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  // Slot 1 closes the cycle; starved but outranked, it must victimize.
-  EXPECT_FALSE(mgr.AcquireExclusive(1, 0));
-  mgr.ReleaseExclusive(1, 1);  // Victim contract: release the lock set.
-  waiter.join();
-  EXPECT_EQ(priority_result.load(), 1)
-      << "the cycle-priority slot must win the conflict";
-  mgr.ReleaseExclusive(0, 0);
-  mgr.ReleaseExclusive(0, 1);
-}
-
-// Victim-hook log for the reverse-order twins below.
-struct VictimLog {
-  struct Entry {
-    int slot;
-    VertexId vertex;
-    bool cycle;
+  std::atomic<int> victims{0};
+  // Each slot then waits for the other's vertex; a victim releases its
+  // own vertex, which lets the other through.
+  auto cross = [&](int slot, VertexId own, VertexId other) {
+    if (mgr.AcquireExclusive(slot, other)) {
+      mgr.ReleaseExclusive(other);
+    } else {
+      victims.fetch_add(1);
+    }
+    mgr.ReleaseExclusive(own);
   };
-  static void OnVictim(void* ctx, int slot, VertexId vertex, bool cycle) {
-    auto* log = static_cast<VictimLog*>(ctx);
-    std::lock_guard<std::mutex> guard(log->mutex);
-    log->entries.push_back(Entry{slot, vertex, cycle});
+  std::thread waiter([&] { cross(0, 0, 1); });
+  cross(1, 1, 0);
+  waiter.join();
+  EXPECT_GE(victims.load(), 1);
+  for (VertexId v = 0; v < 2; ++v) {
+    EXPECT_TRUE(LockTable<EmulatedHtm>::Free(table.LoadWord(v)));
   }
-  std::vector<Entry> Entries() {
-    std::lock_guard<std::mutex> guard(mutex);
-    return entries;
-  }
-  std::mutex mutex;
-  std::vector<Entry> entries;
-};
-
-// Reverse-order twin: the slot WITHOUT cycle priority waits first and the
-// priority slot's edge closes the cycle. The priority slot keeps its edge
-// and out-waits the cycle, so the waiting peer must find the cycle on its
-// own re-check and leave as a cycle victim — not sit out the full
-// 2^20-pause liveness bound and leave as a timeout victim.
-TEST(LockManagerProgressTest, PriorityClosedCycleVictimizesTheWaitingPeer) {
-  EmulatedHtm htm;
-  LockTable<EmulatedHtm> table(htm, /*num_vertices=*/4);
-  LockManager<EmulatedHtm> mgr(table, DeadlockPolicy::kDetection);
-  ProgressSignals signals;
-  signals.SetStarved(0);
-  signals.SetStarved(1);
-  mgr.SetProgressSignals(&signals);
-  VictimLog victims;
-  mgr.SetVictimCallback(&VictimLog::OnVictim, &victims);
-
-  ASSERT_TRUE(mgr.AcquireExclusive(0, 0));  // slot 0 holds vertex 0
-  ASSERT_TRUE(mgr.AcquireExclusive(1, 1));  // slot 1 holds vertex 1
-
-  std::atomic<int> peer_result{-1};
-  std::thread peer([&] {
-    // Slot 1 (outranked by slot 0) waits for vertex 0 first.
-    const bool acquired = mgr.AcquireExclusive(1, 0);
-    peer_result.store(acquired ? 1 : 0);
-    if (!acquired) mgr.ReleaseExclusive(1, 1);  // Victim: release the set.
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  // Slot 0 (cycle priority) closes the cycle and out-waits it.
-  EXPECT_TRUE(mgr.AcquireExclusive(0, 1))
-      << "the cycle-priority slot must get its lock";
-  peer.join();
-  EXPECT_EQ(peer_result.load(), 0);
-  const auto entries = victims.Entries();
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].slot, 1);
-  EXPECT_EQ(entries[0].vertex, VertexId{0});
-  EXPECT_TRUE(entries[0].cycle)
-      << "the waiting peer must leave as a cycle victim, not a timeout";
-  mgr.ReleaseExclusive(0, 0);
-  mgr.ReleaseExclusive(0, 1);
-}
-
-// Same ordering through Upgrade: both slots hold vertex 0 shared, the
-// slot without priority starts upgrading first, then the priority slot's
-// upgrade closes the cycle.
-TEST(LockManagerProgressTest, PriorityClosedUpgradeCycleVictimizesThePeer) {
-  EmulatedHtm htm;
-  LockTable<EmulatedHtm> table(htm, /*num_vertices=*/4);
-  LockManager<EmulatedHtm> mgr(table, DeadlockPolicy::kDetection);
-  ProgressSignals signals;
-  signals.SetStarved(0);
-  signals.SetStarved(1);
-  mgr.SetProgressSignals(&signals);
-  VictimLog victims;
-  mgr.SetVictimCallback(&VictimLog::OnVictim, &victims);
-
-  ASSERT_TRUE(mgr.AcquireShared(0, 0));
-  ASSERT_TRUE(mgr.AcquireShared(1, 0));
-
-  std::atomic<int> peer_result{-1};
-  std::thread peer([&] {
-    const bool upgraded = mgr.Upgrade(1, 0);
-    peer_result.store(upgraded ? 1 : 0);
-    // A failed upgrade still holds the shared lock: release it.
-    if (!upgraded) mgr.ReleaseShared(1, 0);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_TRUE(mgr.Upgrade(0, 0))
-      << "the cycle-priority slot must complete its upgrade";
-  peer.join();
-  EXPECT_EQ(peer_result.load(), 0);
-  const auto entries = victims.Entries();
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].slot, 1);
-  EXPECT_TRUE(entries[0].cycle)
-      << "the upgrading peer must leave as a cycle victim, not a timeout";
-  mgr.ReleaseExclusive(0, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -589,35 +469,45 @@ TEST(TuFastOModeBackoffTest, ConflictAbortStillPaysOneBackoff) {
 // Retry accounting: a commit after a failed hardware attempt reaches
 // max_txn_aborts and the re-abort histogram on every HTM-first scheduler.
 
-/// One transaction whose first hardware commit is forced to a conflict
-/// abort; the retry commits in hardware.
+/// One transaction whose first hardware commit is forced to `action`; the
+/// retry commits in class `cls`. A conflict abort retries in hardware; a
+/// capacity abort sends H-TO straight to its TO fallback, whose retry loop
+/// must still count the failed hardware attempt.
 template <typename Scheduler>
-void ExpectOneRetryRecorded(const char* name) {
+void ExpectOneRetryRecorded(const char* name, FailAction action,
+                            TxnClass cls) {
   SCOPED_TRACE(name);
   FaultyHtm htm;
   Scheduler tm(htm, 64);
   std::vector<TmWord> values(64, 0);
   FailpointPlan plan(FailpointPlan::Config{});
-  plan.ForceAt(FailSite::kHtmCommit, /*slot=*/0, /*hit_index=*/0,
-               FailAction::kAbortConflict);
+  plan.ForceAt(FailSite::kHtmCommit, /*slot=*/0, /*hit_index=*/0, action);
   FailpointScope scope(plan);
   const RunOutcome outcome = tm.Run(0, 2, [&](auto& txn) {
     txn.Write(3, &values[3], txn.Read(3, &values[3]) + 1);
   });
   EXPECT_TRUE(outcome.committed);
-  EXPECT_EQ(outcome.cls, TxnClass::kH);
+  EXPECT_EQ(outcome.cls, cls);
   EXPECT_EQ(outcome.aborts, 1u);
+  EXPECT_EQ(values[3], 1u);
   const SchedulerStats stats = tm.AggregatedStats();
-  EXPECT_EQ(stats.conflict_aborts, 1u);
+  EXPECT_EQ(action == FailAction::kAbortCapacity ? stats.capacity_aborts
+                                                 : stats.conflict_aborts,
+            1u);
   EXPECT_EQ(stats.max_txn_aborts, 1u);
   EXPECT_EQ(tm.AggregatedTelemetry().Snapshot().txn_abort_hist.count(), 1u);
 }
 
 TEST(RetryAccountingTest, HtmFirstSchedulersRecordRetriedCommits) {
-  ExpectOneRetryRecorded<TuFastScheduler<FaultyHtm, EventTelemetry>>("tufast");
-  ExpectOneRetryRecorded<HsyncHybrid<FaultyHtm, EventTelemetry>>("hsync");
+  constexpr FailAction kConflict = FailAction::kAbortConflict;
+  ExpectOneRetryRecorded<TuFastScheduler<FaultyHtm, EventTelemetry>>(
+      "tufast", kConflict, TxnClass::kH);
+  ExpectOneRetryRecorded<HsyncHybrid<FaultyHtm, EventTelemetry>>(
+      "hsync", kConflict, TxnClass::kH);
   ExpectOneRetryRecorded<HtmTimestampOrdering<FaultyHtm, EventTelemetry>>(
-      "hto");
+      "hto", kConflict, TxnClass::kH);
+  ExpectOneRetryRecorded<HtmTimestampOrdering<FaultyHtm, EventTelemetry>>(
+      "hto capacity -> to", FailAction::kAbortCapacity, TxnClass::kO);
 }
 
 // ---------------------------------------------------------------------
@@ -691,6 +581,8 @@ TEST(ExceptionSafetyTest, TuFastLockModeThrowReleasesLocks) {
                       }),
                BodyError);
   ExpectAllLocksFree<EmulatedHtm>(tm, kVertices);
+  EXPECT_FALSE(tm.l_gate().Busy())
+      << "the L gate leaked past the unwinding body";
   for (VertexId v = 1; v <= 3; ++v) {
     EXPECT_EQ(EmulatedHtm::NonTxLoad(&values[v]), 0u)
         << "the aborted body's writes must not be visible";
@@ -708,6 +600,7 @@ TEST(ExceptionSafetyTest, TuFastLockModeThrowReleasesLocks) {
   EXPECT_EQ(EmulatedHtm::NonTxLoad(&values[1]), 2u);
   EXPECT_FALSE(tm.progress_guard().signals().AnyStarved());
   EXPECT_FALSE(tm.progress_guard().signals().TokenHeld());
+  EXPECT_FALSE(tm.l_gate().Busy());
 }
 
 TEST(ExceptionSafetyTest, TuFastOptimisticModeThrowReleasesEverything) {

@@ -16,20 +16,21 @@ namespace tufast {
 namespace {
 
 // ---------------------------------------------------------------------------
-// TuFast invariant sweep: (threads, adaptive_period, deadlock policy).
+// TuFast invariant sweep: (threads, adaptive_period, enable_breaker). The
+// breaker is one of the four paths into L mode's gate.
 // ---------------------------------------------------------------------------
 
-using TuFastParam = std::tuple<int, bool, DeadlockPolicy>;
+using TuFastParam = std::tuple<int, bool, bool>;
 
 class TuFastPropertyTest : public ::testing::TestWithParam<TuFastParam> {};
 
 TEST_P(TuFastPropertyTest, TransfersPreserveTotalUnderAnyConfig) {
-  const auto [threads, adaptive, policy] = GetParam();
+  const auto [threads, adaptive, breaker] = GetParam();
   EmulatedHtm htm;
   TuFast::Config config;
   config.adaptive_period = adaptive;
   config.static_period = 300;
-  config.deadlock_policy = policy;
+  config.enable_breaker = breaker;
   constexpr VertexId kAccounts = 40;
   TuFast tm(htm, kAccounts, config);
   std::vector<TmWord> balance(kAccounts, 1000);
@@ -68,16 +69,14 @@ TEST_P(TuFastPropertyTest, TransfersPreserveTotalUnderAnyConfig) {
 std::string TuFastParamName(const ::testing::TestParamInfo<TuFastParam>& info) {
   std::string name = "t" + std::to_string(std::get<0>(info.param));
   name += std::get<1>(info.param) ? "_adaptive" : "_static";
-  name += std::get<2>(info.param) == DeadlockPolicy::kDetection ? "_detect"
-                                                                : "_timeout";
+  name += std::get<2>(info.param) ? "_breaker" : "_nobreaker";
   return name;
 }
 INSTANTIATE_TEST_SUITE_P(
     Configs, TuFastPropertyTest,
     ::testing::Combine(::testing::Values(1, 2, 4),
                        ::testing::Values(false, true),
-                       ::testing::Values(DeadlockPolicy::kDetection,
-                                         DeadlockPolicy::kTimeout)),
+                       ::testing::Values(false, true)),
     TuFastParamName);
 
 // ---------------------------------------------------------------------------

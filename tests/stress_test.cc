@@ -1,7 +1,7 @@
 // Fault-injection + invariant-checking stress suite (the `stress` ctest
 // label). Every test pins a seed (or sweeps a small seed range, widened
 // by TUFAST_STRESS_ITERS); any failure message carries the exact
-// (scheduler, policy, seed) triple needed to replay it:
+// (scheduler, seed) pair needed to replay it:
 //
 //   TUFAST_STRESS_SEED=<seed> TUFAST_STRESS_ITERS=1 \
 //     ./tufast_tests --gtest_filter='InvariantStress*'
@@ -32,15 +32,6 @@ uint64_t EnvU64(const char* name, uint64_t def) {
 // Tier-1 defaults are small; CI long-runs opt in via the environment.
 uint64_t StressIters() { return EnvU64("TUFAST_STRESS_ITERS", 2); }
 uint64_t StressBaseSeed() { return EnvU64("TUFAST_STRESS_SEED", 1); }
-
-const char* PolicyName(DeadlockPolicy p) {
-  switch (p) {
-    case DeadlockPolicy::kDetection: return "detection";
-    case DeadlockPolicy::kPrevention: return "prevention";
-    case DeadlockPolicy::kTimeout: return "timeout";
-  }
-  return "?";
-}
 
 // ---------------------------------------------------------------------------
 // FailpointPlan mechanics.
@@ -200,7 +191,7 @@ TEST(RouterDemotionTest, SkipHAndORoutesToLockMode) {
 
 TEST(ForcedVictimTest, TwoPhaseLockingStaysExactUnderForcedVictims) {
   FaultyHtm htm;
-  TwoPhaseLocking<FaultyHtm> tm(htm, 64, DeadlockPolicy::kDetection);
+  TwoPhaseLocking<FaultyHtm> tm(htm, 64);
   std::vector<TmWord> data(64, 0);
   FailpointPlan::Config config;
   config.seed = 11;
@@ -230,14 +221,12 @@ TEST(ForcedVictimTest, TwoPhaseLockingStaysExactUnderForcedVictims) {
   EXPECT_GT(stats.deadlock_aborts, 0u);  // The injection actually fired.
 }
 
-TEST(ForcedVictimTest, FailedUpgradeKeepsSharedHeldUnderPrevention) {
-  // kPrevention has no runtime recovery (ordered acquisition is promised
-  // by the caller), so the "shared lock still held after failed upgrade"
-  // contract is exercised with a forced victim instead of a genuine
-  // wait-bound expiry.
+TEST(ForcedVictimTest, FailedUpgradeKeepsSharedHeld) {
+  // The "shared lock still held after failed upgrade" contract, with a
+  // forced victim instead of a genuine wait-bound expiry.
   FaultyHtm htm;
   LockTable<FaultyHtm> table(htm, 16);
-  LockManager<FaultyHtm> manager(table, DeadlockPolicy::kPrevention);
+  LockManager<FaultyHtm> manager(table);
   FailpointPlan plan(FailpointPlan::Config{});
   plan.ForceAt(FailSite::kLockUpgrade, /*slot=*/0, /*hit_index=*/0,
                FailAction::kFail);
@@ -246,13 +235,13 @@ TEST(ForcedVictimTest, FailedUpgradeKeepsSharedHeldUnderPrevention) {
   EXPECT_FALSE(manager.Upgrade(0, 4));
   // Shared registration intact: exclusive blocked until we release it.
   EXPECT_FALSE(table.TryLockExclusive(4));
-  manager.ReleaseShared(0, 4);
+  manager.ReleaseShared(4);
   EXPECT_TRUE(table.TryLockExclusive(4));
   table.UnlockExclusive(4);
   // A second upgrade (hit index 1, not forced) succeeds normally.
   ASSERT_TRUE(manager.AcquireShared(0, 4));
   EXPECT_TRUE(manager.Upgrade(0, 4));
-  manager.ReleaseExclusive(0, 4);
+  manager.ReleaseExclusive(4);
 }
 
 // ---------------------------------------------------------------------------
@@ -306,8 +295,9 @@ TEST(WorklistStressTest, NoWorkerExitsBeforeDrainCompletes) {
 }
 
 // ---------------------------------------------------------------------------
-// Invariant workloads: 7 schedulers x deadlock policies x seeds, all under
-// probabilistic fault injection + schedule perturbation.
+// Invariant workloads: 7 schedulers x seeds, all under probabilistic
+// fault injection + schedule perturbation. Odd seeds run every body with
+// ordered ReadForUpdate acquisition, even seeds with read-then-upgrade.
 
 template <typename Scheduler>
 class InvariantStressTest : public ::testing::Test {};
@@ -337,36 +327,24 @@ FailpointPlan::Config ChaosConfig(uint64_t seed) {
 
 TYPED_TEST(InvariantStressTest, HoldsUnderChaos) {
   using Scheduler = TypeParam;
-  std::vector<DeadlockPolicy> policies;
-  if constexpr (kSchedulerUsesPolicy<Scheduler, FaultyHtm>) {
-    policies = {DeadlockPolicy::kDetection, DeadlockPolicy::kPrevention,
-                DeadlockPolicy::kTimeout};
-  } else {
-    policies = {DeadlockPolicy::kDetection};  // Policy-free baselines.
-  }
   const uint64_t iters = StressIters();
-  for (DeadlockPolicy policy : policies) {
-    for (uint64_t it = 0; it < iters; ++it) {
-      const uint64_t seed = StressBaseSeed() + it;
-      FaultyHtm htm;
-      auto tm = MakeSchedulerFor<Scheduler>(htm, /*vertices=*/48, policy);
-      FailpointPlan plan(ChaosConfig(seed));
-      FailpointScope scope(plan);
-      StressConfig cfg;
-      cfg.threads = 3;
-      cfg.txns_per_thread = 100;
-      cfg.vertices = 48;
-      cfg.seed = seed;
-      // The kPrevention contract: ordered acquisition, write intent
-      // declared up front (no shared->exclusive upgrades).
-      cfg.ordered_for_update = policy == DeadlockPolicy::kPrevention;
-      if (auto err = RunInvariantSuite(*tm, cfg)) {
-        ADD_FAILURE() << *err << " [policy=" << PolicyName(policy)
-                      << " seed=" << seed
-                      << "; replay: TUFAST_STRESS_SEED=" << seed
-                      << " TUFAST_STRESS_ITERS=1]";
-        return;
-      }
+  for (uint64_t it = 0; it < iters; ++it) {
+    const uint64_t seed = StressBaseSeed() + it;
+    FaultyHtm htm;
+    Scheduler tm(htm, /*vertices=*/48);
+    FailpointPlan plan(ChaosConfig(seed));
+    FailpointScope scope(plan);
+    StressConfig cfg;
+    cfg.threads = 3;
+    cfg.txns_per_thread = 100;
+    cfg.vertices = 48;
+    cfg.seed = seed;
+    cfg.ordered_for_update = seed % 2 == 1;
+    if (auto err = RunInvariantSuite(tm, cfg)) {
+      ADD_FAILURE() << *err << " [seed=" << seed
+                    << "; replay: TUFAST_STRESS_SEED=" << seed
+                    << " TUFAST_STRESS_ITERS=1]";
+      return;
     }
   }
 }
@@ -419,72 +397,62 @@ constexpr uint64_t kGuardedRetryBound = 64;
 
 TYPED_TEST(StarvationStressTest, EveryTxnCommitsWithinTheRetryBound) {
   using Scheduler = TypeParam;
-  std::vector<DeadlockPolicy> policies;
-  if constexpr (kSchedulerUsesPolicy<Scheduler, FaultyHtm>) {
-    policies = {DeadlockPolicy::kDetection, DeadlockPolicy::kPrevention,
-                DeadlockPolicy::kTimeout};
-  } else {
-    policies = {DeadlockPolicy::kDetection};  // Policy-free baselines.
-  }
   const uint64_t iters = StressIters();
-  for (DeadlockPolicy policy : policies) {
-    for (uint64_t it = 0; it < iters; ++it) {
-      const uint64_t seed = StressBaseSeed() + it;
-      const std::string replay =
-          std::string(" [policy=") + PolicyName(policy) + " seed=" +
-          std::to_string(seed) +
-          "; replay: TUFAST_STRESS_SEED=" + std::to_string(seed) +
-          " TUFAST_STRESS_ITERS=1]";
-      FaultyHtm htm;
-      constexpr VertexId kVertices = 8;
-      constexpr VertexId kHotVertices = 4;
-      auto tm = MakeSchedulerFor<Scheduler>(htm, kVertices, policy);
-      FailpointPlan plan(StarvationChaosConfig(seed));
-      FailpointScope scope(plan);
-      std::vector<TmWord> data(kVertices, 0);
-      constexpr int kThreads = 3;
-      constexpr int kEach = 120;
-      std::vector<std::thread> threads;
-      for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-          Rng rng(seed * 31 + static_cast<uint64_t>(t));
-          for (int i = 0; i < kEach; ++i) {
-            // Single-vertex increments: trivially ordered (kPrevention
-            // contract) with write intent declared up front.
-            const VertexId v =
-                static_cast<VertexId>(rng.NextBounded(kHotVertices));
-            tm->Run(t, 2, [&](auto& txn) {
-              txn.Write(v, &data[v], txn.ReadForUpdate(v, &data[v]) + 1);
-            });
-          }
-        });
-      }
-      for (auto& th : threads) th.join();
-      TmWord total = 0;
-      for (VertexId v = 0; v < kVertices; ++v) {
-        total += FaultyHtm::NonTxLoad(&data[v]);
-      }
-      constexpr uint64_t kTotalTxns = uint64_t{kThreads} * kEach;
-      EXPECT_EQ(total, kTotalTxns)
-          << "lost or duplicated increments under forced starvation"
+  for (uint64_t it = 0; it < iters; ++it) {
+    const uint64_t seed = StressBaseSeed() + it;
+    const std::string replay =
+        std::string(" [seed=") + std::to_string(seed) +
+        "; replay: TUFAST_STRESS_SEED=" + std::to_string(seed) +
+        " TUFAST_STRESS_ITERS=1]";
+    FaultyHtm htm;
+    constexpr VertexId kVertices = 8;
+    constexpr VertexId kHotVertices = 4;
+    Scheduler tm(htm, kVertices);
+    FailpointPlan plan(StarvationChaosConfig(seed));
+    FailpointScope scope(plan);
+    std::vector<TmWord> data(kVertices, 0);
+    constexpr int kThreads = 3;
+    constexpr int kEach = 120;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Rng rng(seed * 31 + static_cast<uint64_t>(t));
+        for (int i = 0; i < kEach; ++i) {
+          // Single-vertex increments with write intent declared up
+          // front.
+          const VertexId v =
+              static_cast<VertexId>(rng.NextBounded(kHotVertices));
+          tm.Run(t, 2, [&](auto& txn) {
+            txn.Write(v, &data[v], txn.ReadForUpdate(v, &data[v]) + 1);
+          });
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    TmWord total = 0;
+    for (VertexId v = 0; v < kVertices; ++v) {
+      total += FaultyHtm::NonTxLoad(&data[v]);
+    }
+    constexpr uint64_t kTotalTxns = uint64_t{kThreads} * kEach;
+    EXPECT_EQ(total, kTotalTxns)
+        << "lost or duplicated increments under forced starvation"
+        << replay;
+    const SchedulerStats stats = tm.AggregatedStats();
+    EXPECT_EQ(stats.commits, kTotalTxns)
+        << "every transaction must eventually commit" << replay;
+    if constexpr (SchedulerHasProgressGuard<Scheduler>::value) {
+      EXPECT_GT(stats.deadlock_aborts, 0u)
+          << "the injection never fired" << replay;
+      EXPECT_GT(stats.starvation_escalations, 0u)
+          << "sustained re-victimization must climb the ladder" << replay;
+      EXPECT_LE(stats.max_txn_aborts, kGuardedRetryBound)
+          << "escalation must bound the worst transaction's retries"
           << replay;
-      const SchedulerStats stats = tm->AggregatedStats();
-      EXPECT_EQ(stats.commits, kTotalTxns)
-          << "every transaction must eventually commit" << replay;
-      if constexpr (SchedulerHasProgressGuard<Scheduler>::value) {
-        EXPECT_GT(stats.deadlock_aborts, 0u)
-            << "the injection never fired" << replay;
-        EXPECT_GT(stats.starvation_escalations, 0u)
-            << "sustained re-victimization must climb the ladder" << replay;
-        EXPECT_LE(stats.max_txn_aborts, kGuardedRetryBound)
-            << "escalation must bound the worst transaction's retries"
-            << replay;
-        auto& signals = tm->progress_guard().signals();
-        EXPECT_FALSE(signals.AnyStarved())
-            << "starved bits must be dropped at transaction end" << replay;
-        EXPECT_FALSE(signals.TokenHeld())
-            << "the starvation token leaked" << replay;
-      }
+      auto& signals = tm.progress_guard().signals();
+      EXPECT_FALSE(signals.AnyStarved())
+          << "starved bits must be dropped at transaction end" << replay;
+      EXPECT_FALSE(signals.TokenHeld())
+          << "the starvation token leaked" << replay;
     }
   }
 }

@@ -1,14 +1,14 @@
-// Lock substrate tests: lock-table word semantics, lock-manager policies
-// (detection / prevention / timeout), upgrade deadlocks, and the
-// waits-for graph itself.
+// Lock substrate tests: lock-table word semantics, the lock manager's
+// timeout rule on cross-acquire and upgrade deadlocks, and the ticket
+// gate that admits one TuFast L transaction at a time.
 
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/spin.h"
 #include "htm/emulated_htm.h"
-#include "sync/deadlock_graph.h"
 #include "sync/lock_manager.h"
 #include "sync/lock_table.h"
 
@@ -61,77 +61,10 @@ TEST_F(LockTableTest, WordPredicatesMatchState) {
   table_.UnlockExclusive(0);
 }
 
-TEST(DeadlockGraphTest, DetectsTwoPartyCycle) {
-  DeadlockGraph graph;
-  graph.AddHolder(/*v=*/1, /*slot=*/0, /*exclusive=*/true);
-  graph.AddHolder(/*v=*/2, /*slot=*/1, /*exclusive=*/true);
-  EXPECT_FALSE(graph.SetWaitingAndCheck(/*slot=*/0, /*v=*/2));
-  // Slot 1 waiting for vertex 1 (held by 0, which waits for 2, held by
-  // 1) closes the cycle.
-  EXPECT_TRUE(graph.SetWaitingAndCheck(/*slot=*/1, /*v=*/1));
-}
-
-TEST(DeadlockGraphTest, DetectsThreePartyCycle) {
-  DeadlockGraph graph;
-  graph.AddHolder(1, 0, true);
-  graph.AddHolder(2, 1, true);
-  graph.AddHolder(3, 2, true);
-  EXPECT_FALSE(graph.SetWaitingAndCheck(0, 2));
-  EXPECT_FALSE(graph.SetWaitingAndCheck(1, 3));
-  EXPECT_TRUE(graph.SetWaitingAndCheck(2, 1));
-}
-
-TEST(DeadlockGraphTest, NoFalsePositiveOnChains) {
-  DeadlockGraph graph;
-  graph.AddHolder(1, 0, true);
-  graph.AddHolder(2, 1, true);
-  EXPECT_FALSE(graph.SetWaitingAndCheck(2, 1));  // 2 -> 0: no cycle.
-  EXPECT_FALSE(graph.SetWaitingAndCheck(1, 1));  // 1 -> 0 too: no cycle.
-  graph.ClearWaiting(1);
-  graph.ClearWaiting(2);
-  EXPECT_EQ(graph.HolderEntriesForTest(), 2u);
-}
-
-TEST(DeadlockGraphTest, UpgradeCycleSkipsSelfEdge) {
-  DeadlockGraph graph;
-  // Both hold 5 shared; both want to upgrade.
-  graph.AddHolder(5, 0, false);
-  graph.AddHolder(5, 1, false);
-  EXPECT_FALSE(graph.SetWaitingAndCheck(0, 5));  // Waits only on slot 1.
-  EXPECT_TRUE(graph.SetWaitingAndCheck(1, 5));   // Closes the cycle.
-}
-
-TEST(LockManagerTest, UpgradeDeadlockResolvedByDetection) {
-  EmulatedHtm htm;
-  LockTable<EmulatedHtm> table(htm, 16);
-  LockManager<EmulatedHtm> manager(table, DeadlockPolicy::kDetection);
-  ASSERT_TRUE(manager.AcquireShared(0, 1));
-  ASSERT_TRUE(manager.AcquireShared(1, 1));
-  // Slot 1 upgrades in a second thread (it will win once slot 0 gives
-  // up); slot 0's upgrade attempt must be chosen as the victim or
-  // succeed after 1 completes — no hang either way.
-  std::thread other([&] {
-    if (manager.Upgrade(1, 1)) {
-      manager.ReleaseExclusive(1, 1);
-    } else {
-      manager.ReleaseShared(1, 1);
-    }
-  });
-  if (manager.Upgrade(0, 1)) {
-    manager.ReleaseExclusive(0, 1);
-  } else {
-    manager.ReleaseShared(0, 1);
-  }
-  other.join();
-  // Lock fully released afterwards.
-  EXPECT_TRUE(table.TryLockExclusive(1));
-  table.UnlockExclusive(1);
-}
-
 TEST(LockManagerTest, TimeoutPolicyRecoversFromDeadlock) {
   EmulatedHtm htm;
   LockTable<EmulatedHtm> table(htm, 16);
-  LockManager<EmulatedHtm> manager(table, DeadlockPolicy::kTimeout);
+  LockManager<EmulatedHtm> manager(table);
   ASSERT_TRUE(manager.AcquireExclusive(0, 1));
   ASSERT_TRUE(manager.AcquireExclusive(1, 2));
   // Cross-acquire from two threads: both must return (one or both as
@@ -141,71 +74,51 @@ TEST(LockManagerTest, TimeoutPolicyRecoversFromDeadlock) {
     if (!manager.AcquireExclusive(0, 2)) {
       ++victims;
     } else {
-      manager.ReleaseExclusive(0, 2);
+      manager.ReleaseExclusive(2);
     }
-    manager.ReleaseExclusive(0, 1);
+    manager.ReleaseExclusive(1);
   });
   std::thread t1([&] {
     if (!manager.AcquireExclusive(1, 1)) {
       ++victims;
     } else {
-      manager.ReleaseExclusive(1, 1);
+      manager.ReleaseExclusive(1);
     }
-    manager.ReleaseExclusive(1, 2);
+    manager.ReleaseExclusive(2);
   });
   t0.join();
   t1.join();
   EXPECT_GE(victims.load(), 1);
 }
 
-TEST(DeadlockGraphTest, RejectsOutOfRangeSlots) {
-  // Slot ids index fixed kMaxHtmThreads arrays and narrow to int16_t; the
-  // entry points must fail loudly instead of aliasing another worker's
-  // wait state (see deadlock_graph.cc).
-  DeadlockGraph graph;
-  EXPECT_DEATH(graph.AddHolder(0, kMaxHtmThreads, true), "check failed");
-  EXPECT_DEATH(graph.AddHolder(0, -1, false), "check failed");
-  EXPECT_DEATH(graph.RemoveHolder(0, kMaxHtmThreads + 5, true),
-               "check failed");
-  EXPECT_DEATH(graph.SetWaitingAndCheck(-3, 1), "check failed");
-  EXPECT_DEATH(graph.ClearWaiting(1 << 20), "check failed");
-  // In-range ids keep working after the death-test forks.
-  graph.AddHolder(0, kMaxHtmThreads - 1, true);
-  EXPECT_EQ(graph.HolderEntriesForTest(), 1u);
-}
-
 // "Shared lock still held after failed upgrade" contract, asserted
-// directly: under kTimeout a sole-loser upgrade fails by wait-bound
-// expiry without touching the shared registration.
+// directly: a sole-loser upgrade fails by wait-bound expiry without
+// touching the shared lock.
 TEST(LockManagerTest, FailedUpgradeKeepsSharedHeldTimeout) {
   EmulatedHtm htm;
   LockTable<EmulatedHtm> table(htm, 16);
-  LockManager<EmulatedHtm> manager(table, DeadlockPolicy::kTimeout);
+  LockManager<EmulatedHtm> manager(table);
   ASSERT_TRUE(manager.AcquireShared(0, 4));
   ASSERT_TRUE(manager.AcquireShared(1, 4));
   // Two shared holders: slot 0's upgrade can never succeed and the
-  // timeout bound (short under kTimeout) picks it as victim.
+  // timeout bound picks it as victim.
   EXPECT_FALSE(manager.Upgrade(0, 4));
   // Both shared registrations must be intact: exclusive is blocked, and
   // releasing ONE shared makes an upgrade possible again (sole holder) —
   // which could not happen had the failed upgrade leaked slot 0's share.
   EXPECT_FALSE(table.TryLockExclusive(4));
-  manager.ReleaseShared(1, 4);
+  manager.ReleaseShared(4);
   EXPECT_TRUE(table.TryUpgrade(4));
   table.UnlockExclusive(4);
 }
 
-// Two upgraders on one vertex under every policy that can resolve it on
-// its own (kDetection closes the waits-for cycle; kTimeout expires the
-// wait bound). Exactly one thread may win; the loser must still hold its
+// Two upgraders on one vertex: the wait bound resolves the upgrade
+// deadlock. At most one thread may win; the loser must still hold its
 // shared lock and release it, leaving the vertex free.
-class UpgradeContentionTest
-    : public ::testing::TestWithParam<DeadlockPolicy> {};
-
-TEST_P(UpgradeContentionTest, TwoUpgradersOneVertex) {
+TEST(UpgradeContentionTest, TwoUpgradersOneVertex) {
   EmulatedHtm htm;
   LockTable<EmulatedHtm> table(htm, 16);
-  LockManager<EmulatedHtm> manager(table, GetParam());
+  LockManager<EmulatedHtm> manager(table);
   ASSERT_TRUE(manager.AcquireShared(0, 2));
   ASSERT_TRUE(manager.AcquireShared(1, 2));
   std::atomic<int> winners{0};
@@ -213,13 +126,13 @@ TEST_P(UpgradeContentionTest, TwoUpgradersOneVertex) {
   auto upgrader = [&](int slot) {
     if (manager.Upgrade(slot, 2)) {
       ++winners;
-      manager.ReleaseExclusive(slot, 2);
+      manager.ReleaseExclusive(2);
     } else {
       // Contract: the shared lock survives the failed upgrade, so the
       // victim releases shared — an unbalanced release here would corrupt
       // the lock word and break the final freeness check.
       ++victims;
-      manager.ReleaseShared(slot, 2);
+      manager.ReleaseShared(2);
     }
   };
   std::thread other([&] { upgrader(1); });
@@ -232,43 +145,27 @@ TEST_P(UpgradeContentionTest, TwoUpgradersOneVertex) {
   table.UnlockExclusive(2);
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, UpgradeContentionTest,
-                         ::testing::Values(DeadlockPolicy::kDetection,
-                                           DeadlockPolicy::kTimeout),
-                         [](const auto& info) {
-                           return info.param == DeadlockPolicy::kDetection
-                                      ? "Detection"
-                                      : "Timeout";
-                         });
-
-// kPrevention has no recovery mechanism by design (the caller promises
-// ordered acquisition), so its upgrade-failure contract is exercised with
-// a forced failpoint victim in stress_test.cc instead of a real 1M-pause
-// wait-bound expiry here.
-
-TEST(LockManagerTest, PreventionPolicySkipsBookkeeping) {
-  EmulatedHtm htm;
-  LockTable<EmulatedHtm> table(htm, 16);
-  LockManager<EmulatedHtm> manager(table, DeadlockPolicy::kPrevention);
-  // Ordered acquisition across two threads: must always succeed.
-  std::thread a([&] {
-    for (int i = 0; i < 200; ++i) {
-      ASSERT_TRUE(manager.AcquireExclusive(0, 3));
-      ASSERT_TRUE(manager.AcquireExclusive(0, 7));
-      manager.ReleaseExclusive(0, 7);
-      manager.ReleaseExclusive(0, 3);
-    }
-  });
-  std::thread b([&] {
-    for (int i = 0; i < 200; ++i) {
-      ASSERT_TRUE(manager.AcquireExclusive(1, 3));
-      ASSERT_TRUE(manager.AcquireExclusive(1, 7));
-      manager.ReleaseExclusive(1, 7);
-      manager.ReleaseExclusive(1, 3);
-    }
-  });
-  a.join();
-  b.join();
+// The gate is the only synchronization around `count`: a lost update (or,
+// under TSan, a data race) means two holders overlapped.
+TEST(TicketGateTest, SerializesHoldersExactly) {
+  TicketGate gate;
+  EXPECT_FALSE(gate.Busy());
+  uint64_t count = 0;
+  constexpr int kThreads = 4;
+  constexpr int kEach = 2000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kEach; ++i) {
+        gate.Enter();
+        count = count + 1;
+        gate.Leave();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(count, uint64_t{kThreads} * kEach);
+  EXPECT_FALSE(gate.Busy());
 }
 
 }  // namespace

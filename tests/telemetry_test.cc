@@ -180,9 +180,7 @@ void Replay(EventTelemetry& sink, const TxnScript& txn) {
   for (int i = 0; i < txn.attempt_aborts; ++i) {
     sink.AttemptAbort(static_cast<AbortReason>(i % kNumAbortReasons));
   }
-  for (int i = 0; i < txn.deadlock_victims; ++i) {
-    sink.DeadlockVictim(i % 2 == 0);
-  }
+  for (int i = 0; i < txn.deadlock_victims; ++i) sink.DeadlockVictim();
   if (txn.mode == SchedMode::kHardware && txn.attempt_aborts > 2) {
     sink.EnterMode(SchedMode::kOptimistic);  // Mode escalation.
   }

@@ -1,16 +1,19 @@
 // Core TuFast scheduler tests: routing across H/O/L, commit semantics in
-// each mode, user aborts, capacity escalation, deadlock resolution,
+// each mode, user aborts, capacity escalation, the L gate (one L
+// transaction at a time on every path into L, so no deadlocks),
 // multi-threaded invariant preservation, and the capacity-derived H/O
 // budgets.
 
 #include <algorithm>
 #include <atomic>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "htm/emulated_htm.h"
+#include "testing/failpoints.h"
 #include "tm/tufast.h"
 
 namespace tufast {
@@ -186,6 +189,137 @@ TEST_F(TuFastTest, OppositeOrderLockTransactionsResolveDeadlock) {
   const SchedulerStats stats = tm_.AggregatedStats();
   EXPECT_EQ(stats.commits, 2u * kRounds);  // Every transaction finished.
 }
+
+// ---------------------------------------------------------------------
+// The L gate: TuFast admits one L transaction at a time, so reverse-order
+// lock transactions cannot deadlock, and no path into L bypasses it.
+
+TEST(LGateTest, ReverseOrderLockTxnsNeverDeadlock) {
+  EmulatedHtm htm;
+  TuFast tm(htm, 64);
+  std::vector<TmWord> data(64, 0);
+  constexpr int kThreads = 4;
+  constexpr int kEach = 150;
+  const uint64_t l_hint = tm.config().o_hint_threshold + 1;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Even workers take vertex 0 then 1, odd ones 1 then 0; each reads
+      // both (shared) before writing both (upgrades): without the gate,
+      // a deadlock-prone pattern.
+      const VertexId first = t % 2 == 0 ? 0 : 1;
+      const VertexId second = 1 - first;
+      for (int i = 0; i < kEach; ++i) {
+        tm.Run(t, l_hint, [&](auto& txn) {
+          const TmWord a = txn.Read(first, &data[first]);
+          std::this_thread::yield();
+          const TmWord b = txn.Read(second, &data[second]);
+          txn.Write(first, &data[first], a + 1);
+          txn.Write(second, &data[second], b + 1);
+        });
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  constexpr uint64_t kTotal = uint64_t{kThreads} * kEach;
+  EXPECT_EQ(EmulatedHtm::NonTxLoad(&data[0]), kTotal);
+  EXPECT_EQ(EmulatedHtm::NonTxLoad(&data[1]), kTotal);
+  const SchedulerStats stats = tm.AggregatedStats();
+  EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kL)], kTotal);
+  EXPECT_EQ(stats.deadlock_aborts, 0u);
+  EXPECT_FALSE(tm.l_gate().Busy());
+}
+
+/// The four paths into L mode.
+enum class LEntry { kHugeHint, kBreakerBypass, kODisabled, kOFallThrough };
+
+class LGateEntryTest : public ::testing::TestWithParam<LEntry> {};
+
+TEST_P(LGateEntryTest, AdmitsOneLockTxnAtATime) {
+  using Scheduler = TuFastScheduler<FaultyHtm>;
+  Scheduler::Config config;
+  FailpointPlan::Config plan_config;
+  uint64_t hint = 2;
+  switch (GetParam()) {
+    case LEntry::kHugeHint:
+      hint = config.o_hint_threshold + 1;
+      break;
+    case LEntry::kBreakerBypass:
+      // Every routed transaction trips the breaker, so each one bypasses.
+      plan_config.Arm(FailSite::kBreakerTrip, 1.0, FailAction::kFail);
+      break;
+    case LEntry::kODisabled:
+      config.enable_h_mode = false;
+      config.enable_o_mode = false;
+      break;
+    case LEntry::kOFallThrough:
+      // Every O segment aborts at commit; period 100 halves below
+      // min_period after one attempt and the transaction falls to L.
+      config.enable_h_mode = false;
+      plan_config.Arm(FailSite::kHtmCommit, 1.0, FailAction::kAbortConflict);
+      break;
+  }
+  FaultyHtm htm;
+  Scheduler tm(htm, 64, config);
+  std::vector<TmWord> data(64, 0);
+  FailpointPlan plan(plan_config);
+  FailpointScope scope(plan);
+  std::atomic<int> in_l{0};
+  std::atomic<int> max_in_l{0};
+  constexpr int kThreads = 4;
+  constexpr int kEach = 100;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each worker owns its vertex: nothing but the gate serializes them.
+      const VertexId v = static_cast<VertexId>(t);
+      for (int i = 0; i < kEach; ++i) {
+        tm.Run(t, hint, [&](auto& txn) {
+          if constexpr (std::is_same_v<std::decay_t<decltype(txn)>,
+                                       LTxn<FaultyHtm>>) {
+            const int now = in_l.fetch_add(1) + 1;
+            int seen = max_in_l.load();
+            while (now > seen && !max_in_l.compare_exchange_weak(seen, now)) {
+            }
+            struct Leave {
+              std::atomic<int>& count;
+              ~Leave() { count.fetch_sub(1); }
+            } leave{in_l};
+            std::this_thread::yield();
+            txn.Write(v, &data[v], txn.Read(v, &data[v]) + 1);
+          } else {
+            txn.Write(v, &data[v], txn.Read(v, &data[v]) + 1);
+          }
+        });
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(max_in_l.load(), 1) << "concurrent LTxn bodies";
+  for (VertexId v = 0; v < kThreads; ++v) {
+    EXPECT_EQ(FaultyHtm::NonTxLoad(&data[v]), TmWord{kEach});
+  }
+  const SchedulerStats stats = tm.AggregatedStats();
+  EXPECT_EQ(stats.class_count[static_cast<int>(TxnClass::kL)] +
+                stats.class_count[static_cast<int>(TxnClass::kO2L)],
+            uint64_t{kThreads} * kEach)
+      << "every transaction must have entered L through this path";
+  EXPECT_FALSE(tm.l_gate().Busy());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, LGateEntryTest,
+    ::testing::Values(LEntry::kHugeHint, LEntry::kBreakerBypass,
+                      LEntry::kODisabled, LEntry::kOFallThrough),
+    [](const auto& info) {
+      switch (info.param) {
+        case LEntry::kHugeHint: return "HugeHint";
+        case LEntry::kBreakerBypass: return "BreakerBypass";
+        case LEntry::kODisabled: return "ODisabled";
+        case LEntry::kOFallThrough: return "OFallThrough";
+      }
+      return "Unknown";
+    });
 
 TEST_F(TuFastTest, StatsClassBreakdownIsConsistent) {
   for (int i = 0; i < 50; ++i) {
