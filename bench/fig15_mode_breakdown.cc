@@ -62,6 +62,15 @@ void RunBreakdown(const Graph& graph, ThreadPool& pool,
          ReportTable::Int(snap.commit_latency_ns[c].ApproxQuantile(0.5))});
   }
   table.Print(title);
+  // Lock elision (DESIGN.md "Lock elision"): the share of hardware
+  // transactions that subscribed the held word instead of per-vertex
+  // lock words, i.e. how often the property its gain rests on held.
+  const uint64_t begins = tm.AggregatedHtmStats().begins;
+  std::printf("elided lock checks: %llu of %llu hardware transactions "
+              "(%.1f%%)\n",
+              static_cast<unsigned long long>(stats.elided_attempts),
+              static_cast<unsigned long long>(begins),
+              begins ? 100.0 * stats.elided_attempts / begins : 0.0);
   PrintFusionSummary(stats, snap, "fusion summary — " + title);
   PrintProgressSummary(stats, snap, "progress guard — " + title);
 }

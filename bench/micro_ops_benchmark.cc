@@ -1,5 +1,5 @@
 // Hand-rolled microbenchmarks of the TM primitives: per-operation costs
-// of the emulated HTM, the lock table (dense and cache-line-padded),
+// of the emulated HTM, the lock table's shared round trip,
 // the write-set AddrMap (inline and table paths), one full Run()
 // through each TuFast mode, and the group-commit fusion hot path —
 // per-item versus fused committed-ops/sec on small H transactions plus
@@ -104,19 +104,15 @@ void BenchEmulatedHtm(MetricTable& out, uint64_t txns) {
 
 void BenchLockTable(MetricTable& out, uint64_t iters) {
   EmulatedHtm htm;
-  for (const bool padded : {false, true}) {
-    LockTable<EmulatedHtm> locks(htm, 1024, padded);
-    out.Measure(padded ? "lock_table_padded_shared_round_trips"
-                       : "lock_table_shared_round_trips",
-                iters, [&] {
-                  VertexId v = 0;
-                  for (uint64_t i = 0; i < iters; ++i) {
-                    locks.TryLockShared(v);
-                    locks.UnlockShared(v);
-                    v = (v + 1) & 1023;
-                  }
-                });
-  }
+  LockTable<EmulatedHtm> locks(htm, 1024);
+  out.Measure("lock_table_shared_round_trips", iters, [&] {
+    VertexId v = 0;
+    for (uint64_t i = 0; i < iters; ++i) {
+      locks.TryLockShared(v);
+      locks.UnlockShared(v);
+      v = (v + 1) & 1023;
+    }
+  });
 }
 
 void BenchAddrMap(MetricTable& out, uint64_t iters) {
@@ -338,8 +334,7 @@ int Main(int argc, char** argv) {
       "expected shape: fused H ops/sec beats per-item by amortizing "
       "BEGIN/COMMIT across the fused region (fusion_gain_x > 1); the "
       "width sweep rises steeply from w1 and flattens once commit "
-      "overhead is amortized; padded lock words trade round-trip speed "
-      "for false-sharing isolation.\n");
+      "overhead is amortized.\n");
   return 0;
 }
 

@@ -4,8 +4,9 @@
 // with ordered ReadForUpdate acquisition, even seeds with read-then-
 // upgrade, so every scheduler's ReadForUpdate path runs. The forced
 // router skips, breaker trips and victim re-aborts drive TuFast through
-// all four paths into its L gate. Exits non-zero on the first invariant
-// violation, printing the failing (scheduler, seed) pair; rerun with
+// all four paths into its L gate. Every run also checks that the lock
+// table's held count returned to 0 (no leaked vertex lock). Exits
+// non-zero on the first invariant violation, printing the failing (scheduler, seed) pair; rerun with
 // --seed=<that seed> and --failpoint-trace=<path> to replay it
 // deterministically and capture the exact injection sequence. The MVCC,
 // serving and crash modes run TuFast only: it is the one scheduler with
@@ -179,6 +180,7 @@ bool FuzzScheduler(const char* name, const BenchFlags& flags, uint64_t seeds,
     if constexpr (kMvcc) {
       if (!err) err = RunMvccSnapshotSuite(*tm, cfg);
     }
+    if (!err) err = CheckNoLockHeld(*tm);
     ++totals.runs;
     totals.injections += plan.InjectionCount();
     totals.stats.Merge(tm->AggregatedStats());
@@ -322,6 +324,8 @@ bool RunServeChaos(const BenchFlags& flags, uint64_t seeds,
     } else if (hist_count != engine.ExecutedTotal()) {
       err = "latency histogram count " + std::to_string(hist_count) +
             " != executed " + std::to_string(engine.ExecutedTotal());
+    } else {
+      err = CheckNoLockHeld(tm);
     }
     if (err) {
       std::fprintf(stderr,
@@ -549,6 +553,7 @@ std::optional<std::string> CrashCheckpointCase(const BenchFlags& flags,
   if (writer.crashed()) ++totals.crashes;
   totals.stats.Merge(tm.AggregatedStats());
   totals.wal_fsyncs += writer.fsyncs();
+  if (auto err = CheckNoLockHeld(tm)) return err;
   DynamicGraph rec(kCrashCapacity, {.weighted = true});
   const WalRecoveryResult res = RecoverFromWal(&rec, wal_path, ck_path);
   totals.replayed += res.replayed;
@@ -606,6 +611,7 @@ bool RunCrashChaos(const BenchFlags& flags, CrashChaosTotals& totals) {
           totals.stats.Merge(tm.AggregatedStats());
           totals.wal_fsyncs += writer.fsyncs();
           err = CheckCrashMvcc(tm, totals);
+          if (!err) err = CheckNoLockHeld(tm);
         }
       }
       ++totals.runs;
@@ -672,6 +678,7 @@ bool RunCrashChaos(const BenchFlags& flags, CrashChaosTotals& totals) {
                   std::to_string(writer2.durable_seq());
           }
           if (!err) err = CheckCrashMvcc(tm2, totals);
+          if (!err) err = CheckNoLockHeld(tm2);
         }
       }
       if (err) {
@@ -783,6 +790,7 @@ bool RunServeCrash(const BenchFlags& flags, CrashChaosTotals& totals) {
   totals.stats.Merge(tm.AggregatedStats());
   totals.wal_fsyncs += writer.fsyncs();
   if (!err) err = CheckCrashMvcc(tm, totals);
+  if (!err) err = CheckNoLockHeld(tm);
 
   // Recover the serving graph and re-serve on top of it.
   DynamicGraph rec(VertexId{64});
@@ -833,6 +841,7 @@ bool RunServeCrash(const BenchFlags& flags, CrashChaosTotals& totals) {
     totals.stats.Merge(tm2.AggregatedStats());
     totals.wal_fsyncs += writer2.fsyncs();
     if (!err) err = CheckCrashMvcc(tm2, totals);
+    if (!err) err = CheckNoLockHeld(tm2);
   }
   if (err) {
     std::fprintf(stderr,

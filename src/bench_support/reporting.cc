@@ -199,6 +199,7 @@ std::string TelemetryToJson(const SchedulerStats& stats,
   out += "\"user_aborts\":" + U64(stats.user_aborts);
   out += ",\"deadlock_cycle_victims\":" + U64(snap.deadlock_cycle_victims);
   out += ",\"deadlock_timeout_victims\":" + U64(snap.deadlock_timeout_victims);
+  out += ",\"elided_attempts\":" + U64(stats.elided_attempts);
 
   out += ",\"commits\":{";
   for (int c = 0; c < kNumTxnClasses; ++c) {

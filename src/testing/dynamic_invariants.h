@@ -261,15 +261,16 @@ std::optional<std::string> RunDynamicSnapshotConsistency(
   return std::nullopt;
 }
 
-/// Runs all three dynamic-graph invariant workloads; first violation
-/// wins. The scheduler must be sized for cfg.Capacity() vertices.
+/// Runs all three dynamic-graph invariant workloads, then checks that no
+/// lock is left held; first violation wins. The scheduler must be sized
+/// for cfg.Capacity() vertices.
 template <typename Scheduler>
 std::optional<std::string> RunDynamicInvariantSuite(
     Scheduler& tm, const DynamicStressConfig& cfg) {
   if (auto err = RunEdgeCountConservation(tm, cfg)) return err;
   if (auto err = RunNoLostInsert(tm, cfg)) return err;
   if (auto err = RunDynamicSnapshotConsistency(tm, cfg)) return err;
-  return std::nullopt;
+  return CheckNoLockHeld(tm);
 }
 
 }  // namespace tufast

@@ -412,8 +412,23 @@ std::optional<std::string> RunBatchExactlyOnce(Scheduler& tm,
   return std::nullopt;
 }
 
-/// Runs the per-transaction and batched invariant workloads; first
-/// violation wins.
+/// Quiesced schedulers with a lock table (TuFast, 2PL) must hold no
+/// vertex lock: a held count that never returns to 0 would silently
+/// turn H/O lock elision off for good, and no serializability check
+/// would notice (DESIGN.md "Lock elision").
+template <typename Scheduler>
+std::optional<std::string> CheckNoLockHeld(Scheduler& tm) {
+  if constexpr (requires { tm.lock_table().HeldCount(); }) {
+    if (const uint32_t held = tm.lock_table().HeldCount(); held != 0) {
+      return "lock table held count " + std::to_string(held) +
+             " after the workload quiesced (leaked vertex lock)";
+    }
+  }
+  return std::nullopt;
+}
+
+/// Runs the per-transaction and batched invariant workloads, then checks
+/// that no lock is left held; first violation wins.
 template <typename Scheduler>
 std::optional<std::string> RunInvariantSuite(Scheduler& tm,
                                              const StressConfig& cfg) {
@@ -422,7 +437,7 @@ std::optional<std::string> RunInvariantSuite(Scheduler& tm,
   if (auto err = RunSnapshotReadConsistency(tm, cfg)) return err;
   if (auto err = RunBatchTransferConservation(tm, cfg)) return err;
   if (auto err = RunBatchExactlyOnce(tm, cfg)) return err;
-  return std::nullopt;
+  return CheckNoLockHeld(tm);
 }
 
 /// An MVCC-enabled TuFast, the one scheduler with a version store

@@ -24,17 +24,78 @@ namespace tufast {
 ///
 ///  * HTxn — paper Algorithm 1: the body runs in one hardware
 ///    transaction; every op transactionally *subscribes* the vertex lock
-///    word and checks compatibility (lock elision; see DESIGN.md for why
-///    subscription replaces the pseudo-code's in-HTM acquisition).
+///    word and checks compatibility (see DESIGN.md for why subscription
+///    replaces the pseudo-code's in-HTM acquisition) — or, while no
+///    vertex lock is held anywhere, the transaction subscribes the lock
+///    table's one held word instead (LockCheck, DESIGN.md "Lock
+///    elision").
 ///  * OTxn — paper Algorithm 2 / Fig. 9: reads run inside consecutive
-///    hardware segments of `period` ops for early conflict detection;
-///    writes are buffered; commit locks the write vertices, value-
-///    validates the read log, publishes, releases.
-///  * LTxn — two-phase locking through LockManager with deadlock
-///    detection; writes are buffered and applied at commit under
+///    hardware segments of `period` ops for early conflict detection,
+///    with the same lock check as H mode; writes are buffered; commit
+///    locks the write vertices, value-validates the read log, publishes,
+///    releases.
+///  * LTxn — two-phase locking through LockManager, one L transaction at
+///    a time behind TuFast's L gate (a waiter past the wait bound is a
+///    timeout victim); writes are buffered and applied at commit under
 ///    exclusive locks, so aborts never need undo.
 ///
 /// User bodies take `auto& txn` so one generic lambda works across modes.
+
+/// The H/O per-operation lock check (paper Algorithm 1), shared by
+/// HTxn and OTxn::Read. Decided once per hardware transaction, at its
+/// first check: if the router allowed elision and no vertex lock is held
+/// (LockTable::SubscribeNoneHeld), the transaction has subscribed the
+/// held word and every later check is free; otherwise each check loads
+/// the vertex's lock word transactionally and aborts lock-busy unless it
+/// admits the access. An O segment boundary re-arms the decision, since
+/// it drops the read set.
+template <typename Htm>
+class LockCheck {
+ public:
+  explicit LockCheck(const LockTable<Htm>& locks) : locks_(locks) {}
+
+  /// Starts an attempt. `may_elide` comes from the router's adaptive
+  /// rule (DESIGN.md "Lock elision"); false keeps paper Algorithm 1.
+  void Begin(bool may_elide) {
+    may_elide_ = may_elide;
+    elided_ = 0;
+    NewSegment();
+  }
+  void NewSegment() {
+    state_ = may_elide_ ? State::kUndecided : State::kPerVertex;
+  }
+
+  /// Write checks (and write-intent reads) need a free lock, reads only
+  /// the absence of an exclusive holder.
+  template <bool kWrite>
+  TUFAST_ALWAYS_INLINE void Check(typename Htm::Tx& htx, VertexId v) {
+    if (TUFAST_LIKELY(state_ == State::kElided)) return;
+    if (state_ == State::kUndecided) {
+      if (locks_.SubscribeNoneHeld(htx)) {
+        state_ = State::kElided;
+        ++elided_;
+        return;
+      }
+      state_ = State::kPerVertex;
+    }
+    const TmWord word = htx.Load(locks_.WordAddr(v));
+    if (TUFAST_UNLIKELY(kWrite ? !LockTable<Htm>::Free(word)
+                               : !LockTable<Htm>::SharedCompatible(word))) {
+      htx.template ExplicitAbort<kAbortCodeLockBusy>();
+    }
+  }
+
+  /// Hardware transactions of this attempt that elided their checks.
+  uint32_t elided() const { return elided_; }
+
+ private:
+  enum class State : uint8_t { kUndecided, kElided, kPerVertex };
+
+  const LockTable<Htm>& locks_;
+  State state_ = State::kPerVertex;
+  bool may_elide_ = false;
+  uint32_t elided_ = 0;
+};
 
 template <typename Htm>
 class HTxn {
@@ -45,25 +106,19 @@ class HTxn {
   /// scopes the shared Tx commit hooks to this hardware transaction.
   HTxn(typename Htm::Tx& htx, const LockTable<Htm>& locks,
        MvccRecorder* recorder = nullptr, WalRecorder* wal = nullptr)
-      : htx_(htx), locks_(locks), recorder_(recorder), wal_(wal) {
+      : htx_(htx), check_(locks), recorder_(recorder), wal_(wal) {
     if (TUFAST_UNLIKELY(wal_ != nullptr)) wal_->hw_armed = true;
   }
 
   TUFAST_ALWAYS_INLINE TmWord Read(VertexId v, const TmWord* addr) {
     ++ops_;
-    if (TUFAST_UNLIKELY(!LockTable<Htm>::SharedCompatible(
-            htx_.Load(locks_.WordAddr(v))))) {
-      htx_.template ExplicitAbort<kAbortCodeLockBusy>();
-    }
+    check_.template Check</*kWrite=*/false>(htx_, v);
     return htx_.Load(addr);
   }
 
   TUFAST_ALWAYS_INLINE void Write(VertexId v, TmWord* addr, TmWord value) {
     ++ops_;
-    if (TUFAST_UNLIKELY(
-            !LockTable<Htm>::Free(htx_.Load(locks_.WordAddr(v))))) {
-      htx_.template ExplicitAbort<kAbortCodeLockBusy>();
-    }
+    check_.template Check</*kWrite=*/true>(htx_, v);
     if (TUFAST_UNLIKELY(recorder_ != nullptr)) recorder_->Record(v, addr);
     htx_.Store(addr, value);
   }
@@ -72,10 +127,7 @@ class HTxn {
   /// up front so it aborts as early as a write would.
   TmWord ReadForUpdate(VertexId v, const TmWord* addr) {
     ++ops_;
-    if (TUFAST_UNLIKELY(
-            !LockTable<Htm>::Free(htx_.Load(locks_.WordAddr(v))))) {
-      htx_.template ExplicitAbort<kAbortCodeLockBusy>();
-    }
+    check_.template Check</*kWrite=*/true>(htx_, v);
     return htx_.Load(addr);
   }
 
@@ -92,8 +144,13 @@ class HTxn {
     htx_.template ExplicitAbort<kAbortCodeUser>();
   }
 
+  /// Starts one hardware attempt (see LockCheck::Begin).
+  void BeginAttempt(bool may_elide) {
+    ops_ = 0;
+    check_.Begin(may_elide);
+  }
   uint64_t ops() const { return ops_; }
-  void ResetOps() { ops_ = 0; }
+  uint32_t elided() const { return check_.elided(); }
 
   /// Durable builds: stage one logical mutation for the WAL. The commit
   /// hook publishes the staged batch as a single record at pre_publish.
@@ -104,7 +161,7 @@ class HTxn {
 
  private:
   typename Htm::Tx& htx_;
-  const LockTable<Htm>& locks_;
+  LockCheck<Htm> check_;
   MvccRecorder* recorder_;
   WalRecorder* wal_ = nullptr;
   uint64_t ops_ = 0;
@@ -150,7 +207,11 @@ class OTxn {
   /// inside a hardware segment calls malloc, which aborts real HTM.
   OTxn(Htm& htm, typename Htm::Tx& htx, LockTable<Htm>& locks,
        size_t expected_max_ops = 1 << 14)
-      : htm_(htm), htx_(htx), locks_(locks), write_map_(expected_max_ops) {
+      : htm_(htm),
+        htx_(htx),
+        locks_(locks),
+        check_(locks),
+        write_map_(expected_max_ops) {
     reads_.reserve(expected_max_ops);
     writes_.reserve(expected_max_ops);
     write_vertices_.reserve(expected_max_ops);
@@ -166,8 +227,10 @@ class OTxn {
   /// Opts this context into WAL staging (Config::enable_wal).
   void SetWal(WalRecorder* wal) { wal_ = wal; }
 
-  /// Prepares for one attempt with the given hardware-segment length.
-  void Reset(uint32_t period) {
+  /// Prepares for one attempt with the given hardware-segment length;
+  /// `may_elide` as for LockCheck::Begin.
+  void Reset(uint32_t period, bool may_elide) {
+    check_.Begin(may_elide);
     period_ = period;
     segment_ops_ = 0;
     ops_ = 0;
@@ -192,10 +255,7 @@ class OTxn {
       }
     }
     MaybeSegmentBoundary();
-    if (TUFAST_UNLIKELY(!LockTable<Htm>::SharedCompatible(
-            htx_.Load(locks_.WordAddr(v))))) {
-      htx_.template ExplicitAbort<kAbortCodeLockBusy>();
-    }
+    check_.template Check</*kWrite=*/false>(htx_, v);
     const TmWord value = htx_.Load(addr);
     reads_.push_back(ReadEntry{addr, value, v});
     return value;
@@ -254,9 +314,10 @@ class OTxn {
     }
 
     // DrainLoad, not a plain load: an H transaction past its commit point
-    // may still be flushing a write to a line we read. Its lock-word
-    // subscription can no longer be doomed by our locking, so a plain
-    // load could validate against the pre-image and lose its update.
+    // may still be flushing a write to a line we read. Its lock
+    // subscription (per vertex or the held word) can no longer be doomed
+    // by our locking, so a plain load could validate against the
+    // pre-image and lose its update.
     for (const ReadEntry& r : reads_) {
       if (htm_.DrainLoad(r.addr) != r.value || !ReadVertexStillValid(r.vertex)) {
         ReleaseExclusive(write_vertices_.size());
@@ -279,6 +340,8 @@ class OTxn {
 
   uint64_t ops() const { return ops_; }
   uint32_t period() const { return period_; }
+  /// Segments of this attempt that elided their lock checks.
+  uint32_t elided() const { return check_.elided(); }
 
  private:
   struct ReadEntry {
@@ -291,6 +354,7 @@ class OTxn {
     if (++segment_ops_ >= period_) {
       segment_ops_ = 0;
       htx_.SegmentBoundary();
+      check_.NewSegment();
     }
   }
 
@@ -312,6 +376,7 @@ class OTxn {
   Htm& htm_;
   typename Htm::Tx& htx_;
   LockTable<Htm>& locks_;
+  LockCheck<Htm> check_;
   Mvcc* mvcc_ = nullptr;
   WalRecorder* wal_ = nullptr;
   uint32_t period_ = 1000;

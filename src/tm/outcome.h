@@ -72,6 +72,11 @@ struct SchedulerStats {
   uint64_t fusion_aborts = 0;      // fused-region attempts that aborted
   uint64_t fusion_bisections = 0;  // abort-driven width halvings
 
+  // Lock elision (DESIGN.md "Lock elision"): hardware transactions — H
+  // attempts, fused windows, O segments — that subscribed the lock
+  // table's held word instead of per-vertex lock words.
+  uint64_t elided_attempts = 0;
+
   // Progress-guard counters (tm/progress_guard.h).
   uint64_t backoff_events = 0;          // retry backoffs paid
   uint64_t starvation_escalations = 0;  // priority-aging escalations
@@ -136,6 +141,7 @@ struct SchedulerStats {
     fused_items += other.fused_items;
     fusion_aborts += other.fusion_aborts;
     fusion_bisections += other.fusion_bisections;
+    elided_attempts += other.elided_attempts;
     backoff_events += other.backoff_events;
     starvation_escalations += other.starvation_escalations;
     starvation_tokens += other.starvation_tokens;

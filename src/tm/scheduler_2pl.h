@@ -49,6 +49,8 @@ class TwoPhaseLocking {
 
   /// Progress-guard introspection (starvation stress tests).
   ProgressGuard& progress_guard() { return progress_guard_; }
+  /// Lock-table introspection (the stress suites check its held count).
+  LockTable<Htm>& lock_table() { return lock_table_; }
 
   SchedulerStats AggregatedStats() const { return runtime_.AggregatedStats(); }
   Telemetry AggregatedTelemetry() const {

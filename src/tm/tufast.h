@@ -46,6 +46,13 @@ namespace tufast {
 /// FIFO gate that admits one L transaction at a time (DESIGN.md "L
 /// mode"), so L never deadlocks and needs no waits-for graph.
 ///
+/// Lock elision (DESIGN.md "Lock elision"): an H or O hardware attempt
+/// subscribes the lock table's held word instead of one lock word per
+/// vertex while no vertex lock is held, but only if this worker saw no
+/// foreign lock episode since its previous attempt — or, after foreign
+/// episodes doomed its elided attempts, over its last few attempts
+/// (MayElide, NoteElision).
+///
 /// Per-worker state (mode contexts, contention monitor, stats, RNG) and
 /// the `Telemetry` sink live in the shared WorkerRuntime; `Telemetry` is
 /// NullTelemetry by default (zero overhead) or EventTelemetry for
@@ -241,6 +248,7 @@ class TuFastScheduler {
           otxn(parent.htm_, htx, parent.lock_table_,
                parent.config_.o_hint_threshold + 64),
           ltxn(parent.htm_, slot, parent.lock_manager_),
+          held_seen(parent.lock_table_.HeldWord()),
           monitor(ContentionMonitor::Config{
               .decay = 0.999,
               .min_period = parent.config_.min_period,
@@ -279,6 +287,13 @@ class TuFastScheduler {
     typename Htm::Tx htx;
     OTxn<Htm> otxn;
     LTxn<Htm> ltxn;
+    /// The elision rule's history (MayElide, NoteElision): the lock
+    /// table's held word as this worker last read it, how many intervals
+    /// between its attempts in a row saw it unchanged, and how many an
+    /// attempt needs before it may elide.
+    TmWord held_seen;
+    uint32_t quiet_streak = 0;
+    uint32_t quiet_needed = 1;
     ContentionMonitor monitor;
     /// H-mode MVCC write-set recording (unused unless enable_mvcc).
     MvccRecorder recorder;
@@ -366,7 +381,8 @@ class TuFastScheduler {
     HTxn<Htm> htxn(w.state.htx, lock_table_, RecorderFor(w),
                    WalRecorderFor(w));
     const FusedAttemptResult attempt =
-        RunFusedHtmAttempt(w.state.htx, htxn, lo, hi, body);
+        RunFusedHtmAttempt(w.state.htx, htxn, lo, hi, body, MayElide(w));
+    NoteElision(w, htxn.elided(), attempt.status);
     if (attempt.status.ok()) {
       // The fused bodies' notes went out as ONE record at pre_publish;
       // ack it now that the region (and its subscriptions) retired.
@@ -412,12 +428,56 @@ class TuFastScheduler {
     return wal_sink_ != nullptr ? &w.state.wal_recorder : nullptr;
   }
 
-  /// Progress-guard context for this worker's lock-mode retry loop; it
-  /// carries the L gate, so all four paths into L pass it.
-  ProgressContext MakeProgressContext(int worker_id,
-                                      uint32_t prior_aborts) {
-    return ProgressContext{&progress_guard_, worker_id, prior_aborts,
-                           &l_gate_};
+  /// The adaptive elision rule (DESIGN.md "Lock elision"), read once
+  /// before each hardware attempt. An interval is quiet when the held
+  /// word still equals what this worker read before its previous attempt:
+  /// no foreign lock episode began or ended in between. The attempt may
+  /// elide its per-vertex lock checks once the last `quiet_needed`
+  /// intervals were quiet — just the last one until elision loses.
+  bool MayElide(Worker& w) {
+    const TmWord held = lock_table_.HeldWord();
+    w.state.quiet_streak =
+        held == w.state.held_seen ? w.state.quiet_streak + 1 : 0;
+    w.state.held_seen = held;
+    return w.state.quiet_streak >= w.state.quiet_needed;
+  }
+
+  /// Feedback from a hardware attempt whose checks were elided. A
+  /// conflict abort while the held word moved is a loss — a foreign
+  /// episode's notify most likely doomed it, a doom the per-vertex path
+  /// would only take on a footprint overlap — and doubles the quiet
+  /// streak the next elision needs; an elided commit halves it, down to
+  /// the one interval of the plain rule.
+  void NoteElision(Worker& w, uint32_t elided, const AbortStatus& status) {
+    if (elided == 0) return;
+    w.stats.elided_attempts += elided;
+    if (status.ok()) {
+      w.state.quiet_needed = std::max(1u, w.state.quiet_needed / 2);
+    } else if (status.cause == AbortCause::kConflict &&
+               lock_table_.HeldWord() != w.state.held_seen) {
+      w.state.quiet_needed =
+          std::min(kMaxQuietNeeded, 2 * w.state.quiet_needed);
+    }
+  }
+
+  /// Re-reads the held word after this worker's own O commit or L
+  /// transaction, so its own lock episodes do not count as foreign.
+  void ForgetOwnLocks(Worker& w) {
+    w.state.held_seen = lock_table_.HeldWord();
+  }
+
+  /// Every path into L: the lock-mode retry loop behind the L gate, which
+  /// the progress context carries, with the `prior_aborts` failed
+  /// attempts the transaction already paid. Its lock episode is the
+  /// worker's own (ForgetOwnLocks).
+  template <typename Fn>
+  RunOutcome RunLockMode(Worker& w, int worker_id, Fn& fn, TxnClass cls,
+                         uint32_t prior_aborts) {
+    const RunOutcome outcome = RunLockTxnLoop<Failpoints>(
+        w, w.state.ltxn, fn, cls,
+        ProgressContext{&progress_guard_, worker_id, prior_aborts, &l_gate_});
+    ForgetOwnLocks(w);
+    return outcome;
   }
 
   /// The Fig. 10 router shared by Run() and the batch executor's
@@ -426,8 +486,7 @@ class TuFastScheduler {
   template <typename Fn>
   RunOutcome RunRouted(Worker& w, int worker_id, uint64_t size_hint, Fn& fn) {
     if (size_hint > config_.o_hint_threshold) {
-      return RunLockTxnLoop<Failpoints>(w, w.state.ltxn, fn, TxnClass::kL,
-                                        MakeProgressContext(worker_id, 0));
+      return RunLockMode(w, worker_id, fn, TxnClass::kL, 0);
     }
 
     if constexpr (Failpoints::kEnabled) {
@@ -442,8 +501,7 @@ class TuFastScheduler {
     if (w.state.monitor.BreakerShouldBypass()) {
       ++w.stats.breaker_bypass;
       NoteBreakerState(w);  // A bypass can step the breaker to half-open.
-      return RunLockTxnLoop<Failpoints>(w, w.state.ltxn, fn, TxnClass::kL,
-                                        MakeProgressContext(worker_id, 0));
+      return RunLockMode(w, worker_id, fn, TxnClass::kL, 0);
     }
 
     // Failed attempts across all modes; threads into the escalation
@@ -468,8 +526,9 @@ class TuFastScheduler {
           w.state.monitor.CurrentHRetries(config_.h_retries);
       for (int attempt = 0; attempt <= h_retries; ++attempt) {
         BeatAttempt(w);
-        htxn.ResetOps();
+        htxn.BeginAttempt(MayElide(w));
         const AbortStatus status = w.state.htx.Execute([&] { fn(htxn); });
+        NoteElision(w, htxn.elided(), status);
         if (status.ok()) {
           AccountWalCommit(w, WalRecorderFor(w));  // Ack: region retired.
           w.state.monitor.RecordAttempt(htxn.ops(), /*aborted=*/false);
@@ -504,9 +563,7 @@ class TuFastScheduler {
       }
     }
     if (!try_o) {
-      return RunLockTxnLoop<Failpoints>(
-          w, w.state.ltxn, fn, TxnClass::kO2L,
-          MakeProgressContext(worker_id, txn_aborts));
+      return RunLockMode(w, worker_id, fn, TxnClass::kO2L, txn_aborts);
     }
     return RunOptimisticThenLock(w, worker_id, fn, txn_aborts);
   }
@@ -612,10 +669,12 @@ class TuFastScheduler {
       bool capacity_abort = false;
       BeatAttempt(w);
       w.telemetry.PeriodChange(period);
-      w.state.otxn.Reset(period);
+      w.state.otxn.Reset(period, MayElide(w));
       const AbortStatus status = w.state.htx.Execute([&] { fn(w.state.otxn); });
+      NoteElision(w, w.state.otxn.elided(), status);
       if (status.ok()) {
         const OCommitResult result = w.state.otxn.CommitSoftware();
+        ForgetOwnLocks(w);
         if (result == OCommitResult::kOk) {
           AccountWalCommit(w, WalRecorderFor(w));  // Ack: locks released.
           const TxnClass cls =
@@ -647,10 +706,12 @@ class TuFastScheduler {
       }
     }
 
-    return RunLockTxnLoop<Failpoints>(
-        w, w.state.ltxn, fn, TxnClass::kO2L,
-        MakeProgressContext(worker_id, txn_aborts));
+    return RunLockMode(w, worker_id, fn, TxnClass::kO2L, txn_aborts);
   }
+
+  /// Bounds NoteElision's doubling; at this many quiet intervals in a
+  /// row elision is off in practice.
+  static constexpr uint32_t kMaxQuietNeeded = 1u << 20;
 
   Htm& htm_;
   const Config config_;

@@ -311,8 +311,10 @@ inline HtmAttemptVerdict RecordHtmAbort(Worker& w, const AbortStatus& status) {
 /// One fused hardware attempt for the batch executor (tm/batch_executor.h):
 /// runs the bodies of items [lo, hi) back-to-back inside a *single* HTM
 /// region on `htxn`, so the whole window shares one BEGIN/COMMIT and one
-/// set of lock-word subscriptions. Returns the region's AbortStatus and
-/// the operation count of the (possibly partial) execution.
+/// set of lock subscriptions — the held word alone when `may_elide` holds
+/// and no vertex lock is held (HTxn::BeginAttempt). Returns the region's
+/// AbortStatus and the operation count of the (possibly partial)
+/// execution.
 struct FusedAttemptResult {
   AbortStatus status;
   uint64_t ops = 0;
@@ -320,8 +322,9 @@ struct FusedAttemptResult {
 
 template <typename Tx, typename HTxnT, typename BodyFn>
 inline FusedAttemptResult RunFusedHtmAttempt(Tx& htx, HTxnT& htxn, uint64_t lo,
-                                             uint64_t hi, BodyFn& body) {
-  htxn.ResetOps();
+                                             uint64_t hi, BodyFn& body,
+                                             bool may_elide) {
+  htxn.BeginAttempt(may_elide);
   const AbortStatus status = htx.Execute([&] {
     for (uint64_t k = lo; k < hi; ++k) body(htxn, k);
   });

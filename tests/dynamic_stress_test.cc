@@ -2,10 +2,11 @@
 // testing/dynamic_invariants.h swept across all seven schedulers with
 // probabilistic HTM aborts, lock failures, router demotions and schedule
 // perturbation (the PR-2 chaos plan). Part of the `stress` ctest label;
-// failures print the exact replay seed:
+// failures print the exact replay seed, for this command typed as one
+// shell line:
 //
-//   TUFAST_STRESS_SEED=<seed> TUFAST_STRESS_ITERS=1 \
-//     ./tufast_tests --gtest_filter='DynamicInvariantStress*'
+//   TUFAST_STRESS_SEED=<seed> TUFAST_STRESS_ITERS=1 ./tufast_tests
+//       --gtest_filter='DynamicInvariantStress*'
 
 #include <cstdlib>
 #include <vector>

@@ -1,9 +1,10 @@
 // White-box unit tests of the three TuFast mode contexts (HTxn / OTxn /
-// LTxn) against the shared lock table: lock-compatibility checks,
-// O-mode validation and lock-busy outcomes, segment accounting, L-mode
-// buffering, and software reads racing a hardware commit's write-back —
-// exercised directly, below the router (plus the same race against the
-// HSync baseline's global-lock fallback).
+// LTxn) against the shared lock table: lock-compatibility checks, lock
+// elision through the table's held word (and the router's adaptive rule
+// for it), O-mode validation and lock-busy outcomes, segment accounting,
+// L-mode buffering, and software reads racing a hardware commit's
+// write-back — exercised directly, below the router (plus the same race
+// against the HSync baseline's global-lock fallback).
 
 #include <atomic>
 #include <chrono>
@@ -16,6 +17,7 @@
 #include "sync/lock_table.h"
 #include "tm/modes.h"
 #include "tm/scheduler_hsync.h"
+#include "tm/tufast.h"
 
 namespace tufast {
 namespace {
@@ -60,7 +62,7 @@ TEST_F(ModesTest, HModeReadsThroughSharedLockButWontWrite) {
 
 TEST_F(ModesTest, OModeCommitPublishesAndReleases) {
   OTxn<EmulatedHtm> txn(htm_, htx_, locks_);
-  txn.Reset(/*period=*/100);
+  txn.Reset(/*period=*/100, /*may_elide=*/false);
   const AbortStatus status = htx_.Execute([&] {
     const TmWord v = txn.Read(3, &data_[3]);
     txn.Write(3, &data_[3], v + 7);
@@ -75,7 +77,7 @@ TEST_F(ModesTest, OModeCommitPublishesAndReleases) {
 
 TEST_F(ModesTest, OModeValidationFailsWhenReadValueChanged) {
   OTxn<EmulatedHtm> txn(htm_, htx_, locks_);
-  txn.Reset(100);
+  txn.Reset(100, /*may_elide=*/false);
   const AbortStatus status = htx_.Execute([&] {
     (void)txn.Read(2, &data_[2]);
     txn.Write(4, &data_[4], 1);
@@ -91,7 +93,7 @@ TEST_F(ModesTest, OModeValidationFailsWhenReadValueChanged) {
 
 TEST_F(ModesTest, OModeCommitLockBusyWhenWriteVertexHeld) {
   OTxn<EmulatedHtm> txn(htm_, htx_, locks_);
-  txn.Reset(100);
+  txn.Reset(100, /*may_elide=*/false);
   const AbortStatus status =
       htx_.Execute([&] { txn.Write(6, &data_[6], 1); });
   ASSERT_TRUE(status.ok());
@@ -104,7 +106,7 @@ TEST_F(ModesTest, OModeCommitLockBusyWhenWriteVertexHeld) {
 TEST_F(ModesTest, OModeValidationToleratesSharedReaders) {
   // Algorithm 2 line 45: shared holders on a READ vertex are compatible.
   OTxn<EmulatedHtm> txn(htm_, htx_, locks_);
-  txn.Reset(100);
+  txn.Reset(100, /*may_elide=*/false);
   const AbortStatus status = htx_.Execute([&] {
     (void)txn.Read(8, &data_[8]);
     txn.Write(9, &data_[9], 5);
@@ -116,9 +118,39 @@ TEST_F(ModesTest, OModeValidationToleratesSharedReaders) {
   EXPECT_EQ(EmulatedHtm::NonTxLoad(&data_[9]), 5u);
 }
 
+// Every exit of the O commit returns the held count to what it was: a
+// count that never returns to 0 would turn lock elision off for good.
+TEST_F(ModesTest, OModeCommitExitsReturnTheHeldCount) {
+  OTxn<EmulatedHtm> txn(htm_, htx_, locks_);
+  const auto attempt = [&] {
+    txn.Reset(/*period=*/100, /*may_elide=*/true);
+    return htx_.Execute([&] {
+      txn.Write(1, &data_[1], txn.Read(2, &data_[2]) + 1);
+      txn.Write(6, &data_[6], 1);
+    });
+  };
+  // Lock-busy: vertex 1 is locked first, then 6 is found busy.
+  ASSERT_TRUE(attempt().ok());
+  ASSERT_TRUE(locks_.TryLockShared(6));
+  EXPECT_EQ(txn.CommitSoftware(), OCommitResult::kLockBusy);
+  EXPECT_EQ(locks_.HeldCount(), 1u) << "only the foreign shared holder";
+  locks_.UnlockShared(6);
+  EXPECT_EQ(locks_.HeldCount(), 0u);
+  // Validation failure with both write vertices locked.
+  ASSERT_TRUE(attempt().ok());
+  htm_.NonTxStore(&data_[2], 99);
+  EXPECT_EQ(txn.CommitSoftware(), OCommitResult::kValidationFail);
+  EXPECT_EQ(locks_.HeldCount(), 0u);
+  // Commit.
+  ASSERT_TRUE(attempt().ok());
+  EXPECT_EQ(txn.CommitSoftware(), OCommitResult::kOk);
+  EXPECT_EQ(locks_.HeldCount(), 0u);
+  EXPECT_EQ(EmulatedHtm::NonTxLoad(&data_[1]), 100u);
+}
+
 TEST_F(ModesTest, OModeSegmentsRollAtPeriod) {
   OTxn<EmulatedHtm> txn(htm_, htx_, locks_);
-  txn.Reset(/*period=*/4);
+  txn.Reset(/*period=*/4, /*may_elide=*/false);
   const AbortStatus status = htx_.Execute([&] {
     // 12 reads with period 4: at least two segment boundaries must have
     // happened without losing read-set entries.
@@ -166,6 +198,139 @@ TEST_F(ModesTest, LModeReadForUpdateTakesExclusiveImmediately) {
   txn.ReleaseAll();
   EXPECT_TRUE(locks_.TryLockShared(4));
   locks_.UnlockShared(4);
+}
+
+// ---------------------------------------------------------------------
+// Lock elision (DESIGN.md "Lock elision"): while no vertex lock is held,
+// an H transaction or O segment subscribes the lock table's held word
+// instead of one lock word per vertex.
+
+/// Whether `slot` is a registered reader of the line `addr` hashes to.
+bool SlotReadsLine(const EmulatedHtm& htm, const void* addr, int slot) {
+  return ((htm.LineOwnersForTest(addr).second >> slot) & 1) != 0;
+}
+
+TEST_F(ModesTest, ElidedHReadSubscribesOnlyTheHeldWord) {
+  HTxn<EmulatedHtm> txn(htx_, locks_);
+  txn.BeginAttempt(/*may_elide=*/true);
+  const AbortStatus status = htx_.Execute([&] {
+    (void)txn.Read(5, &data_[5]);
+    EXPECT_TRUE(SlotReadsLine(htm_, locks_.HeldWordAddr(), 0));
+    EXPECT_FALSE(SlotReadsLine(htm_, locks_.WordAddr(5), 0));
+    // A lock on a vertex this transaction never touches starts an
+    // episode; its 0->1 notify must doom the elided subscriber.
+    EXPECT_TRUE(locks_.TryLockExclusive(40));
+    (void)txn.Read(6, &data_[6]);
+    ADD_FAILURE() << "the lock episode must doom the elided transaction";
+  });
+  EXPECT_EQ(status.cause, AbortCause::kConflict);
+  EXPECT_EQ(txn.elided(), 1u);
+  locks_.UnlockExclusive(40);
+}
+
+TEST_F(ModesTest, ElidedOSegmentSubscribesOnlyTheHeldWord) {
+  OTxn<EmulatedHtm> txn(htm_, htx_, locks_);
+  txn.Reset(/*period=*/2, /*may_elide=*/true);
+  const AbortStatus status = htx_.Execute([&] {
+    (void)txn.Read(5, &data_[5]);
+    EXPECT_TRUE(SlotReadsLine(htm_, locks_.HeldWordAddr(), 0));
+    EXPECT_FALSE(SlotReadsLine(htm_, locks_.WordAddr(5), 0));
+    // Period 2: this read opens the second segment, whose read set
+    // starts empty, so it decides again and subscribes the held word.
+    (void)txn.Read(6, &data_[6]);
+    EXPECT_EQ(txn.elided(), 2u);
+    EXPECT_TRUE(SlotReadsLine(htm_, locks_.HeldWordAddr(), 0));
+    EXPECT_TRUE(locks_.TryLockExclusive(40));
+    (void)txn.Read(7, &data_[7]);
+    ADD_FAILURE() << "the lock episode must doom the elided segment";
+  });
+  EXPECT_EQ(status.cause, AbortCause::kConflict);
+  locks_.UnlockExclusive(40);
+}
+
+TEST_F(ModesTest, HeldLockKeepsPerVertexChecks) {
+  ASSERT_TRUE(locks_.TryLockShared(40));  // Any lock, anywhere.
+  HTxn<EmulatedHtm> txn(htx_, locks_);
+  txn.BeginAttempt(/*may_elide=*/true);
+  EXPECT_TRUE(htx_.Execute([&] {
+    (void)txn.Read(5, &data_[5]);
+    EXPECT_TRUE(SlotReadsLine(htm_, locks_.WordAddr(5), 0));
+    EXPECT_FALSE(SlotReadsLine(htm_, locks_.HeldWordAddr(), 0));
+  }).ok());
+  EXPECT_EQ(txn.elided(), 0u);
+  ASSERT_TRUE(locks_.TryLockExclusive(5));
+  txn.BeginAttempt(/*may_elide=*/true);
+  const AbortStatus status = htx_.Execute([&] {
+    (void)txn.Read(5, &data_[5]);
+    ADD_FAILURE() << "read of exclusively locked vertex must abort";
+  });
+  EXPECT_EQ(status.cause, AbortCause::kExplicit);
+  EXPECT_EQ(status.user_code, kAbortCodeLockBusy);
+  locks_.UnlockExclusive(5);
+  locks_.UnlockShared(40);
+}
+
+// The router's adaptive rule: an attempt elides only if the held word
+// still reads what the worker saw before its previous attempt.
+TEST_F(ModesTest, RouterElidesOnlyWithoutForeignLockEpisodes) {
+  EmulatedHtm htm;
+  TuFast tm(htm, kVertices);
+  const auto h_run = [&] {
+    return tm.Run(0, /*size_hint=*/2, [&](auto& txn) {
+      txn.Write(3, &data_[3], txn.Read(3, &data_[3]) + 1);
+    });
+  };
+  const auto elided = [&] { return tm.AggregatedStats().elided_attempts; };
+  EXPECT_EQ(h_run().cls, TxnClass::kH);
+  EXPECT_EQ(elided(), 1u);
+  // A foreign lock episode, begun and ended between two attempts.
+  ASSERT_TRUE(tm.lock_table().TryLockExclusive(9));
+  tm.lock_table().UnlockExclusive(9);
+  EXPECT_EQ(h_run().cls, TxnClass::kH);
+  EXPECT_EQ(elided(), 1u) << "the next attempt must keep per-vertex checks";
+  EXPECT_EQ(h_run().cls, TxnClass::kH);
+  EXPECT_EQ(elided(), 2u);
+  // This worker's own O commit locks and releases its write vertex.
+  const RunOutcome o = tm.Run(0, tm.h_hint_threshold() + 1, [&](auto& txn) {
+    txn.Write(4, &data_[4], txn.Read(4, &data_[4]) + 1);
+  });
+  EXPECT_EQ(o.cls, TxnClass::kO);
+  EXPECT_EQ(elided(), 3u);
+  EXPECT_EQ(h_run().cls, TxnClass::kH);
+  EXPECT_EQ(elided(), 4u) << "the worker's own O commit is not foreign";
+  EXPECT_EQ(tm.lock_table().HeldCount(), 0u);
+}
+
+// An elided attempt that a foreign lock episode dooms is a loss: the next
+// elision needs two quiet intervals instead of one, and an elided commit
+// brings it back to one.
+TEST_F(ModesTest, RouterBacksOffElisionAfterALoss) {
+  EmulatedHtm htm;
+  TuFast tm(htm, kVertices);
+  bool episode_started = false;
+  const RunOutcome lost = tm.Run(0, /*size_hint=*/2, [&](auto& txn) {
+    txn.Write(3, &data_[3], txn.Read(3, &data_[3]) + 1);
+    if (!episode_started) {
+      // A foreign episode begins and ends while this elided attempt runs.
+      episode_started = true;
+      EXPECT_TRUE(tm.lock_table().TryLockExclusive(9));
+      tm.lock_table().UnlockExclusive(9);
+    }
+  });
+  EXPECT_EQ(lost.aborts, 1u);
+  const auto elided = [&] { return tm.AggregatedStats().elided_attempts; };
+  EXPECT_EQ(elided(), 1u) << "only the doomed attempt elided";
+  const auto h_run = [&] {
+    tm.Run(0, 2, [&](auto& txn) {
+      txn.Write(3, &data_[3], txn.Read(3, &data_[3]) + 1);
+    });
+  };
+  h_run();
+  EXPECT_EQ(elided(), 1u) << "one quiet interval is no longer enough";
+  h_run();
+  EXPECT_EQ(elided(), 2u) << "two quiet intervals are";
+  h_run();
+  EXPECT_EQ(elided(), 3u) << "the elided commit restored the plain rule";
 }
 
 // ---------------------------------------------------------------------
@@ -221,7 +386,7 @@ class ParkedHardwareWriter {
 
 TEST_F(ModesTest, OModeValidationWaitsOutAFlushingHardwareCommit) {
   OTxn<EmulatedHtm> txn(htm_, htx_, locks_);
-  txn.Reset(/*period=*/100);
+  txn.Reset(/*period=*/100, /*may_elide=*/false);
   ASSERT_TRUE(htx_.Execute([&] {
     txn.Write(3, &data_[3], txn.Read(3, &data_[3]) + 1);
   }).ok());

@@ -561,6 +561,9 @@ void ExpectAllLocksFree(Tm& tm, VertexId vertices) {
     EXPECT_TRUE(LockTable<Htm>::Free(tm.lock_table().LoadWord(v)))
         << "lock word " << v << " leaked past the unwinding body";
   }
+  // A leaked held count would turn lock elision off for good.
+  EXPECT_EQ(tm.lock_table().HeldCount(), 0u)
+      << "held count leaked past the unwinding body";
 }
 
 TEST(ExceptionSafetyTest, TuFastLockModeThrowReleasesLocks) {
@@ -624,6 +627,28 @@ TEST(ExceptionSafetyTest, TuFastOptimisticModeThrowReleasesEverything) {
   EXPECT_EQ(EmulatedHtm::NonTxLoad(&values[2]), 1u);
 }
 
+TEST(ExceptionSafetyTest, TuFastHardwareModeThrowReleasesEverything) {
+  EmulatedHtm htm;
+  constexpr VertexId kVertices = 64;
+  TuFast tm(htm, kVertices);
+  std::vector<TmWord> values(kVertices, 0);
+  EXPECT_THROW(tm.Run(0, /*size_hint=*/2,
+                      [&](auto& txn) {
+                        txn.Write(2, &values[2], txn.Read(2, &values[2]) + 1);
+                        throw BodyError();
+                      }),
+               BodyError);
+  ExpectAllLocksFree<EmulatedHtm>(tm, kVertices);
+  EXPECT_EQ(EmulatedHtm::NonTxLoad(&values[2]), 0u);
+  const RunOutcome outcome = tm.Run(0, 2, [&](auto& txn) {
+    txn.Write(2, &values[2], txn.Read(2, &values[2]) + 1);
+  });
+  EXPECT_EQ(outcome.cls, TxnClass::kH);
+  EXPECT_EQ(tm.AggregatedStats().elided_attempts, 1u)
+      << "the throw left no lock episode behind, so the next attempt "
+         "elides";
+}
+
 TEST(ExceptionSafetyTest, TwoPhaseLockingThrowReleasesLocks) {
   EmulatedHtm htm;
   constexpr VertexId kVertices = 64;
@@ -638,9 +663,9 @@ TEST(ExceptionSafetyTest, TwoPhaseLockingThrowReleasesLocks) {
                         throw BodyError();
                       }),
                BodyError);
-  // 2PL does not expose its lock table; re-acquiring the same exclusive
-  // locks from a *different* worker slot is the functional equivalent —
-  // it deadlocks/victimizes forever if the first body leaked them.
+  ExpectAllLocksFree<EmulatedHtm>(tm, kVertices);
+  // Re-acquiring the same exclusive locks from a *different* worker slot
+  // victimizes forever if the first body leaked them.
   for (const int worker : {1, 0}) {
     const RunOutcome outcome = tm.Run(worker, 4, [&](auto& txn) {
       for (VertexId v = 1; v <= 3; ++v) {

@@ -1,10 +1,11 @@
 // Fault-injection + invariant-checking stress suite (the `stress` ctest
 // label). Every test pins a seed (or sweeps a small seed range, widened
 // by TUFAST_STRESS_ITERS); any failure message carries the exact
-// (scheduler, seed) pair needed to replay it:
+// (scheduler, seed) pair needed to replay it, with this command typed
+// as one shell line:
 //
-//   TUFAST_STRESS_SEED=<seed> TUFAST_STRESS_ITERS=1 \
-//     ./tufast_tests --gtest_filter='InvariantStress*'
+//   TUFAST_STRESS_SEED=<seed> TUFAST_STRESS_ITERS=1 ./tufast_tests
+//       --gtest_filter='InvariantStress*'
 
 #include <cstdlib>
 #include <string>

@@ -1,8 +1,11 @@
-// Lock substrate tests: lock-table word semantics, the lock manager's
+// Lock substrate tests: lock-table word semantics and its held word, the
+// lock manager's
 // timeout rule on cross-acquire and upgrade deadlocks, and the ticket
 // gate that admits one TuFast L transaction at a time.
 
+#include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -48,6 +51,83 @@ TEST_F(LockTableTest, UpgradeRequiresSoleHolder) {
   table_.UnlockShared(9);
   EXPECT_TRUE(table_.TryUpgrade(9));  // Sole holder.
   table_.UnlockExclusive(9);
+}
+
+// The held word counts every holder, shared and exclusive, and starts a
+// new episode only on a 0->1 step; failed tries leave it alone.
+TEST_F(LockTableTest, HeldWordCountsHoldersAndEpisodes) {
+  using Table = LockTable<EmulatedHtm>;
+  const auto episodes = [&] { return table_.HeldWord() / Table::kHeldEpisode; };
+  EXPECT_EQ(table_.HeldWord(), 0u);
+  ASSERT_TRUE(table_.TryLockShared(3));
+  ASSERT_TRUE(table_.TryLockShared(3));
+  ASSERT_TRUE(table_.TryLockExclusive(9));
+  EXPECT_EQ(table_.HeldCount(), 3u);
+  EXPECT_EQ(episodes(), 1u);
+  EXPECT_EQ(table_.HeldWord() & Table::kHeldNotifying, 0u)
+      << "the episode's notify finished";
+  EXPECT_FALSE(table_.TryLockExclusive(3));  // Busy: no count.
+  EXPECT_FALSE(table_.TryLockShared(9));
+  EXPECT_FALSE(table_.TryUpgrade(3));  // Two shared holders.
+  EXPECT_EQ(table_.HeldCount(), 3u);
+  table_.UnlockShared(3);
+  ASSERT_TRUE(table_.TryUpgrade(3));  // The upgrader keeps its one count.
+  EXPECT_EQ(table_.HeldCount(), 2u);
+  table_.UnlockExclusive(3);
+  table_.UnlockExclusive(9);
+  EXPECT_EQ(table_.HeldCount(), 0u);
+  EXPECT_EQ(episodes(), 1u);
+  ASSERT_TRUE(table_.TryLockShared(1));
+  table_.UnlockShared(1);
+  EXPECT_EQ(table_.HeldWord(), 2 * Table::kHeldEpisode) << "a second episode";
+}
+
+/// A backend stand-in that records every NotifyNonTxWrite address and,
+/// inside the first notify of the held word, lets a second locker run —
+/// the interleaving where one locker starts an episode and has not yet
+/// doomed the held word's subscribers when another locker counts.
+struct InterleavingHtm {
+  std::vector<const void*> notified;
+  std::function<void()> during_first_held_notify;
+  const void* held = nullptr;
+  void NotifyNonTxWrite(const void* addr) {
+    notified.push_back(addr);
+    if (addr == held && during_first_held_notify) {
+      auto second_locker = std::move(during_first_held_notify);
+      during_first_held_notify = nullptr;
+      second_locker();
+    }
+  }
+};
+
+// A lock that becomes visible while an episode's first notify is still
+// in flight would let a subscriber that read a count of 0 commit past it;
+// the second locker must therefore notify the held word itself first.
+TEST(LockTableEpisodeTest, LockerDuringAPendingNotifyNotifiesToo) {
+  InterleavingHtm htm;
+  LockTable<InterleavingHtm> table(htm, 16);
+  htm.held = table.HeldWordAddr();
+  htm.during_first_held_notify = [&] {
+    EXPECT_NE(table.HeldWord() & LockTable<InterleavingHtm>::kHeldNotifying,
+              0u);
+    EXPECT_TRUE(table.TryLockExclusive(2));
+  };
+  ASSERT_TRUE(table.TryLockExclusive(1));
+  // First locker's held notify, second locker's held notify, then the
+  // second locker's vertex word, then the first's.
+  ASSERT_EQ(htm.notified.size(), 4u);
+  EXPECT_EQ(htm.notified[0], table.HeldWordAddr());
+  EXPECT_EQ(htm.notified[1], table.HeldWordAddr())
+      << "the second lock became visible before any held-word notify of "
+         "its own";
+  EXPECT_EQ(htm.notified[2], table.WordAddr(2));
+  EXPECT_EQ(htm.notified[3], table.WordAddr(1));
+  EXPECT_EQ(table.HeldCount(), 2u);
+  EXPECT_EQ(table.HeldWord() & LockTable<InterleavingHtm>::kHeldNotifying,
+            0u);
+  table.UnlockExclusive(1);
+  table.UnlockExclusive(2);
+  EXPECT_EQ(table.HeldWord(), LockTable<InterleavingHtm>::kHeldEpisode);
 }
 
 TEST_F(LockTableTest, WordPredicatesMatchState) {

@@ -276,6 +276,7 @@ TEST(TelemetryJsonTest, SnapshotSerializationGolden) {
   stats.fused_regions = 3;
   stats.fused_items = 12;
   stats.fusion_aborts = 2;
+  stats.elided_attempts = 9;
   stats.backoff_events = 7;
   stats.starvation_escalations = 2;
   stats.starvation_tokens = 1;
@@ -307,7 +308,7 @@ TEST(TelemetryJsonTest, SnapshotSerializationGolden) {
       "{\"count\":0,\"sum\":0,\"min\":0,\"max\":0,\"p50\":0,\"p99\":0}";
   const std::string expected =
       "{\"user_aborts\":1,\"deadlock_cycle_victims\":2,"
-      "\"deadlock_timeout_victims\":0,"
+      "\"deadlock_timeout_victims\":0,\"elided_attempts\":9,"
       "\"commits\":{"
       "\"H\":{\"count\":5,\"ops\":50,\"latency_ns\":" + empty_hist + "},"
       "\"O\":{\"count\":0,\"ops\":0,\"latency_ns\":" + empty_hist + "},"

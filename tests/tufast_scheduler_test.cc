@@ -1,8 +1,9 @@
 // Core TuFast scheduler tests: routing across H/O/L, commit semantics in
 // each mode, user aborts, capacity escalation, the L gate (one L
 // transaction at a time on every path into L, so no deadlocks),
-// multi-threaded invariant preservation, and the capacity-derived H/O
-// budgets.
+// multi-threaded invariant preservation, the lock table's held count
+// across every L exit, the elided-attempt count, and the
+// capacity-derived H/O budgets.
 
 #include <algorithm>
 #include <atomic>
@@ -12,7 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include "algorithms/pagerank.h"
+#include "graph/generators.h"
 #include "htm/emulated_htm.h"
+#include "runtime/thread_pool.h"
 #include "testing/failpoints.h"
 #include "tm/tufast.h"
 
@@ -320,6 +324,85 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return "Unknown";
     });
+
+// Every exit of an L transaction returns the lock table's held count to
+// 0: a count that never does would turn lock elision off for good.
+TEST(LockHeldCountTest, EveryLockModeExitReturnsTheCount) {
+  FaultyHtm htm;
+  TuFastScheduler<FaultyHtm> tm(htm, 64);
+  std::vector<TmWord> data(64, 0);
+  const uint64_t big = tm.config().o_hint_threshold + 1;
+  const auto body = [&](auto& txn) {
+    for (VertexId v = 1; v <= 3; ++v) {
+      txn.Write(v, &data[v], txn.ReadForUpdate(v, &data[v]) + 1);
+    }
+  };
+  EXPECT_TRUE(tm.Run(0, big, body).committed);
+  EXPECT_EQ(tm.lock_table().HeldCount(), 0u) << "commit";
+  {
+    // The second exclusive acquisition is a forced victim, with the
+    // first lock held; the retry commits.
+    FailpointPlan plan(FailpointPlan::Config{});
+    plan.ForceAt(FailSite::kLockAcquireExclusive, /*slot=*/0,
+                 /*hit_index=*/1, FailAction::kFail);
+    FailpointScope scope(plan);
+    EXPECT_TRUE(tm.Run(0, big, body).committed);
+  }
+  EXPECT_EQ(tm.AggregatedStats().deadlock_aborts, 1u);
+  EXPECT_EQ(tm.lock_table().HeldCount(), 0u) << "victim retry";
+  EXPECT_FALSE(tm.Run(0, big, [&](auto& txn) {
+                   (void)txn.ReadForUpdate(4, &data[4]);
+                   (void)txn.Read(5, &data[5]);
+                   txn.Abort();
+                 }).committed);
+  EXPECT_EQ(tm.lock_table().HeldCount(), 0u) << "user abort";
+  EXPECT_THROW(tm.Run(0, big,
+                      [&](auto& txn) {
+                        (void)txn.ReadForUpdate(4, &data[4]);
+                        (void)txn.Read(5, &data[5]);
+                        throw std::runtime_error("body failure");
+                      }),
+               std::runtime_error);
+  EXPECT_EQ(tm.lock_table().HeldCount(), 0u) << "foreign exception";
+  EXPECT_EQ(FaultyHtm::NonTxLoad(&data[1]), 2u);
+}
+
+// elided_attempts shows where the property lock elision rests on holds:
+// one worker never sees a foreign lock episode, so every hardware
+// transaction of an in-place PageRank elides (its own O commits and L
+// transactions do not count); a lock held throughout disables elision.
+TEST(ElidedAttemptsTest, OneWorkerPageRankElidesEveryAttempt) {
+  const Graph graph = GenerateRmat(10, 8, 17);
+  const Graph reversed = graph.Reversed();
+  ThreadPool pool(1);
+  EmulatedHtm htm;
+  TuFast tm(htm, graph.NumVertices());
+  PageRankTm(tm, pool, graph, reversed, {.max_iterations = 3});
+  const SchedulerStats stats = tm.AggregatedStats();
+  const uint64_t o_commits =
+      stats.class_count[static_cast<int>(TxnClass::kO)] +
+      stats.class_count[static_cast<int>(TxnClass::kOPlus)];
+  EXPECT_GT(o_commits, 0u) << "the graph's hubs must reach O mode";
+  EXPECT_GT(stats.elided_attempts, 0u);
+  EXPECT_EQ(stats.elided_attempts, tm.AggregatedHtmStats().begins);
+  EXPECT_EQ(tm.lock_table().HeldCount(), 0u);
+}
+
+TEST(ElidedAttemptsTest, HeldUnrelatedLockElidesNone) {
+  const Graph graph = GenerateRmat(10, 8, 17);
+  const Graph reversed = graph.Reversed();
+  ThreadPool pool(1);
+  EmulatedHtm htm;
+  // One vertex past the graph, so no transaction touches its lock.
+  const VertexId unrelated = graph.NumVertices();
+  TuFast tm(htm, unrelated + 1);
+  ASSERT_TRUE(tm.lock_table().TryLockShared(unrelated));
+  PageRankTm(tm, pool, graph, reversed, {.max_iterations = 3});
+  EXPECT_GT(tm.AggregatedHtmStats().begins, 0u);
+  EXPECT_EQ(tm.AggregatedStats().elided_attempts, 0u);
+  tm.lock_table().UnlockShared(unrelated);
+  EXPECT_EQ(tm.lock_table().HeldCount(), 0u);
+}
 
 TEST_F(TuFastTest, StatsClassBreakdownIsConsistent) {
   for (int i = 0; i < 50; ++i) {
