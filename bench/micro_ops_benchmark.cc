@@ -17,6 +17,8 @@
 // All loops are single-threaded: these measure instruction-path length,
 // not scalability (fig13/fig14 cover threaded throughput).
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -46,16 +48,27 @@ std::string Rate(double per_sec) {
 
 class MetricTable {
  public:
+  static constexpr int kRepetitions = 5;
+
   MetricTable() : table_({"metric", "per_sec", "iters"}) {}
 
-  /// Times `loop()` (which must perform `iters` units of work) and
-  /// records units/sec under `name`.
+  /// Times `loop()` (which must perform `iters` units of work)
+  /// kRepetitions times back to back and records the median units/sec
+  /// under `name`. One window of about a millisecond, the first after
+  /// other rows ran, swung about 2x between processes on a shared host
+  /// (the addr_map rows).
   template <typename LoopFn>
   void Measure(const std::string& name, uint64_t iters, LoopFn&& loop) {
-    WallTimer timer;
-    loop();
-    const double seconds = timer.ElapsedSeconds();
-    Add(name, seconds > 0 ? iters / seconds : 0, iters);
+    std::array<double, kRepetitions> rates;
+    for (double& rate : rates) {
+      WallTimer timer;
+      loop();
+      const double seconds = timer.ElapsedSeconds();
+      rate = seconds > 0 ? iters / seconds : 0;
+    }
+    std::nth_element(rates.begin(), rates.begin() + kRepetitions / 2,
+                     rates.end());
+    Add(name, rates[kRepetitions / 2], iters);
   }
 
   void Add(const std::string& name, double per_sec, uint64_t iters) {

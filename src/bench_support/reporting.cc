@@ -93,13 +93,23 @@ std::string StringArray(const std::vector<std::string>& items) {
   std::string out = "[";
   for (size_t i = 0; i < items.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + JsonReport::Escape(items[i]) + "\"";
+    out += '"';
+    out += JsonReport::Escape(items[i]);
+    out += '"';
   }
   out += "]";
   return out;
 }
 
 std::string U64(uint64_t value) { return ReportTable::Int(value); }
+
+/// Appends `"key":`. Built by appends, not `"\"" + std::string(...)`,
+/// on which GCC 12 reports a false -Wrestrict overlap.
+void AppendKey(std::string& out, const char* key) {
+  out += '"';
+  out += key;
+  out += "\":";
+}
 
 }  // namespace
 
@@ -205,8 +215,8 @@ std::string TelemetryToJson(const SchedulerStats& stats,
   for (int c = 0; c < kNumTxnClasses; ++c) {
     if (c > 0) out += ",";
     const TxnClass cls = static_cast<TxnClass>(c);
-    out += "\"" + std::string(TxnClassName(cls)) +
-           "\":{\"count\":" + U64(stats.class_count[c]) +
+    AppendKey(out, TxnClassName(cls));
+    out += "{\"count\":" + U64(stats.class_count[c]) +
            ",\"ops\":" + U64(stats.class_ops[c]) +
            ",\"latency_ns\":" + LogHistogramToJson(snap.commit_latency_ns[c]) +
            "}";
@@ -216,21 +226,20 @@ std::string TelemetryToJson(const SchedulerStats& stats,
   out += ",\"time_in_mode_ns\":{";
   for (int m = 0; m < kNumSchedModes; ++m) {
     if (m > 0) out += ",";
-    out += "\"" + std::string(SchedModeName(static_cast<SchedMode>(m))) +
-           "\":" + U64(snap.time_in_mode_ns[m]);
+    AppendKey(out, SchedModeName(static_cast<SchedMode>(m)));
+    out += U64(snap.time_in_mode_ns[m]);
   }
   out += "}";
 
   out += ",\"aborts\":{";
   for (int m = 0; m < kNumSchedModes; ++m) {
     if (m > 0) out += ",";
-    out += "\"" + std::string(SchedModeName(static_cast<SchedMode>(m))) +
-           "\":{";
+    AppendKey(out, SchedModeName(static_cast<SchedMode>(m)));
+    out += "{";
     for (int r = 0; r < kNumAbortReasons; ++r) {
       if (r > 0) out += ",";
-      out += "\"" +
-             std::string(AbortReasonName(static_cast<AbortReason>(r))) +
-             "\":" + U64(snap.aborts[m][r]);
+      AppendKey(out, AbortReasonName(static_cast<AbortReason>(r)));
+      out += U64(snap.aborts[m][r]);
     }
     out += "}";
   }
@@ -243,9 +252,11 @@ std::string TelemetryToJson(const SchedulerStats& stats,
       if (snap.transitions[m][n] == 0) continue;
       if (!first_edge) out += ",";
       first_edge = false;
-      out += "\"" + std::string(SchedModeName(static_cast<SchedMode>(m))) +
-             "->" + std::string(SchedModeName(static_cast<SchedMode>(n))) +
-             "\":" + U64(snap.transitions[m][n]);
+      const std::string edge =
+          std::string(SchedModeName(static_cast<SchedMode>(m))) + "->" +
+          SchedModeName(static_cast<SchedMode>(n));
+      AppendKey(out, edge.c_str());
+      out += U64(snap.transitions[m][n]);
     }
   }
   out += "}";

@@ -37,6 +37,11 @@ inline uintptr_t LineOf(const void* addr) {
 ///  * capacity aborts from a set-associative L1 model (HtmConfig);
 ///  * non-transactional stores abort transactions subscribed to the line —
 ///    the property that makes lock subscription (H/O mode) correct;
+///  * per-slot subscription (Tx::Subscribe / NotifySubscribers) for a
+///    word that every transaction reads, such as a lock table's held word
+///    or a global fallback lock: the read is published in the reader's
+///    own slot instead of the shared line table, as real RTM keeps such a
+///    read in the reading core's own L1;
 ///  * Intel-style abort status (AbortStatus) with conflict/capacity/
 ///    explicit causes and a may-retry hint.
 ///
@@ -119,6 +124,24 @@ class BasicEmulatedHtm {
     }
   }
 
+  /// Dooms every transaction that read `addr` through Tx::Subscribe. Call
+  /// after changing the word with a seq_cst RMW: with the subscriber's
+  /// seq_cst publish-then-load this is a Dekker pair, so a transaction
+  /// either is doomed here or reads the new value. A slot whose
+  /// subscription is read here just before it clears it may have its next
+  /// transaction doomed; that late doom is a spurious conflict abort. A
+  /// second word subscribed in one transaction fell back to the line
+  /// table, so the line's readers are doomed too.
+  void NotifySubscribers(const TmWord* addr) {
+    const int limit = slot_limit_.load(std::memory_order_seq_cst);
+    for (int slot = 0; slot < limit; ++slot) {
+      if (slots_[slot].subscription.load(std::memory_order_seq_cst) == addr) {
+        slots_[slot].doomed.store(true, std::memory_order_seq_cst);
+      }
+    }
+    NotifyNonTxWrite(addr);
+  }
+
   /// Plain non-transactional load.
   static TmWord NonTxLoad(const TmWord* addr) {
     return __atomic_load_n(addr, __ATOMIC_ACQUIRE);
@@ -167,6 +190,11 @@ class BasicEmulatedHtm {
     return owners;
   }
 
+  /// Test seam: the word `slot`'s live transaction subscribed, if any.
+  const TmWord* SubscriptionForTest(int slot) const {
+    return slots_[slot].subscription.load(std::memory_order_seq_cst);
+  }
+
  private:
   friend class Tx;
 
@@ -187,12 +215,14 @@ class BasicEmulatedHtm {
   /// before checking doomed, and a doomer dooms before checking progress,
   /// so at least one side observes the other — a doomer therefore only
   /// waits for writers that might already be flushing, and safely
-  /// displaces ones that are guaranteed to abort.
+  /// displaces ones that are guaranteed to abort. `subscription` is the
+  /// word the live transaction read through Tx::Subscribe (null if none).
   struct alignas(kCacheLineBytes) TxSlot {
     static constexpr uint8_t kActive = 0;
     static constexpr uint8_t kCommitting = 1;
     std::atomic<bool> doomed{false};
     std::atomic<uint8_t> progress{kActive};
+    std::atomic<const TmWord*> subscription{nullptr};
   };
 
   /// Dooms `writer` and reports whether the caller must wait for its line
@@ -253,6 +283,9 @@ class BasicEmulatedHtm {
   uint64_t table_mask_;
   std::vector<LineEntry> table_;
   TxSlot slots_[kMaxHtmThreads];
+  // One past the highest slot a Tx was constructed with: the slots
+  // NotifySubscribers scans.
+  std::atomic<int> slot_limit_{0};
 };
 
 /// Per-thread transaction handle. Reusable across transactions; all
@@ -264,6 +297,11 @@ class BasicEmulatedHtm<FailpointsT>::Tx {
   /// `slot` must be unique among concurrently active Tx handles.
   Tx(BasicEmulatedHtm& htm, int slot) : htm_(htm), slot_(slot) {
     TUFAST_CHECK(slot >= 0 && slot < kMaxHtmThreads);
+    int limit = htm_.slot_limit_.load(std::memory_order_relaxed);
+    while (limit <= slot &&
+           !htm_.slot_limit_.compare_exchange_weak(
+               limit, slot + 1, std::memory_order_seq_cst)) {
+    }
     const HtmConfig& cfg = htm_.config_;
     const uint64_t rec_cap =
         htm_internal::NextPow2(uint64_t{cfg.MaxLines()} * 4);
@@ -346,6 +384,29 @@ class BasicEmulatedHtm<FailpointsT>::Tx {
       }
     }
     return __atomic_load_n(addr, __ATOMIC_ACQUIRE);
+  }
+
+  /// Transactional load of a word that only non-transactional writers
+  /// change, each following its seq_cst RMW with NotifySubscribers(addr).
+  /// The read is published in this slot's own TxSlot line instead of the
+  /// shared line table; the line is charged to the modeled L1 as Load
+  /// charges it. A second, different word subscribed in one transaction
+  /// falls back to Load. Only valid inside Execute; never Store `addr`.
+  TmWord Subscribe(const TmWord* addr) {
+    TUFAST_CHECK(active_);
+    if (subscribed_ != nullptr && subscribed_ != addr) return Load(addr);
+    CheckDoom();
+    if constexpr (Failpoints::kEnabled) {
+      InterpretHtmAction(Failpoints::Hit(FailSite::kHtmLoad, slot_));
+    }
+    const Record& rec = FindOrInsertRecord(htm_internal::LineOf(addr));
+    TUFAST_DCHECK((rec.flags & kWriteFlag) == 0);
+    (void)rec;
+    if (subscribed_ == nullptr) {
+      htm_.slots_[slot_].subscription.store(addr, std::memory_order_seq_cst);
+      subscribed_ = addr;
+    }
+    return __atomic_load_n(addr, __ATOMIC_SEQ_CST);
   }
 
   /// Transactional (buffered) store of one shared word.
@@ -459,18 +520,28 @@ class BasicEmulatedHtm<FailpointsT>::Tx {
   }
 
   void ReleaseAndReset() {
+    if (subscribed_ != nullptr) {
+      htm_.slots_[slot_].subscription.store(nullptr,
+                                            std::memory_order_release);
+      subscribed_ = nullptr;
+    }
     for (uint32_t key_pos : rec_list_) {
       const Record& rec = rec_store_[rec_index_[key_pos]];
-      LineEntry& e = htm_.EntryFor(rec.line);
-      LockEntry(e);
-      // A writer displaced by a requester no longer owns the line, so
-      // only clear the slot if it is still ours. The unlock publishes it.
-      if ((rec.flags & kWriteFlag) &&
-          e.writer.load(std::memory_order_relaxed) == slot_) {
-        e.writer.store(int16_t{-1}, std::memory_order_relaxed);
+      // A line only subscribed (or charged by an access that then
+      // aborted) has no line-table registration to release.
+      if ((rec.flags & (kReadFlag | kWriteFlag)) != 0) {
+        LineEntry& e = htm_.EntryFor(rec.line);
+        LockEntry(e);
+        // A writer displaced by a requester no longer owns the line, so
+        // only clear the slot if it is still ours. The unlock publishes
+        // it.
+        if ((rec.flags & kWriteFlag) &&
+            e.writer.load(std::memory_order_relaxed) == slot_) {
+          e.writer.store(int16_t{-1}, std::memory_order_relaxed);
+        }
+        if (rec.flags & kReadFlag) e.readers &= ~(uint64_t{1} << slot_);
+        UnlockEntry(e);
       }
-      if (rec.flags & kReadFlag) e.readers &= ~(uint64_t{1} << slot_);
-      UnlockEntry(e);
       rec_keys_[key_pos] = kEmptyKey;
       set_counts_[rec.line & (htm_.config_.num_sets - 1)] = 0;
     }
@@ -606,6 +677,7 @@ class BasicEmulatedHtm<FailpointsT>::Tx {
   BasicEmulatedHtm& htm_;
   const int slot_;
   bool active_ = false;
+  const TmWord* subscribed_ = nullptr;  // Mirrors this slot's subscription.
   HtmStats stats_;
   Hooks hooks_;
 

@@ -46,6 +46,8 @@ class NativeHtm {
 
   /// Hardware handles the dooming via cache coherence; nothing to do.
   void NotifyNonTxWrite(const void* addr) { (void)addr; }
+  /// The writer's RMW already aborted every reader of the line.
+  void NotifySubscribers(const TmWord* addr) { (void)addr; }
 
   static TmWord NonTxLoad(const TmWord* addr) {
     return __atomic_load_n(addr, __ATOMIC_ACQUIRE);
@@ -102,6 +104,8 @@ class NativeHtm::Tx {
   }
 
   TUFAST_ALWAYS_INLINE TmWord Load(const TmWord* addr) { return *addr; }
+  /// A transactional read is already tracked in this core's own L1.
+  TUFAST_ALWAYS_INLINE TmWord Subscribe(const TmWord* addr) { return *addr; }
   TUFAST_ALWAYS_INLINE void Store(TmWord* addr, TmWord value) {
     *addr = value;
   }

@@ -28,7 +28,8 @@ namespace tufast {
 /// cache line, counts the vertex locks held across the whole table —
 /// each shared holder and each exclusive holder counts one. While the
 /// count is 0 an H or O hardware transaction subscribes this one word
-/// (SubscribeNoneHeld) instead of one lock word per vertex. Every lock
+/// (SubscribeNoneHeld, through Tx::Subscribe; a 0→1 step notifies with
+/// Htm::NotifySubscribers) instead of one lock word per vertex. Every lock
 /// operation below keeps the count, so no caller can take a lock the
 /// count misses: acquisitions count before the CAS that makes the lock
 /// visible, releases uncount after the word is released and notified.
@@ -154,15 +155,15 @@ class LockTable {
   const TmWord* HeldWordAddr() const { return &held_.word; }
 
   /// Lock elision for the hardware transaction `htx` is in: true only if
-  /// both a plain and a transactional load of the held word read a count
-  /// of 0. Then `htx` has subscribed the held word, the next lock
-  /// episode dooms it before any lock becomes visible, and the caller may
-  /// skip its per-vertex lock-word loads. The plain load first keeps a
-  /// busy table from costing a line registration.
+  /// both a plain load and a subscription (Tx::Subscribe) of the held
+  /// word read a count of 0. Then `htx` has subscribed the held word, the
+  /// next lock episode dooms it before any lock becomes visible, and the
+  /// caller may skip its per-vertex lock-word loads. The plain load first
+  /// keeps a busy table from costing a subscription.
   template <typename Tx>
   bool SubscribeNoneHeld(Tx& htx) const {
     if ((HeldWord() & kHeldCountMask) != 0) return false;
-    return (htx.Load(&held_.word) & kHeldCountMask) == 0;
+    return (htx.Subscribe(&held_.word) & kHeldCountMask) == 0;
   }
 
  private:
@@ -183,7 +184,7 @@ class LockTable {
                                           /*weak=*/true, __ATOMIC_SEQ_CST,
                                           __ATOMIC_RELAXED));
     if ((next & kHeldNotifying) == 0) return;
-    htm_.NotifyNonTxWrite(&held_.word);
+    htm_.NotifySubscribers(&held_.word);
     if ((seen & kHeldCountMask) == 0) {
       __atomic_fetch_sub(&held_.word, kHeldNotifying, __ATOMIC_SEQ_CST);
     }

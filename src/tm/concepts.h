@@ -73,11 +73,13 @@ concept HtmBackend = requires(H& htm, typename H::Tx& tx, TmWord* addr,
                               const TmWord* caddr, TmWord value) {
   typename H::Tx;
   { tx.Load(caddr) } -> std::same_as<TmWord>;
+  { tx.Subscribe(caddr) } -> std::same_as<TmWord>;
   { tx.Store(addr, value) } -> std::same_as<void>;
   { tx.InTx() } -> std::same_as<bool>;
   tx.SegmentBoundary();
   { htm.NonTxStore(addr, value) } -> std::same_as<void>;
   htm.NotifyNonTxWrite(addr);
+  htm.NotifySubscribers(caddr);
   { H::NonTxLoad(caddr) } -> std::same_as<TmWord>;
   { htm.DrainLoad(caddr) } -> std::same_as<TmWord>;
 };

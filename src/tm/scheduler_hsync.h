@@ -62,7 +62,7 @@ class HsyncHybrid {
 
     /// Subscribes the fallback lock; aborts if a fallback is running.
     void SubscribeGlobalLock() {
-      if (htx_.Load(global_lock_) != 0) {
+      if (htx_.Subscribe(global_lock_) != 0) {
         htx_.template ExplicitAbort<kAbortCodeLockBusy>();
       }
     }
@@ -197,10 +197,12 @@ class HsyncHybrid {
     Backoff backoff;
     while (true) {
       TmWord expected = 0;
+      // seq_cst: the notify's scan must not pass the CAS (the Dekker
+      // pair of Tx::Subscribe).
       if (__atomic_compare_exchange_n(&global_lock_, &expected, 1,
-                                      /*weak=*/false, __ATOMIC_ACQUIRE,
+                                      /*weak=*/false, __ATOMIC_SEQ_CST,
                                       __ATOMIC_RELAXED)) {
-        htm_.NotifyNonTxWrite(&global_lock_);
+        htm_.NotifySubscribers(&global_lock_);
         return;
       }
       backoff.Pause();
@@ -209,7 +211,7 @@ class HsyncHybrid {
 
   void ReleaseGlobalLock() {
     __atomic_store_n(&global_lock_, 0, __ATOMIC_RELEASE);
-    htm_.NotifyNonTxWrite(&global_lock_);
+    htm_.NotifySubscribers(&global_lock_);
   }
 
   Htm& htm_;

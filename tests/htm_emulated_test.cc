@@ -1,15 +1,18 @@
 // Unit tests for the emulated HTM backend: isolation, write buffering,
 // capacity model, explicit aborts, requester-wins conflicts, the
-// non-transactional-store interplay that lock subscription relies on, and
-// the line table draining back to empty after mixed concurrent traffic.
+// non-transactional-store interplay that lock subscription relies on, the
+// per-slot subscription (Subscribe / NotifySubscribers), and the line
+// table draining back to empty after mixed concurrent traffic.
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/spin.h"
 #include "htm/emulated_htm.h"
 #include "htm/native_htm.h"
 
@@ -140,6 +143,168 @@ TEST(EmulatedHtm, NotifyNonTxWriteDoomsSubscriber) {
     }
   });
   EXPECT_EQ(status.cause, AbortCause::kConflict);
+}
+
+// Tx::Subscribe publishes the read in the slot, not the line table, and
+// NotifySubscribers dooms exactly the slots that subscribed the word.
+TEST(EmulatedHtm, NotifySubscribersDoomsSubscriber) {
+  EmulatedHtm htm;
+  EmulatedHtm::Tx tx(htm, 0);
+  alignas(64) TmWord held = 0;
+  int attempts = 0;
+  const AbortStatus status = tx.Execute([&] {
+    ++attempts;
+    EXPECT_EQ(tx.Subscribe(&held), 0u);
+    EXPECT_EQ(htm.SubscriptionForTest(0), &held);
+    EXPECT_EQ(htm.LineOwnersForTest(&held).second, 0u)
+        << "a subscription registered in the line table";
+    EXPECT_EQ(tx.FootprintLines(), 1u);
+    if (attempts == 1) {
+      __atomic_store_n(&held, 1, __ATOMIC_SEQ_CST);  // Foreign RMW.
+      htm.NotifySubscribers(&held);
+      (void)tx.Subscribe(&held);
+      ADD_FAILURE() << "the notify did not doom the subscriber";
+    }
+  });
+  EXPECT_EQ(status.cause, AbortCause::kConflict);
+  EXPECT_EQ(htm.SubscriptionForTest(0), nullptr);
+}
+
+TEST(EmulatedHtm, NotifyOfAnotherWordLeavesSubscriber) {
+  EmulatedHtm htm;
+  EmulatedHtm::Tx tx(htm, 0);
+  alignas(64) TmWord held = 0;
+  alignas(64) TmWord other = 0;
+  const AbortStatus status = tx.Execute([&] {
+    (void)tx.Subscribe(&held);
+    htm.NotifySubscribers(&other);
+    htm.NotifyNonTxWrite(&held);  // The line table has no reader to doom.
+    (void)tx.Subscribe(&held);
+  });
+  EXPECT_TRUE(status.ok());
+}
+
+// Every way a transaction ends clears its subscription, so a notify after
+// it leaves the slot's next transaction alone.
+TEST(EmulatedHtm, EndedSubscriptionIsNotDoomedByALaterNotify) {
+  EmulatedHtm htm;
+  EmulatedHtm::Tx tx(htm, 0);
+  alignas(64) TmWord held = 0;
+  alignas(64) TmWord x = 0;
+  const auto expect_next_commits = [&](const char* ending) {
+    EXPECT_EQ(htm.SubscriptionForTest(0), nullptr) << ending;
+    htm.NotifySubscribers(&held);
+    EXPECT_TRUE(tx.Execute([&] { (void)tx.Load(&x); }).ok()) << ending;
+  };
+  EXPECT_TRUE(tx.Execute([&] { (void)tx.Subscribe(&held); }).ok());
+  expect_next_commits("commit");
+  EXPECT_EQ(tx.Execute([&] {
+              (void)tx.Subscribe(&held);
+              tx.ExplicitAbort<3>();
+            }).cause,
+            AbortCause::kExplicit);
+  expect_next_commits("abort");
+  EXPECT_THROW(tx.Execute([&] {
+                 (void)tx.Subscribe(&held);
+                 throw std::runtime_error("user code");
+               }),
+               std::runtime_error);
+  expect_next_commits("foreign exception");
+}
+
+TEST(EmulatedHtm, SubscribedLineCountsTowardCapacity) {
+  HtmConfig config;
+  config.num_sets = 4;
+  config.num_ways = 2;
+  EmulatedHtm htm(config);
+  EmulatedHtm::Tx tx(htm, 0);
+  std::vector<TmWord> data(4 * 64);
+  // As CapacityAbortAtSetOverflow: the third line of one set overflows,
+  // whether the subscribed line comes first or last.
+  EXPECT_EQ(tx.Execute([&] {
+              (void)tx.Subscribe(&data[0]);
+              (void)tx.Load(&data[4 * 8]);
+              (void)tx.Load(&data[8 * 8]);
+            }).cause,
+            AbortCause::kCapacity);
+  EXPECT_EQ(tx.Execute([&] {
+              (void)tx.Load(&data[0]);
+              (void)tx.Load(&data[4 * 8]);
+              (void)tx.Subscribe(&data[8 * 8]);
+            }).cause,
+            AbortCause::kCapacity);
+  EXPECT_TRUE(tx.Execute([&] {
+                  (void)tx.Subscribe(&data[0]);
+                  (void)tx.Load(&data[4 * 8]);
+                }).ok());
+}
+
+// One subscription per slot: a second word falls back to the line table,
+// and NotifySubscribers still dooms its reader.
+TEST(EmulatedHtm, SecondSubscribedWordIsStillDoomed) {
+  EmulatedHtm htm;
+  EmulatedHtm::Tx tx(htm, 0);
+  alignas(64) TmWord first = 0;
+  alignas(64) TmWord second = 0;
+  int attempts = 0;
+  const AbortStatus status = tx.Execute([&] {
+    ++attempts;
+    (void)tx.Subscribe(&first);
+    (void)tx.Subscribe(&second);
+    EXPECT_EQ(htm.SubscriptionForTest(0), &first);
+    if (attempts == 1) {
+      htm.NotifySubscribers(&second);
+      (void)tx.Subscribe(&first);
+      ADD_FAILURE() << "the second subscribed word did not doom";
+    }
+  });
+  EXPECT_EQ(status.cause, AbortCause::kConflict);
+  EXPECT_EQ(htm.LineOwnersForTest(&second).second, 0u);
+}
+
+// The Dekker pair under real concurrency: a locker takes the word with a
+// seq_cst RMW, notifies, then writes two words with plain stores that no
+// line-table access sees. A subscriber that committed after reading the
+// word free never observes the pair half written.
+TEST(EmulatedHtm, CommittedSubscriberNeverSeesAHalfWrittenCriticalSection) {
+  EmulatedHtm htm;
+  struct alignas(64) Line {
+    TmWord word = 0;
+  };
+  Line held, x, y;
+  constexpr int kSections = 3000;
+  constexpr int kReaders = 2;
+  std::atomic<bool> done{false};
+  std::atomic<int> torn{0};
+  std::vector<std::thread> readers;
+  for (int slot = 0; slot < kReaders; ++slot) {
+    readers.emplace_back([&, slot] {
+      EmulatedHtm::Tx tx(htm, slot);
+      while (!done.load(std::memory_order_acquire)) {
+        TmWord a = 0, b = 0;
+        const AbortStatus status = tx.Execute([&] {
+          if (tx.Subscribe(&held.word) != 0) tx.ExplicitAbort<1>();
+          a = tx.Load(&x.word);
+          b = tx.Load(&y.word);
+        });
+        if (status.ok() && a != b) torn.fetch_add(1);
+      }
+    });
+  }
+  for (TmWord i = 1; i <= kSections; ++i) {
+    TmWord expected = 0;
+    EXPECT_TRUE(__atomic_compare_exchange_n(&held.word, &expected, 1,
+                                            /*weak=*/false, __ATOMIC_SEQ_CST,
+                                            __ATOMIC_RELAXED));
+    htm.NotifySubscribers(&held.word);
+    __atomic_store_n(&x.word, i, __ATOMIC_RELEASE);
+    for (int k = 0; k < 64; ++k) CpuRelax();  // Widen the torn window.
+    __atomic_store_n(&y.word, i, __ATOMIC_RELEASE);
+    __atomic_store_n(&held.word, 0, __ATOMIC_SEQ_CST);
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(torn.load(), 0);
 }
 
 TEST(EmulatedHtm, RequesterWinsBetweenTwoTransactions) {

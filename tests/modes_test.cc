@@ -210,12 +210,22 @@ bool SlotReadsLine(const EmulatedHtm& htm, const void* addr, int slot) {
   return ((htm.LineOwnersForTest(addr).second >> slot) & 1) != 0;
 }
 
+/// An elided transaction subscribes the held word in its own slot
+/// (Tx::Subscribe) and leaves the word's shared line-table entry alone.
+void ExpectSubscribesHeldWord(const EmulatedHtm& htm,
+                              const LockTable<EmulatedHtm>& locks) {
+  EXPECT_EQ(htm.SubscriptionForTest(0), locks.HeldWordAddr());
+  const auto [writer, readers] = htm.LineOwnersForTest(locks.HeldWordAddr());
+  EXPECT_EQ(writer, -1) << "the held word's entry has a writer";
+  EXPECT_EQ(readers, 0u) << "the held word's entry has a reader";
+}
+
 TEST_F(ModesTest, ElidedHReadSubscribesOnlyTheHeldWord) {
   HTxn<EmulatedHtm> txn(htx_, locks_);
   txn.BeginAttempt(/*may_elide=*/true);
   const AbortStatus status = htx_.Execute([&] {
     (void)txn.Read(5, &data_[5]);
-    EXPECT_TRUE(SlotReadsLine(htm_, locks_.HeldWordAddr(), 0));
+    ExpectSubscribesHeldWord(htm_, locks_);
     EXPECT_FALSE(SlotReadsLine(htm_, locks_.WordAddr(5), 0));
     // A lock on a vertex this transaction never touches starts an
     // episode; its 0->1 notify must doom the elided subscriber.
@@ -233,13 +243,13 @@ TEST_F(ModesTest, ElidedOSegmentSubscribesOnlyTheHeldWord) {
   txn.Reset(/*period=*/2, /*may_elide=*/true);
   const AbortStatus status = htx_.Execute([&] {
     (void)txn.Read(5, &data_[5]);
-    EXPECT_TRUE(SlotReadsLine(htm_, locks_.HeldWordAddr(), 0));
+    ExpectSubscribesHeldWord(htm_, locks_);
     EXPECT_FALSE(SlotReadsLine(htm_, locks_.WordAddr(5), 0));
     // Period 2: this read opens the second segment, whose read set
     // starts empty, so it decides again and subscribes the held word.
     (void)txn.Read(6, &data_[6]);
     EXPECT_EQ(txn.elided(), 2u);
-    EXPECT_TRUE(SlotReadsLine(htm_, locks_.HeldWordAddr(), 0));
+    ExpectSubscribesHeldWord(htm_, locks_);
     EXPECT_TRUE(locks_.TryLockExclusive(40));
     (void)txn.Read(7, &data_[7]);
     ADD_FAILURE() << "the lock episode must doom the elided segment";
@@ -255,7 +265,7 @@ TEST_F(ModesTest, HeldLockKeepsPerVertexChecks) {
   EXPECT_TRUE(htx_.Execute([&] {
     (void)txn.Read(5, &data_[5]);
     EXPECT_TRUE(SlotReadsLine(htm_, locks_.WordAddr(5), 0));
-    EXPECT_FALSE(SlotReadsLine(htm_, locks_.HeldWordAddr(), 0));
+    EXPECT_EQ(htm_.SubscriptionForTest(0), nullptr);
   }).ok());
   EXPECT_EQ(txn.elided(), 0u);
   ASSERT_TRUE(locks_.TryLockExclusive(5));

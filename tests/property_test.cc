@@ -67,7 +67,8 @@ TEST_P(TuFastPropertyTest, TransfersPreserveTotalUnderAnyConfig) {
 }
 
 std::string TuFastParamName(const ::testing::TestParamInfo<TuFastParam>& info) {
-  std::string name = "t" + std::to_string(std::get<0>(info.param));
+  std::string name = "t";
+  name += std::to_string(std::get<0>(info.param));
   name += std::get<1>(info.param) ? "_adaptive" : "_static";
   name += std::get<2>(info.param) ? "_breaker" : "_nobreaker";
   return name;
@@ -133,8 +134,11 @@ TEST_P(HtmGeometryTest, CounterExactUnderAnyGeometry) {
 
 std::string GeometryParamName(
     const ::testing::TestParamInfo<GeometryParam>& info) {
-  return "s" + std::to_string(std::get<0>(info.param)) + "_w" +
-         std::to_string(std::get<1>(info.param));
+  std::string name = "s";
+  name += std::to_string(std::get<0>(info.param));
+  name += "_w";
+  name += std::to_string(std::get<1>(info.param));
+  return name;
 }
 INSTANTIATE_TEST_SUITE_P(Geometries, HtmGeometryTest,
                          ::testing::Combine(::testing::Values(4u, 16u, 64u),

@@ -82,15 +82,17 @@ TEST_F(LockTableTest, HeldWordCountsHoldersAndEpisodes) {
   EXPECT_EQ(table_.HeldWord(), 2 * Table::kHeldEpisode) << "a second episode";
 }
 
-/// A backend stand-in that records every NotifyNonTxWrite address and,
-/// inside the first notify of the held word, lets a second locker run —
-/// the interleaving where one locker starts an episode and has not yet
-/// doomed the held word's subscribers when another locker counts.
+/// A backend stand-in that records every NotifyNonTxWrite and
+/// NotifySubscribers address and, inside the first notify of the held
+/// word, lets a second locker run — the interleaving where one locker
+/// starts an episode and has not yet doomed the held word's subscribers
+/// when another locker counts.
 struct InterleavingHtm {
   std::vector<const void*> notified;
   std::function<void()> during_first_held_notify;
   const void* held = nullptr;
-  void NotifyNonTxWrite(const void* addr) {
+  void NotifyNonTxWrite(const void* addr) { notified.push_back(addr); }
+  void NotifySubscribers(const TmWord* addr) {
     notified.push_back(addr);
     if (addr == held && during_first_held_notify) {
       auto second_locker = std::move(during_first_held_notify);
