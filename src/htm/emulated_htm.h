@@ -129,9 +129,7 @@ class BasicEmulatedHtm {
   /// seq_cst publish-then-load this is a Dekker pair, so a transaction
   /// either is doomed here or reads the new value. A slot whose
   /// subscription is read here just before it clears it may have its next
-  /// transaction doomed; that late doom is a spurious conflict abort. A
-  /// second word subscribed in one transaction fell back to the line
-  /// table, so the line's readers are doomed too.
+  /// transaction doomed; that late doom is a spurious conflict abort.
   void NotifySubscribers(const TmWord* addr) {
     const int limit = slot_limit_.load(std::memory_order_seq_cst);
     for (int slot = 0; slot < limit; ++slot) {
@@ -139,7 +137,6 @@ class BasicEmulatedHtm {
         slots_[slot].doomed.store(true, std::memory_order_seq_cst);
       }
     }
-    NotifyNonTxWrite(addr);
   }
 
   /// Plain non-transactional load.
@@ -390,11 +387,11 @@ class BasicEmulatedHtm<FailpointsT>::Tx {
   /// change, each following its seq_cst RMW with NotifySubscribers(addr).
   /// The read is published in this slot's own TxSlot line instead of the
   /// shared line table; the line is charged to the modeled L1 as Load
-  /// charges it. A second, different word subscribed in one transaction
-  /// falls back to Load. Only valid inside Execute; never Store `addr`.
+  /// charges it. A transaction subscribes at most one word. Only valid
+  /// inside Execute; never Store `addr`.
   TmWord Subscribe(const TmWord* addr) {
     TUFAST_CHECK(active_);
-    if (subscribed_ != nullptr && subscribed_ != addr) return Load(addr);
+    TUFAST_CHECK(subscribed_ == nullptr || subscribed_ == addr);
     CheckDoom();
     if constexpr (Failpoints::kEnabled) {
       InterpretHtmAction(Failpoints::Hit(FailSite::kHtmLoad, slot_));

@@ -210,8 +210,8 @@ class HsyncHybrid {
   }
 
   void ReleaseGlobalLock() {
+    // No notify: a subscriber either read 1 and aborted itself or reads 0.
     __atomic_store_n(&global_lock_, 0, __ATOMIC_RELEASE);
-    htm_.NotifySubscribers(&global_lock_);
   }
 
   Htm& htm_;

@@ -239,29 +239,6 @@ TEST(EmulatedHtm, SubscribedLineCountsTowardCapacity) {
                 }).ok());
 }
 
-// One subscription per slot: a second word falls back to the line table,
-// and NotifySubscribers still dooms its reader.
-TEST(EmulatedHtm, SecondSubscribedWordIsStillDoomed) {
-  EmulatedHtm htm;
-  EmulatedHtm::Tx tx(htm, 0);
-  alignas(64) TmWord first = 0;
-  alignas(64) TmWord second = 0;
-  int attempts = 0;
-  const AbortStatus status = tx.Execute([&] {
-    ++attempts;
-    (void)tx.Subscribe(&first);
-    (void)tx.Subscribe(&second);
-    EXPECT_EQ(htm.SubscriptionForTest(0), &first);
-    if (attempts == 1) {
-      htm.NotifySubscribers(&second);
-      (void)tx.Subscribe(&first);
-      ADD_FAILURE() << "the second subscribed word did not doom";
-    }
-  });
-  EXPECT_EQ(status.cause, AbortCause::kConflict);
-  EXPECT_EQ(htm.LineOwnersForTest(&second).second, 0u);
-}
-
 // The Dekker pair under real concurrency: a locker takes the word with a
 // seq_cst RMW, notifies, then writes two words with plain stores that no
 // line-table access sees. A subscriber that committed after reading the
