@@ -21,9 +21,9 @@ namespace tufast {
 ///                   (site slot hit_index action, one per line) to a file
 ///                   for failing-seed replay diagnosis
 ///   --progress-chaos  stress drivers: additionally arm the progress-guard
-///                   failpoints (forced victim re-aborts, breaker trips,
-///                   forced starvation escalation) to fuzz the escalation
-///                   ladder and circuit breaker
+///                   failpoints (forced victim re-aborts, breaker trips)
+///                   to fuzz the L retry loop's backoff and the circuit
+///                   breaker
 ///   --mvcc          enable the MVCC snapshot-read path
 ///                   (Config::enable_mvcc) where the bench supports it;
 ///                   streaming_updates adds its reader/writer-mix phase

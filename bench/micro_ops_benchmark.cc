@@ -257,7 +257,7 @@ void BenchFusion(MetricTable& out, uint64_t txns) {
 /// single worker, forced (non-probabilistic) triggers only, so every
 /// counter is an exact function of the code — compare_bench.py checks
 /// these rows symmetrically (any drift is a behavior change, not noise).
-void BenchProgressGuard() {
+void BenchProgressCounters() {
   ReportTable table({"metric", "value"});
 
   // Breaker round trip: trip on the first routed transaction, count
@@ -286,9 +286,8 @@ void BenchProgressGuard() {
                   ReportTable::Int(tm.AggregatedStats().breaker_bypass)});
   }
 
-  // Escalation ladder: forced victim re-aborts on one lock-mode
-  // transaction until the starved bit makes it immune (aborts ==
-  // priority threshold), then a forced jump to the token.
+  // Forced victim re-aborts: 16 on one lock-mode transaction. Each one
+  // pays a ConflictBackoff and retries; the 17th attempt commits.
   {
     FaultyHtm htm;
     TuFastScheduler<FaultyHtm, EventTelemetry> tm(htm, 1024);
@@ -303,26 +302,10 @@ void BenchProgressGuard() {
       txn.Write(0, &values[0], txn.Read(0, &values[0]) + 1);
     });
     const SchedulerStats stats = tm.AggregatedStats();
-    table.AddRow({"starved_escalations",
-                  ReportTable::Int(stats.starvation_escalations)});
     table.AddRow(
         {"starved_txn_aborts", ReportTable::Int(stats.max_txn_aborts)});
     table.AddRow(
         {"starved_backoff_events", ReportTable::Int(stats.backoff_events)});
-  }
-  {
-    FaultyHtm htm;
-    TuFastScheduler<FaultyHtm, EventTelemetry> tm(htm, 1024);
-    std::vector<TmWord> values(1024, 0);
-    FailpointPlan plan(FailpointPlan::Config{});
-    plan.ForceAt(FailSite::kStarvationToken, 0, 0, FailAction::kFail);
-    FailpointScope scope(plan);
-    const uint64_t big = tm.config().o_hint_threshold + 1;
-    tm.Run(0, big, [&](auto& txn) {
-      txn.Write(0, &values[0], txn.Read(0, &values[0]) + 1);
-    });
-    table.AddRow({"starvation_tokens",
-                  ReportTable::Int(tm.AggregatedStats().starvation_tokens)});
   }
 
   table.Print("progress guard");
@@ -341,7 +324,7 @@ int Main(int argc, char** argv) {
   BenchRunByMode(metrics, iters);
   BenchFusion(metrics, iters);
   metrics.Print();
-  BenchProgressGuard();
+  BenchProgressCounters();
 
   std::printf(
       "expected shape: fused H ops/sec beats per-item by amortizing "

@@ -58,12 +58,10 @@ FailpointPlan::Config ChaosConfig(uint64_t seed, bool progress_chaos,
   config.yield_prob = 0.05;
   if (progress_chaos) {
     // Progress-guard chaos: hammer the L retry loop with forced victim
-    // re-aborts (the escalation ladder must still bound every txn's
-    // retries), trip the breaker at random, and occasionally force a
-    // transaction straight to the top of the ladder.
+    // re-aborts (every one pays a ConflictBackoff and retries) and trip
+    // the breaker at random.
     config.Arm(FailSite::kVictimReabort, 0.02, FailAction::kFail);
     config.Arm(FailSite::kBreakerTrip, 0.001, FailAction::kFail);
-    config.Arm(FailSite::kStarvationToken, 0.0005, FailAction::kFail);
   }
   if (mvcc_chaos) {
     // MVCC chaos: force version-reclamation passes on random commits
@@ -932,10 +930,6 @@ int Main(int argc, char** argv) {
   if (flags.progress_chaos) {
     const SchedulerStats& stats = totals.stats;
     table.AddRow({"backoff events", ReportTable::Int(stats.backoff_events)});
-    table.AddRow({"starvation escalations",
-                  ReportTable::Int(stats.starvation_escalations)});
-    table.AddRow(
-        {"starvation tokens", ReportTable::Int(stats.starvation_tokens)});
     table.AddRow({"breaker bypass", ReportTable::Int(stats.breaker_bypass)});
     table.AddRow({"max txn aborts", ReportTable::Int(stats.max_txn_aborts)});
   }

@@ -207,7 +207,6 @@ std::string TelemetryToJson(const SchedulerStats& stats,
                             const TelemetrySnapshot& snap) {
   std::string out = "{";
   out += "\"user_aborts\":" + U64(stats.user_aborts);
-  out += ",\"deadlock_cycle_victims\":" + U64(snap.deadlock_cycle_victims);
   out += ",\"deadlock_timeout_victims\":" + U64(snap.deadlock_timeout_victims);
   out += ",\"elided_attempts\":" + U64(stats.elided_attempts);
 
@@ -275,8 +274,6 @@ std::string TelemetryToJson(const SchedulerStats& stats,
   out += ",\"progress\":{";
   out += "\"backoff_events\":" + U64(stats.backoff_events);
   out += ",\"backoff_pauses\":" + U64(snap.backoff_pauses);
-  out += ",\"starvation_escalations\":" + U64(stats.starvation_escalations);
-  out += ",\"starvation_tokens\":" + U64(stats.starvation_tokens);
   out += ",\"breaker_trips\":" + U64(snap.breaker_trips);
   out += ",\"breaker_half_opens\":" + U64(snap.breaker_half_opens);
   out += ",\"breaker_closes\":" + U64(snap.breaker_closes);
@@ -318,18 +315,15 @@ void PrintFusionSummary(const SchedulerStats& stats,
 void PrintProgressSummary(const SchedulerStats& stats,
                           const TelemetrySnapshot& snap,
                           const std::string& title) {
-  if (stats.backoff_events == 0 && stats.starvation_escalations == 0 &&
-      stats.starvation_tokens == 0 && snap.breaker_trips == 0 &&
+  if (stats.backoff_events == 0 && snap.breaker_trips == 0 &&
       stats.breaker_bypass == 0 && stats.max_txn_aborts == 0) {
     return;
   }
-  ReportTable table({"backoff events", "backoff pauses", "starved",
-                     "tokens", "breaker trips", "half-opens", "closes",
-                     "bypassed", "p99 txn aborts", "max txn aborts"});
+  ReportTable table({"backoff events", "backoff pauses", "breaker trips",
+                     "half-opens", "closes", "bypassed", "p99 txn aborts",
+                     "max txn aborts"});
   table.AddRow({ReportTable::Int(stats.backoff_events),
                 ReportTable::Int(snap.backoff_pauses),
-                ReportTable::Int(stats.starvation_escalations),
-                ReportTable::Int(stats.starvation_tokens),
                 ReportTable::Int(snap.breaker_trips),
                 ReportTable::Int(snap.breaker_half_opens),
                 ReportTable::Int(snap.breaker_closes),

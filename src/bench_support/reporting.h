@@ -78,8 +78,8 @@ void PrintFusionSummary(const SchedulerStats& stats,
                         const std::string& title);
 
 /// Prints (and mirrors to JSON) the progress-guard summary: backoff
-/// volume, starvation escalations/tokens, breaker transitions and
-/// bypasses, and the per-transaction abort-count tail. No-op when the
+/// volume, breaker transitions and bypasses, and the per-transaction
+/// abort-count tail. No-op when the
 /// run saw no guard activity at all (uncontended runs stay quiet).
 void PrintProgressSummary(const SchedulerStats& stats,
                           const TelemetrySnapshot& snapshot,

@@ -32,7 +32,6 @@ enum class FailSite : uint8_t {
   kRouterSkipO,           // TuFast router: force O -> L demotion
   kWorklistPop,           // DrainWorklist: perturb between pop and run
   kBreakerTrip,           // ContentionMonitor: force the breaker open
-  kStarvationToken,       // L retry loop: force starvation escalation
   kVictimReabort,         // L retry loop: synthesize extra victim aborts
   kVersionReclaim,        // MVCC EndInstall: force a reclamation pass
   kStaleEpoch,            // MVCC BeginSnapshot: stretch the pinned window
@@ -61,7 +60,6 @@ inline const char* FailSiteName(FailSite s) {
     case FailSite::kRouterSkipO: return "router_skip_o";
     case FailSite::kWorklistPop: return "worklist_pop";
     case FailSite::kBreakerTrip: return "breaker_trip";
-    case FailSite::kStarvationToken: return "starvation_token";
     case FailSite::kVictimReabort: return "victim_reabort";
     case FailSite::kVersionReclaim: return "version_reclaim";
     case FailSite::kStaleEpoch: return "stale_epoch";

@@ -32,12 +32,10 @@ namespace tufast {
 /// only after RunBatch returns) satisfy this automatically.
 /// `hint(i)` returns the size hint that would be passed to Run(i).
 ///
-/// Progress interaction: TuFast's native RunBatch pauses fusion (routes
-/// per-item) while the global starvation token is held — a fused region
-/// subscribes a whole window of lock words and would widen the
-/// interference the token holder is being shielded from. The abort-storm
-/// circuit breaker clamps the adaptive width to 1 while tripped for the
-/// same reason (tm/contention_monitor.h).
+/// Progress interaction: while TuFast's abort-storm circuit breaker is
+/// tripped, its native RunBatch clamps the adaptive width to 1
+/// (tm/contention_monitor.h): a storm that keeps killing fused regions
+/// would pay the whole window's re-execution for every abort.
 
 /// Detects a scheduler exposing a native fused-batch path.
 template <typename S, typename HintFn, typename BodyFn>

@@ -77,12 +77,11 @@ struct SchedulerStats {
   // table's held word instead of per-vertex lock words.
   uint64_t elided_attempts = 0;
 
-  // Progress-guard counters (tm/progress_guard.h).
-  uint64_t backoff_events = 0;          // retry backoffs paid
-  uint64_t starvation_escalations = 0;  // priority-aging escalations
-  uint64_t starvation_tokens = 0;       // global-token acquisitions
-  uint64_t breaker_bypass = 0;          // txns routed to L by the breaker
-  uint64_t max_txn_aborts = 0;          // worst per-txn failed attempts
+  // Progress-guard counters (DESIGN.md "Progress guard").
+  uint64_t backoff_events = 0;     // retry backoffs paid
+  uint64_t starvation_tokens = 0;  // always 0; perfbench/workloads.cc reads it
+  uint64_t breaker_bypass = 0;     // txns routed to L by the breaker
+  uint64_t max_txn_aborts = 0;     // worst per-txn failed attempts
 
   // Serving front end (serving/server.h): per-worker queue-delay
   // accounting, recorded exactly once per executed request via
@@ -143,8 +142,6 @@ struct SchedulerStats {
     fusion_bisections += other.fusion_bisections;
     elided_attempts += other.elided_attempts;
     backoff_events += other.backoff_events;
-    starvation_escalations += other.starvation_escalations;
-    starvation_tokens += other.starvation_tokens;
     breaker_bypass += other.breaker_bypass;
     if (other.max_txn_aborts > max_txn_aborts) {
       max_txn_aborts = other.max_txn_aborts;

@@ -6,7 +6,6 @@
 #include "sync/lock_table.h"
 #include "tm/modes.h"
 #include "tm/outcome.h"
-#include "tm/progress_guard.h"
 #include "tm/telemetry.h"
 #include "tm/worker_runtime.h"
 
@@ -16,39 +15,27 @@ namespace tufast {
 /// to *every* transaction regardless of size (paper Fig. 7 / Fig. 13 /
 /// Fig. 14 comparison point "2PL"), without TuFast's L gate: concurrent
 /// lock transactions may deadlock, and the lock manager's wait bound
-/// breaks the cycle by making a waiter a timeout victim.
+/// breaks the cycle by making a waiter a timeout victim, which retries
+/// after a ConflictBackoff.
 template <typename Htm, typename Telemetry = NullTelemetry>
 class TwoPhaseLocking {
  public:
   TwoPhaseLocking(Htm& htm, VertexId num_vertices)
       : htm_(htm),
         lock_table_(htm, num_vertices),
-        lock_manager_(lock_table_), runtime_(0x2b1u) {
-    lock_manager_.SetProgressSignals(&progress_guard_.signals());
-    if constexpr (Telemetry::kEnabled) {
-      lock_manager_.SetVictimCallback(
-          [](void* ctx, int slot, VertexId /*v*/) {
-            auto* self = static_cast<TwoPhaseLocking*>(ctx);
-            if (auto* w = self->runtime_.worker(slot)) {
-              w->telemetry.DeadlockVictim();
-            }
-          },
-          this);
-    }
-  }
+        lock_manager_(lock_table_), runtime_(0x2b1u) {}
   TUFAST_DISALLOW_COPY_AND_MOVE(TwoPhaseLocking);
 
   template <typename Fn>
   RunOutcome Run(int worker_id, uint64_t /*size_hint*/, Fn&& fn) {
     Worker& w = runtime_.GetWorker(worker_id, *this);
     w.telemetry.TxnBegin();
-    return RunLockTxnLoop<HtmFailpoints<Htm>>(
-        w, w.state.ltxn, fn, TxnClass::kL,
-        ProgressContext{&progress_guard_, worker_id, 0});
+    return RunLockTxnLoop<HtmFailpoints<Htm>>(w, w.state.ltxn, fn,
+                                              TxnClass::kL, worker_id,
+                                              /*prior_aborts=*/0,
+                                              /*gate=*/nullptr);
   }
 
-  /// Progress-guard introspection (starvation stress tests).
-  ProgressGuard& progress_guard() { return progress_guard_; }
   /// Lock-table introspection (the stress suites check its held count).
   LockTable<Htm>& lock_table() { return lock_table_; }
 
@@ -73,9 +60,6 @@ class TwoPhaseLocking {
   Htm& htm_;
   LockTable<Htm> lock_table_;
   LockManager<Htm> lock_manager_;
-  /// Same escalation ladder as TuFast's L mode: the baseline sees the
-  /// identical per-transaction retry bound in the starvation stress.
-  ProgressGuard progress_guard_;
   Runtime runtime_;
 };
 

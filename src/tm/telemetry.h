@@ -22,8 +22,9 @@ namespace tufast {
 ///                       H->O->L transitions);
 ///   AttemptAbort        one execution attempt failed, with the reason;
 ///   PeriodChange        O mode is about to attempt with this `period`;
-///   DeadlockVictim      the lock manager picked this worker as victim
-///                       (wait-bound expiry or a forced failpoint);
+///   DeadlockVictim      the L retry loop caught this worker's victim
+///                       signal (lock-manager wait-bound expiry or a
+///                       forced failpoint);
 ///   TxnCommit           the txn committed in class `cls`;
 ///   TxnUserAbort        the body called txn.Abort() (final, no retry).
 ///
@@ -116,10 +117,9 @@ struct NullTelemetry {
 /// without depending on the sink internals.
 struct TelemetrySnapshot {
   /// Deadlock victims split by how the lock manager picked them; the two
-  /// sum to SchedulerStats::deadlock_aborts. Cycle victims are always 0:
-  /// the lock manager keeps no waits-for graph (TuFast's L gate rules
-  /// deadlocks out). The field stays because the JSON report and the
-  /// repository benchmark's `sync.cycle_victims` read its key.
+  /// sum to SchedulerStats::deadlock_aborts. Cycle victims are always 0
+  /// (the lock manager keeps no waits-for graph); perfbench/workloads.cc
+  /// reads the field for `sync.cycle_victims`.
   uint64_t deadlock_cycle_victims = 0;
   uint64_t deadlock_timeout_victims = 0;
 
@@ -148,7 +148,7 @@ struct TelemetrySnapshot {
   LogHistogram fusion_width_hist;
   LogHistogram bisection_depth_hist;
 
-  /// Progress-guard breakdown (tm/progress_guard.h): total backoff
+  /// Progress-guard breakdown (DESIGN.md "Progress guard"): total backoff
   /// pauses, abort-storm breaker state transitions, and the victim
   /// re-abort histogram (failed attempts per transaction that retried at
   /// least once).

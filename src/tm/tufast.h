@@ -17,7 +17,6 @@
 #include "tm/contention_monitor.h"
 #include "tm/modes.h"
 #include "tm/outcome.h"
-#include "tm/progress_guard.h"
 #include "tm/telemetry.h"
 #include "tm/worker_runtime.h"
 
@@ -109,14 +108,6 @@ class TuFastScheduler {
     /// 0 = adaptive. Width 1 routes every item alone, exactly like one
     /// Run() per item (the equivalence tests rely on this).
     uint32_t fixed_fusion_width = 0;
-    /// Progress guard (tm/progress_guard.h, DESIGN.md "Progress guard"):
-    /// randomized exponential backoff between conflict retries in all
-    /// three loops (H attempts, O period halvings, L victim restarts).
-    /// The starvation thresholds drive the escalation ladder: priority
-    /// aging (never a victim) past the first, the global starvation
-    /// token (other waiters defer, fusion pauses) past the second.
-    uint32_t starvation_priority_threshold = 3;
-    uint32_t starvation_token_threshold = 8;
     /// Abort-storm circuit breaker (tm/contention_monitor.h): sustained
     /// attempt-abort rate routes small transactions straight to L and
     /// clamps fusion to width 1 until half-open probes recover.
@@ -157,10 +148,6 @@ class TuFastScheduler {
                         ? config.max_period
                         : std::max(config.min_period,
                                    CapacityOptimalOps(htm.config()))),
-        progress_guard_(ProgressGuard::Config{
-            .priority_threshold = config.starvation_priority_threshold,
-            .token_threshold = config.starvation_token_threshold,
-            .enabled = true}),
         runtime_(0x70f5a7u) {
     TUFAST_CHECK(max_period_ >= config_.min_period);
     if (config_.enable_mvcc) {
@@ -180,17 +167,6 @@ class TuFastScheduler {
           config_.wal_path, config_.wal_sync);
       TUFAST_CHECK(owned_wal_->ok());
       wal_sink_ = owned_wal_.get();
-    }
-    lock_manager_.SetProgressSignals(&progress_guard_.signals());
-    if constexpr (Telemetry::kEnabled) {
-      lock_manager_.SetVictimCallback(
-          [](void* ctx, int slot, VertexId /*v*/) {
-            auto* self = static_cast<TuFastScheduler*>(ctx);
-            if (auto* w = self->runtime_.worker(slot)) {
-              w->telemetry.DeadlockVictim();
-            }
-          },
-          this);
     }
   }
   TUFAST_DISALLOW_COPY_AND_MOVE(TuFastScheduler);
@@ -320,14 +296,6 @@ class TuFastScheduler {
     }
     uint64_t i = lo;
     while (i < hi) {
-      // A starvation-token holder is guaranteed to commit next attempt;
-      // pause new fused regions (which subscribe whole windows of lock
-      // words) so fusion can't widen the interference it sees.
-      if (progress_guard_.signals().TokenHeld()) {
-        RunItemRouted(w, worker_id, i, hint, body);
-        ++i;
-        continue;
-      }
       const uint64_t first_hint = hint(i);
       if (first_hint > h_hint_threshold_) {
         // Too big for H mode: route per-item (O or L will take it).
@@ -466,16 +434,17 @@ class TuFastScheduler {
     w.state.held_seen = lock_table_.HeldWord();
   }
 
-  /// Every path into L: the lock-mode retry loop behind the L gate, which
-  /// the progress context carries, with the `prior_aborts` failed
-  /// attempts the transaction already paid. Its lock episode is the
-  /// worker's own (ForgetOwnLocks).
+  /// Every path into L: the lock-mode retry loop behind the L gate, with
+  /// the `prior_aborts` failed attempts the transaction already paid.
+  /// Its lock episode is the worker's own (ForgetOwnLocks). Outlined and
+  /// cold like RunOptimisticThenLock: inlined, the loop bloats RunRouted,
+  /// the H fast path.
   template <typename Fn>
-  RunOutcome RunLockMode(Worker& w, int worker_id, Fn& fn, TxnClass cls,
-                         uint32_t prior_aborts) {
+  TUFAST_NOINLINE_COLD RunOutcome RunLockMode(Worker& w, int worker_id, Fn& fn,
+                                              TxnClass cls,
+                                              uint32_t prior_aborts) {
     const RunOutcome outcome = RunLockTxnLoop<Failpoints>(
-        w, w.state.ltxn, fn, cls,
-        ProgressContext{&progress_guard_, worker_id, prior_aborts, &l_gate_});
+        w, w.state.ltxn, fn, cls, worker_id, prior_aborts, &l_gate_);
     ForgetOwnLocks(w);
     return outcome;
   }
@@ -504,8 +473,8 @@ class TuFastScheduler {
       return RunLockMode(w, worker_id, fn, TxnClass::kL, 0);
     }
 
-    // Failed attempts across all modes; threads into the escalation
-    // ladder so the L loop sees the transaction's whole abort history.
+    // Failed attempts across all modes; the L loop continues the count,
+    // so max_txn_aborts covers the whole transaction.
     uint32_t txn_aborts = 0;
     bool try_h = config_.enable_h_mode && size_hint <= h_hint_threshold_;
     if constexpr (Failpoints::kEnabled) {
@@ -635,10 +604,6 @@ class TuFastScheduler {
     return w != nullptr ? &w->state.monitor : nullptr;
   }
 
-  /// Progress-guard introspection (stress tests poke the signals to
-  /// stage token-held / starved scenarios deterministically).
-  ProgressGuard& progress_guard() { return progress_guard_; }
-
   /// L-gate introspection (tests check that every exit path leaves it).
   const TicketGate& l_gate() const { return l_gate_; }
 
@@ -653,8 +618,8 @@ class TuFastScheduler {
   /// O-mode loop plus the L-mode fallthrough (paper Fig. 10, lower half).
   /// Outlined and cold: only medium/huge transactions come here, and
   /// keeping the instantiations out of Run() preserves the H fast path's
-  /// code generation (see TUFAST_NOINLINE_COLD). `txn_aborts` carries the
-  /// failed H attempts into the escalation ladder.
+  /// code generation (see TUFAST_NOINLINE_COLD). `txn_aborts` counts the
+  /// failed H attempts.
   template <typename Fn>
   TUFAST_NOINLINE_COLD RunOutcome RunOptimisticThenLock(Worker& w,
                                                         int worker_id, Fn& fn,
@@ -719,8 +684,7 @@ class TuFastScheduler {
   LockManager<Htm> lock_manager_;
   const uint64_t h_hint_threshold_;
   const uint32_t max_period_;
-  ProgressGuard progress_guard_;
-  /// Admits one L transaction at a time (ProgressContext::gate).
+  /// Admits one L transaction at a time (RunLockMode).
   TicketGate l_gate_;
   std::unique_ptr<Mvcc> mvcc_;
   std::unique_ptr<BasicWalWriter<Failpoints>> owned_wal_;

@@ -14,7 +14,6 @@
 #include "htm/htm_config.h"
 #include "mvcc/version_store.h"
 #include "tm/outcome.h"
-#include "tm/progress_guard.h"
 #include "tm/telemetry.h"
 
 namespace tufast {
@@ -161,6 +160,24 @@ inline void RetryBackoff(RngT& rng) {
   for (uint64_t i = 0; i < pauses; ++i) backoff.Pause();
 }
 
+/// Randomized exponential backoff between conflict retries, shared by
+/// TuFast's three retry loops (H attempts, O period halvings, L victim
+/// restarts) and the 2PL baseline. `attempt` is the number of failed
+/// attempts so far; the window doubles with it up to 8 << 10 pauses.
+/// Returns the drawn pause count so callers can feed the backoff
+/// telemetry. Determinism: the only entropy is the worker's own seeded
+/// Rng, so a fixed seed replays the exact pause sequence
+/// (TUFAST_STRESS_SEED).
+template <typename RngT>
+inline uint64_t ConflictBackoff(RngT& rng, uint32_t attempt) {
+  const uint32_t shift = attempt < 10 ? attempt : 10;
+  const uint64_t window = uint64_t{8} << shift;
+  const uint64_t pauses = 1 + rng.NextBounded(window);
+  Backoff backoff;
+  for (uint64_t i = 0; i < pauses; ++i) backoff.Pause();
+  return pauses;
+}
+
 /// Stall-watchdog heartbeats: one beat per execution attempt / commit.
 /// A relaxed load and store, not a locked RMW: only the owning worker
 /// writes the counter, ResetStats runs with no transaction in flight, and
@@ -228,21 +245,6 @@ TUFAST_ALWAYS_INLINE void RecordAttemptAbort(Worker& w, AbortReason reason) {
   w.telemetry.AttemptAbort(reason);
 }
 
-/// One step up the progress guard's escalation ladder.
-template <typename Worker>
-inline void RecordEscalation(Worker& w, ProgressGuard::Escalation step) {
-  switch (step) {
-    case ProgressGuard::Escalation::kStarved:
-      ++w.stats.starvation_escalations;
-      break;
-    case ProgressGuard::Escalation::kToken:
-      ++w.stats.starvation_tokens;
-      break;
-    case ProgressGuard::Escalation::kNone:
-      break;
-  }
-}
-
 /// One serving request started executing after `ns` nanoseconds in the
 /// run queue.
 template <typename Worker>
@@ -255,7 +257,7 @@ inline void RecordQueueDelay(Worker& w, uint64_t ns) {
   w.telemetry.ServeQueueDelay(ns);
 }
 
-/// Pays one progress-guard backoff and records it.
+/// Pays one ConflictBackoff and records it.
 template <typename Worker>
 inline void PayBackoff(Worker& w, uint32_t attempt) {
   const uint64_t pauses = ConflictBackoff(w.rng, attempt);
@@ -352,23 +354,6 @@ inline HtmAttemptVerdict RecordFusedAbort(Worker& w,
   return RecordHtmAbort(w, status);
 }
 
-/// Scope guard releasing a progress guard's per-slot escalation state
-/// (starved bit, token) on every exit from the L retry loop — including
-/// a foreign exception unwinding out mid-escalation.
-class ProgressDoneGuard {
- public:
-  ProgressDoneGuard(ProgressGuard* guard, int slot)
-      : guard_(guard), slot_(slot) {}
-  TUFAST_DISALLOW_COPY_AND_MOVE(ProgressDoneGuard);
-  ~ProgressDoneGuard() {
-    if (guard_ != nullptr) guard_->OnTxnDone(slot_);
-  }
-
- private:
-  ProgressGuard* guard_;
-  const int slot_;
-};
-
 /// Holds a TicketGate from construction until Release() or scope exit
 /// (null gate: no-op), so a user abort or a foreign exception unwinding
 /// out of the L retry loop cannot leak it.
@@ -388,18 +373,6 @@ class GateHold {
   TicketGate* gate_;
 };
 
-/// One victim abort in the L retry loop: escalate through the progress
-/// guard's ladder (recording what happened) and pay the retry backoff.
-/// Must run after the victim released its lock set.
-template <typename Worker>
-inline void OnLockVictimAbort(Worker& w, const ProgressContext& ctx,
-                              uint32_t aborts) {
-  if (ctx.guard != nullptr) {
-    RecordEscalation(w, ctx.guard->OnAbort(ctx.slot, aborts));
-  }
-  PayBackoff(w, aborts - 1);
-}
-
 /// Group-commit acknowledgment + stats drain for one committed TuFast
 /// transaction that published WAL records (null `wal` = durability off,
 /// returns at once). Runs after every lock / ownership release but
@@ -418,47 +391,36 @@ inline void AccountWalCommit(Worker& w, WalRecorder* wal) {
 }
 
 /// Two-phase-locking retry loop shared by TuFast's L mode and the 2PL
-/// baseline: run the body on `ltxn`, commit-and-release, restart with
-/// randomized exponential backoff when picked as a deadlock victim,
-/// escalating through the progress guard (ctx.guard) so every
-/// transaction keeps a bounded path to commit. With ctx.gate (TuFast)
-/// the loop first waits its turn at the gate, holding no locks, and
-/// keeps it across victim retries; the wait counts as L time.
+/// baseline: run the body on `ltxn`, commit-and-release, and restart
+/// after a ConflictBackoff when the lock manager made the transaction a
+/// timeout victim. `prior_aborts` counts the attempts the transaction
+/// already failed in H and O, so max_txn_aborts covers all of them. With
+/// a `gate` (TuFast) the loop first waits its turn, holding no locks,
+/// and keeps the gate across victim retries; the wait counts as L time.
+/// A null gate (2PL) runs ungated.
 ///
 /// Exception safety: ANY exception leaving the body — not just the TM
-/// control signals — releases the whole lock set (LockReleaseGuard),
-/// drops escalation state (ProgressDoneGuard) and then leaves the gate
-/// (GateHold) before propagating.
+/// control signals — releases the whole lock set (LockReleaseGuard) and
+/// then leaves the gate (GateHold) before propagating.
 ///
-/// `FailpointsT` threads the fault-injection policy in for the forced
-/// re-victimization site (kVictimReabort); pass the scheduler's policy
-/// explicitly — the default NullFailpoints keeps legacy call sites
-/// injection-free.
-template <typename FailpointsT = NullFailpoints, typename Worker,
-          typename LockTxn, typename Fn>
+/// `FailpointsT` is the scheduler's fault-injection policy, for the
+/// forced re-victimization site (kVictimReabort) on lock-manager slot
+/// `slot` (the worker id).
+template <typename FailpointsT, typename Worker, typename LockTxn, typename Fn>
 RunOutcome RunLockTxnLoop(Worker& w, LockTxn& ltxn, Fn& fn, TxnClass cls,
-                          ProgressContext ctx = {}) {
+                          int slot, uint32_t prior_aborts, TicketGate* gate) {
   w.telemetry.EnterMode(SchedMode::kLock);
-  GateHold gate(ctx.gate);
-  uint32_t aborts = ctx.prior_aborts;
-  ProgressDoneGuard done(ctx.guard, ctx.slot);
+  GateHold held_gate(gate);
+  uint32_t aborts = prior_aborts;
   while (true) {
     BeatAttempt(w);
     if constexpr (FailpointsT::kEnabled) {
-      // Forced extra victim abort (stress: adversarial re-victimization)
-      // — protected slots are immune, exactly like real victim selection.
-      if ((ctx.guard == nullptr || !ctx.guard->Protected(ctx.slot)) &&
-          FailpointsT::Hit(FailSite::kVictimReabort, ctx.slot) ==
-              FailAction::kFail) {
+      // Forced extra victim abort (stress: adversarial re-victimization).
+      if (FailpointsT::Hit(FailSite::kVictimReabort, slot) ==
+          FailAction::kFail) {
         RecordAttemptAbort(w, AbortReason::kDeadlock);
-        OnLockVictimAbort(w, ctx, ++aborts);
+        PayBackoff(w, aborts++);
         continue;
-      }
-      // Forced escalation straight to the top of the ladder.
-      if (ctx.guard != nullptr &&
-          FailpointsT::Hit(FailSite::kStarvationToken, ctx.slot) ==
-              FailAction::kFail) {
-        RecordEscalation(w, ctx.guard->ForceEscalate(ctx.slot));
       }
     }
     ltxn.Reset();
@@ -469,7 +431,7 @@ RunOutcome RunLockTxnLoop(Worker& w, LockTxn& ltxn, Fn& fn, TxnClass cls,
       release.Dismiss();  // Commit already released everything.
       // Leave the gate before the durability wait, so the next L
       // transaction's commit can share this one's fsync.
-      gate.Release();
+      held_gate.Release();
       // Ack barrier: no locks held. A null recorder (WAL off, and always
       // on 2PL) returns at once.
       AccountWalCommit(w, ltxn.wal_recorder());
@@ -478,11 +440,12 @@ RunOutcome RunLockTxnLoop(Worker& w, LockTxn& ltxn, Fn& fn, TxnClass cls,
       // LockReleaseGuard frees the lock set on unwind.
       return RecordTxnUserAbort(w, cls, aborts);
     } catch (const DeadlockVictimSignal&) {
-      // Free the lock set NOW — escalation and backoff must run with no
-      // locks held (the guard dtor would only fire at scope end).
+      // Free the lock set NOW: the backoff must run with no locks held
+      // (the guard dtor would only fire at scope end).
       ltxn.ReleaseAll();
       RecordAttemptAbort(w, AbortReason::kDeadlock);
-      OnLockVictimAbort(w, ctx, ++aborts);
+      w.telemetry.DeadlockVictim();
+      PayBackoff(w, aborts++);
     }
   }
 }

@@ -353,30 +353,20 @@ TYPED_TEST(InvariantStressTest, HoldsUnderChaos) {
 // ---------------------------------------------------------------------------
 // Adversarial victim starvation: every transaction is forced into the
 // lock path and then re-victimized with high probability, concentrated
-// on a handful of hot vertices — exactly the adversary the progress
-// guard's escalation ladder defends against. Every scheduler must still
-// commit every transaction exactly once; the guard-backed schedulers
-// (TuFast, 2PL) must additionally keep every transaction's failed
-// attempts inside the configured retry bound (DESIGN.md "Progress
-// guard": priority aging makes a starved slot immune to further
-// injected victimization, the token guarantees the worst case commits).
+// on a handful of hot vertices. Every scheduler must still commit every
+// transaction exactly once; the lock-manager schedulers (TuFast, 2PL)
+// must additionally keep every transaction's failed attempts inside a
+// retry bound (DESIGN.md "Progress guard").
 
 template <typename Scheduler>
 class StarvationStressTest : public ::testing::Test {};
 TYPED_TEST_SUITE(StarvationStressTest, StressSchedulers);
 
-template <typename S, typename = void>
-struct SchedulerHasProgressGuard : std::false_type {};
-template <typename S>
-struct SchedulerHasProgressGuard<
-    S, std::void_t<decltype(std::declval<S&>().progress_guard())>>
-    : std::true_type {};
-
 FailpointPlan::Config StarvationChaosConfig(uint64_t seed) {
   FailpointPlan::Config config;
   config.seed = seed;
-  // Force the TuFast router past H and O: the starvation machinery lives
-  // in the L retry loop. (Schedulers without these sites ignore them.)
+  // Force the TuFast router past H and O: the victim retries happen in
+  // the L retry loop. (Schedulers without these sites ignore them.)
   config.Arm(FailSite::kRouterSkipH, 1.0, FailAction::kFail);
   config.Arm(FailSite::kRouterSkipO, 1.0, FailAction::kFail);
   // Aggressive forced victimization plus re-victimization of the
@@ -387,13 +377,11 @@ FailpointPlan::Config StarvationChaosConfig(uint64_t seed) {
   return config;
 }
 
-// With priority aging, a transaction sees at most priority_threshold
-// injected re-aborts before it becomes immune; what remains are genuine
-// deadlock/timeout victimizations, bounded by the token threshold plus
-// the in-flight waiters a token holder can still collide with. 64 gives
-// that argument an order of magnitude of slack while still catching an
-// unbounded-starvation regression (the injection alone would push an
-// unguarded hot transaction far past it).
+// The injection re-victimizes an attempt with probability about 0.65
+// (0.5 before it starts, then 0.3 at its exclusive acquire), and every
+// victim retries after a backoff, so a transaction fails 64 attempts in a
+// row about once in 10^12 (seeds 1-30 read a worst of 9-21 on each of
+// TuFast and 2PL). A retry loop that stopped making progress crosses it.
 constexpr uint64_t kGuardedRetryBound = 64;
 
 TYPED_TEST(StarvationStressTest, EveryTxnCommitsWithinTheRetryBound) {
@@ -441,19 +429,11 @@ TYPED_TEST(StarvationStressTest, EveryTxnCommitsWithinTheRetryBound) {
     const SchedulerStats stats = tm.AggregatedStats();
     EXPECT_EQ(stats.commits, kTotalTxns)
         << "every transaction must eventually commit" << replay;
-    if constexpr (SchedulerHasProgressGuard<Scheduler>::value) {
+    if constexpr (requires { tm.lock_table(); }) {
       EXPECT_GT(stats.deadlock_aborts, 0u)
           << "the injection never fired" << replay;
-      EXPECT_GT(stats.starvation_escalations, 0u)
-          << "sustained re-victimization must climb the ladder" << replay;
       EXPECT_LE(stats.max_txn_aborts, kGuardedRetryBound)
-          << "escalation must bound the worst transaction's retries"
-          << replay;
-      auto& signals = tm.progress_guard().signals();
-      EXPECT_FALSE(signals.AnyStarved())
-          << "starved bits must be dropped at transaction end" << replay;
-      EXPECT_FALSE(signals.TokenHeld())
-          << "the starvation token leaked" << replay;
+          << "the worst transaction's retries must stay bounded" << replay;
     }
   }
 }

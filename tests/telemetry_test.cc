@@ -278,8 +278,6 @@ TEST(TelemetryJsonTest, SnapshotSerializationGolden) {
   stats.fusion_aborts = 2;
   stats.elided_attempts = 9;
   stats.backoff_events = 7;
-  stats.starvation_escalations = 2;
-  stats.starvation_tokens = 1;
   stats.breaker_bypass = 128;
   stats.max_txn_aborts = 4;
   stats.serve_requests = 6;
@@ -287,7 +285,7 @@ TEST(TelemetryJsonTest, SnapshotSerializationGolden) {
   stats.serve_max_queue_delay_ns = 2000;
 
   TelemetrySnapshot snap;
-  snap.deadlock_cycle_victims = 2;
+  snap.deadlock_timeout_victims = 2;
   snap.time_in_mode_ns[0] = 1000;
   snap.time_in_mode_ns[1] = 2000;
   snap.time_in_mode_ns[2] = 3000;
@@ -307,8 +305,8 @@ TEST(TelemetryJsonTest, SnapshotSerializationGolden) {
   const std::string empty_hist =
       "{\"count\":0,\"sum\":0,\"min\":0,\"max\":0,\"p50\":0,\"p99\":0}";
   const std::string expected =
-      "{\"user_aborts\":1,\"deadlock_cycle_victims\":2,"
-      "\"deadlock_timeout_victims\":0,\"elided_attempts\":9,"
+      "{\"user_aborts\":1,"
+      "\"deadlock_timeout_victims\":2,\"elided_attempts\":9,"
       "\"commits\":{"
       "\"H\":{\"count\":5,\"ops\":50,\"latency_ns\":" + empty_hist + "},"
       "\"O\":{\"count\":0,\"ops\":0,\"latency_ns\":" + empty_hist + "},"
@@ -333,7 +331,6 @@ TEST(TelemetryJsonTest, SnapshotSerializationGolden) {
       "\"p50\":4,\"p99\":4},"
       "\"bisection_depth\":" + empty_hist + "},"
       "\"progress\":{\"backoff_events\":7,\"backoff_pauses\":90,"
-      "\"starvation_escalations\":2,\"starvation_tokens\":1,"
       "\"breaker_trips\":1,\"breaker_half_opens\":1,"
       "\"breaker_closes\":1,\"breaker_bypass\":128,"
       "\"txn_aborts\":{\"count\":2,\"sum\":8,\"min\":4,\"max\":4,"
